@@ -26,7 +26,6 @@ from .core import (
     VirtualDiagram,
     _check_i64,
     atom,
-    atom_coords,
     atom_leq,
     diagram,
     linear_diagram,
@@ -142,10 +141,20 @@ def level1_arrays(xi: VirtualDiagram):
     if cached is None:
         if xi.level != 1:
             raise LevelMismatch("coordinate arrays exist at level 1 only")
-        phi = np.array([atom_coords(a) for a, _ in xi.entries], dtype=np.float64)
-        phi = phi.reshape(len(xi.entries), -1)
-        coeff = np.array([c for _, c in xi.entries], dtype=np.int64)
-        cached = (phi, coeff)
+        if not xi.entries:
+            cached = (np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        else:
+            atoms, coeffs = zip(*xi.entries)
+            # one row of minus then plus coordinates per atom (a row of another
+            # width raises); negating the minus half gives atom_coords
+            dim = len(atoms[0].minus.coords)
+            phi = np.fromiter(
+                (a.minus.coords + a.plus.coords for a in atoms),
+                dtype=(np.float64, 2 * dim),
+                count=len(atoms),
+            )
+            phi[:, :dim] *= -1
+            cached = (phi, np.array(coeffs, dtype=np.int64))
         xi._cache["phi"] = cached
     return cached
 

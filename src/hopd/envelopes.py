@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 AVERAGE_GUARD_N = 12
 AVERAGE_GUARD_WIDTH = 512  # cap on c * 2^N so the exact DP stays tractable
@@ -121,9 +121,7 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
             if len(parts) == 1:
                 dist[t2] = parts[0]
                 continue
-            common = 1
-            for _, den in parts:
-                common = common * den // _gcd(common, den)
+            common = lcm(*(den for _, den in parts))
             acc = [0] * (power + 1)
             for nums, den in parts:
                 scale = common // den
@@ -131,7 +129,7 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
                     acc[m] += nums[m] * scale
             shrink = common
             for v in acc:
-                shrink = _gcd(shrink, v)
+                shrink = gcd(shrink, v)
                 if shrink == 1:
                     break
             if shrink > 1:
@@ -142,12 +140,6 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
     for nums, den in dist.values():
         total += Fraction(nums[power], den)
     return total
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def envelope_average(c: int, N: int, mode: str) -> Fraction:

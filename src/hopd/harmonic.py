@@ -28,6 +28,7 @@ from .aggregation import (
 )
 from .core import (
     Atom,
+    CoefficientOverflow,
     DEFAULT_PREORDER,
     LevelMismatch,
     LinearDiagram,
@@ -135,11 +136,10 @@ def coboundary_net_multiplicities(aggregate, base_atoms) -> np.ndarray:
     """
     n = len(base_atoms)
     if isinstance(aggregate, PairAggregate):
-        w = aggregate.coeff.astype(np.float64)  # exact below 2^53
-        plus = np.bincount(aggregate.j, weights=w, minlength=n)
-        minus = np.bincount(aggregate.i, weights=w, minlength=n)
-        net = plus - minus
-        return net.astype(np.int64)
+        net = np.zeros(n, dtype=np.int64)
+        np.add.at(net, aggregate.j, aggregate.coeff)
+        np.subtract.at(net, aggregate.i, aggregate.coeff)
+        return net
     index = {a.uid: k for k, a in enumerate(base_atoms)}
     net = [0] * n
     for cls, c in aggregate.entries:
@@ -235,25 +235,20 @@ def dominance_sums(
 
 
 def _dominance_down(coords, weights, engine="auto"):
-    n = len(coords)
     r = len(coords[0])
+    # the int64 kernel is exact when every partial sum fits; cdq sums
+    # Python integers and is exact at any size
+    fits = sum(abs(w) for w in weights) < 2**63
     if engine == "auto":
-        if r == 2 and n > 1024:
-            engine = "vector"
-        elif r == 2 and n > 192:
-            engine = "sweep"
-        else:
-            engine = "cdq"
+        engine = "vector" if r == 2 and fits else "cdq"
     if engine == "vector":
         if r != 2:
             raise ValueError("vector engine handles two coordinates only")
+        if not fits:
+            raise CoefficientOverflow("dominance sums may leave the 64-bit range")
         xy = np.asarray(coords, dtype=np.float64)
         w = np.asarray(weights, dtype=np.int64)
-        return list(_zeta2_vector(xy[:, 0], xy[:, 1], w))
-    if engine == "sweep":
-        if r != 2:
-            raise ValueError("sweep engine handles two coordinates only")
-        return _zeta2_sweep(coords, weights)
+        return _zeta2_both(xy[:, 0], xy[:, 1], w)[0].tolist()
     if engine == "cdq":
         return _zeta_cdq(coords, weights)
     raise ValueError(f"unknown engine {engine!r}")
@@ -361,80 +356,78 @@ def _zeta_cdq(coords, weights):
     return out
 
 
-def _zeta2_sweep(coords, weights):
-    """Single x-sorted pass with a Fenwick tree over y-ranks (two coordinates)."""
-    keys, w, members = _coalesce(coords, weights)
-    m = len(keys)
-    ys = sorted({k[1] for k in keys})
-    yrank = {v: i for i, v in enumerate(ys)}
-    fen = FenwickTree(len(ys))
-    z = [0] * m
-    i = 0
-    while i < m:
-        j = i
-        while j < m and keys[j][0] == keys[i][0]:
-            j += 1
-        run = 0
-        for t in range(i, j):  # same x, ascending y; in-group prefix inclusive
-            run += w[t]
-            z[t] = run + fen.prefix(yrank[keys[t][1]])
-        for t in range(i, j):
-            fen.add(yrank[keys[t][1]], w[t])
-        i = j
-    pos = {key: i for i, key in enumerate(keys)}
-    out = [0] * len(coords)
-    for key, idxs in members.items():
-        for k in idxs:
-            out[k] = z[pos[key]]
-    return out
+# Up to this many points one dense comparison matrix beats the rank-space
+# merge on fixed per-call cost (they cross near 190 points on x86-64).
+_DENSE_MAX = 192
+_LOG_BLOCK = 6
+_BLOCK = 1 << _LOG_BLOCK
 
 
 def _zeta2_both(x, y, w):
-    """Down and up dominance sums in one bottom-up pass (two coordinates).
+    """Down and up dominance sums of float64 points (x, y) with int64 weights w.
 
-    Points are coalesced and laid out in lexicographic order, so at each
-    merge level every left-half point precedes its sibling right half on the
-    first coordinate (ties included).  One radix sort per level orders each
-    half-block by second-coordinate rank; prefix sums over the sibling block
-    then serve the down sums (right targets) and up sums (left targets)
-    simultaneously.  Exact in integers throughout.
+    Small inputs take one dense comparison matrix on the raw coordinates;
+    equal points dominate each other and ``inf <= inf`` holds, so neither
+    duplicates nor ``+inf`` need care.  Larger inputs move to rank space:
+    dense integer ranks per coordinate (``+inf`` ranks last), points
+    coalesced in lexicographic order, each 64-point block of that order
+    solved densely, then bottom-up merge levels.  At a level, every point of
+    a left half precedes its sibling right half on the first coordinate, so
+    in (y-rank, position) order within the parent block a right point's down
+    sum gains the left weight seen so far, and a left point's up sum gains
+    the right total minus the right weight seen so far.  Sums wrap modulo
+    2^64, so they are exact whenever the results fit in int64.
     """
-    key = x + 1j * y  # np.unique on complex sorts by (real, imag)
-    uniq, inv = np.unique(key, return_inverse=True)
-    m = uniq.size
-    W = np.zeros(m, dtype=np.int64)
-    np.add.at(W, inv, w.astype(np.int64))
-    Y = uniq.imag
-    yr = np.searchsorted(np.unique(Y), Y).astype(np.int64)  # dense ranks
-    z_down = W.copy()
-    z_up = W.copy()
-    pos = np.arange(m, dtype=np.int64)
-    bits = max(1, int(m).bit_length())
-    level = 0
-    while (1 << level) < m:
-        half = pos >> level
-        sib = half ^ 1
-        hkey = (half << bits) | yr
-        order = np.argsort(hkey, kind="stable")
-        sk = hkey[order]
-        cw = np.concatenate(([0], np.cumsum(W[order])))
-        counts = np.bincount(half, minlength=int(half[-1]) + 2)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        qk = (sib << bits) | yr
-        below = np.searchsorted(sk, qk, side="right")  # sibling entries with y <= yr
-        at_or_above = np.searchsorted(sk, qk, side="left")
-        s_start = starts[sib]
-        s_end = starts[np.minimum(sib + 1, starts.size - 1)]
-        right_side = (half & 1) == 1
-        z_down += np.where(right_side, cw[below] - cw[s_start], 0)
-        z_up += np.where(right_side, 0, cw[s_end] - cw[at_or_above])
-        level += 1
-    return z_down[inv], z_up[inv]
-
-
-def _zeta2_vector(x, y, w, direction: str = "down"):
-    down, up = _zeta2_both(np.asarray(x), np.asarray(y), np.asarray(w))
-    return down if direction == "down" else up
+    n = w.size
+    if n <= _DENSE_MAX:
+        le = (x[:, None] <= x) & (y[:, None] <= y)
+        return w @ le, le @ w
+    _, xr = np.unique(x, return_inverse=True)
+    ys, yr = np.unique(y, return_inverse=True)
+    key = xr * ys.size + yr
+    order = np.argsort(key)
+    sk = key[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    m = starts.size
+    size = -(-m // _BLOCK) * _BLOCK  # padded with zero-weight points
+    W = np.zeros(size, dtype=np.int64)
+    W[:m] = np.add.reduceat(w[order], starts)
+    Y = np.zeros(size, dtype=np.int64)
+    Y[:m] = sk[starts] % ys.size
+    # base blocks: within a block, position i <= j already gives x_i <= x_j
+    Yb = Y.astype(np.int32).reshape(-1, _BLOCK)
+    Wb = W.reshape(-1, _BLOCK)
+    le = (Yb[:, :, None] <= Yb[:, None, :]) & np.tri(_BLOCK, dtype=bool).T
+    down = np.einsum("bi,bij->bj", Wb, le).ravel()
+    up = np.einsum("bij,bj->bi", le, Wb).ravel()
+    # one (y-rank, position) order serves every level: on equal y-ranks a
+    # left half precedes its sibling, which makes both sums inclusive
+    pos = np.arange(size)
+    by_y = np.argsort(Y * size + pos)
+    cl = np.zeros(size + 1, dtype=np.int64)
+    cr = np.zeros(size + 1, dtype=np.int64)
+    lg = _LOG_BLOCK
+    while (1 << lg) < size:
+        # a stable sort on the parent index (a radix sort while it fits in
+        # 16 bits) keeps the y order within each parent block
+        parent = (by_y >> (lg + 1)).astype(np.min_scalar_type(size >> (lg + 1)))
+        order = by_y[np.argsort(parent, kind="stable")]
+        right = (order >> lg) & 1
+        wo = W[order]
+        wr = wo * right
+        np.cumsum(wo - wr, out=cl[1:])
+        np.cumsum(wr, out=cr[1:])
+        start = (pos >> (lg + 1)) << (lg + 1)  # parent blocks are contiguous
+        end = np.minimum(start + (2 << lg), size)
+        down[order] += right * (cl[1:] - cl[start])
+        up[order] += (1 - right) * (cr[end] - cr[1:])
+        lg += 1
+    return down[inv], up[inv]
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +462,14 @@ def harmonic_eval_raw(
         return 0.0
     phi, coeff = level1_arrays(xi)
     psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
-    if phi.shape[1] == 2:
-        x, y = phi[:, 0], phi[:, 1]
-        if engine == "auto":
-            engine = "vector"
-        if engine == "vector":
-            z_down, z_up = _zeta2_both(x, y, coeff)
-        else:
-            coords = [tuple(row) for row in phi]
-            z_down = np.array(_dominance_down(coords, list(coeff), engine), dtype=np.int64)
-            neg = [tuple(-v for v in row) for row in coords]
-            z_up = np.array(_dominance_down(neg, list(coeff), engine), dtype=np.int64)
+    if phi.shape[1] == 2 and engine in ("auto", "vector"):
+        z_down, z_up = _zeta2_both(phi[:, 0], phi[:, 1], coeff)
     else:
-        coords = [tuple(row) for row in phi]
-        z_down = np.array(_dominance_down(coords, list(coeff), "cdq"), dtype=np.int64)
+        coords = [tuple(row) for row in phi.tolist()]
+        w = coeff.tolist()
+        z_down = np.array(_dominance_down(coords, w, engine), dtype=np.int64)
         neg = [tuple(-v for v in row) for row in coords]
-        z_up = np.array(_dominance_down(neg, list(coeff), "cdq"), dtype=np.int64)
+        z_up = np.array(_dominance_down(neg, w, engine), dtype=np.int64)
     net = coeff * (z_down - z_up)
     return float(np.dot(psi_vec, net.astype(np.float64)))
 

@@ -9,6 +9,7 @@ from hopd.aggregation import (
     ExpansionGuardExceeded,
     bilinear_aggregate,
     iterated_aggregate,
+    level1_arrays,
     mean_aggregate,
     naive_self_aggregate,
     pair_class,
@@ -18,7 +19,9 @@ from hopd.aggregation import (
 )
 from hopd.core import (
     CoefficientOverflow,
+    atom,
     atom_leq,
+    ground,
     interval,
     virtual_diagram,
 )
@@ -102,6 +105,16 @@ class TestVectorKernel:
         xi = rand_virtual(rng, 300)
         pairs = self_aggregate_pairs(xi, block=64)
         assert pairs.to_virtual_diagram() == naive_self_aggregate(xi)
+
+    def test_empty_and_mixed_ground_dimensions(self):
+        empty = virtual_diagram({}, level=1)
+        assert self_aggregate_pairs(empty).to_virtual_diagram() == naive_self_aggregate(empty)
+        # rows of different widths must not be reshaped into a wrong matrix
+        mixed = virtual_diagram(
+            {interval(0.1, 0.5): 1, atom(ground(0.0, 0.0), ground(1.0, 1.0)): 1}
+        )
+        with pytest.raises(ValueError):
+            level1_arrays(mixed)
 
 
 class TestSumAndMean:

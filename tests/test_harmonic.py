@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopd.aggregation import naive_self_aggregate, self_aggregate_pairs, tree_expansion_oracle, iterated_aggregate
-from hopd.core import interval, psi_golden, virtual_diagram
+from hopd.core import CoefficientOverflow, interval, psi_golden, virtual_diagram
 from hopd.harmonic import (
     Character,
     CoboundaryCharacter,
     DominanceInput,
     MissingAngle,
     angles_close,
+    coboundary_net_multiplicities,
+    coboundary_phase_raw,
     dominance_sums,
     evaluate_character,
     harmonic_eval,
@@ -137,7 +139,7 @@ class TestDominanceSums:
         assert dominance_sums(inp, "down") == {0: 2, 1: 5}
         assert dominance_sums(inp, "up") == {0: 5, 1: 3}
 
-    @pytest.mark.parametrize("engine", ["cdq", "sweep", "vector"])
+    @pytest.mark.parametrize("engine", ["cdq", "vector"])
     def test_engines_match_brute_force_r2(self, rng, engine):
         for _ in range(25):
             n = rng.randint(1, 120)
@@ -153,6 +155,24 @@ class TestDominanceSums:
             for direction in ("down", "up"):
                 got = dominance_sums(inp, direction, engine)
                 assert got == brute_dominance(pts, direction)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 193, 255, 256, 257, 1000])
+    def test_vector_infinite_and_duplicate_coordinates(self, rng, n):
+        # sizes straddle the dense cut-over (192) and the 64-point block and
+        # merge-level edges; a coarse grid forces duplicates, and +inf in the
+        # second coordinate (essential deaths) and -inf in the first must
+        # order last and first
+        grid = max(2, int(n**0.5) // 2)
+        pts = []
+        for k in range(n):
+            x = -math.inf if rng.random() < 0.05 else float(rng.randrange(grid))
+            y = math.inf if rng.random() < 0.2 else float(rng.randrange(grid))
+            pts.append(((x, y), rng.randint(-9, 9), k))
+        inp = DominanceInput(tuple(pts))
+        for direction in ("down", "up"):
+            assert dominance_sums(inp, direction, "vector") == brute_dominance(
+                pts, direction
+            )
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_cdq_random_dims(self, rng, r):
@@ -171,6 +191,12 @@ class TestDominanceSums:
                 assert dominance_sums(inp, direction, "cdq") == brute_dominance(
                     pts, direction
                 )
+
+    def test_sums_beyond_64_bits_stay_exact(self):
+        inp = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62])
+        assert dominance_sums(inp, "down") == {0: 2**62, 1: 2**63}
+        with pytest.raises(CoefficientOverflow):
+            dominance_sums(inp, "down", "vector")
 
     def test_duplicates_mutual(self):
         pts = [((0.5, 0.5), 2, "a"), ((0.5, 0.5), 3, "b")]
@@ -219,7 +245,7 @@ class TestHarmonicEval:
             xi = virtual_diagram({a: c})
             assert angles_close(harmonic_eval(xi, psi), 0.0)
 
-    @pytest.mark.parametrize("engine", ["vector", "sweep", "cdq"])
+    @pytest.mark.parametrize("engine", ["vector", "cdq"])
     def test_equals_explicit_aggregate_character(self, rng, engine):
         for _ in range(8):
             xi = rand_virtual(rng, rng.randint(1, 80), grid=20)
@@ -258,11 +284,42 @@ class TestHarmonicEval:
         psi = CoboundaryCharacter(1)
         raw = sum(harmonic_eval_raw(x, psi) for x in xs) / 3
         explicit = 0.0
-        from hopd.harmonic import coboundary_phase_raw
-
         for x in xs:
             explicit += coboundary_phase_raw(naive_self_aggregate(x), psi, x.support())
         assert angles_close(wrap_angle(raw), wrap_angle(explicit / 3), 1e-9)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.one_of(st.integers(1, 6), st.none()),
+                st.integers(-9, 9).filter(bool),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_infinite_deaths_match_explicit_phase(self, rows):
+        entries = {}
+        for b, gap, c in rows:
+            death = math.inf if gap is None else (b + gap) / 4
+            entries[interval(b / 4, death)] = c
+        xi = virtual_diagram(entries, level=1)
+        psi = CoboundaryCharacter(1)
+        explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
+        assert harmonic_eval_raw(xi, psi) == explicit
+
+
+class TestNetMultiplicities:
+    def test_pair_aggregate_exact_above_2_53(self):
+        # products near 2^54 are not representable in float64
+        a, b = interval(0.2, 0.8), interval(0.1, 0.9)
+        xi = virtual_diagram({a: 2**27 + 1, b: 2**27 + 3})
+        net = (2**27 + 1) * (2**27 + 3)
+        base = xi.support()
+        assert base == [b, a]
+        for agg in (self_aggregate_pairs(xi), naive_self_aggregate(xi)):
+            assert coboundary_net_multiplicities(agg, base).tolist() == [net, -net]
 
 
 class TestIteratedPhase:

@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 INF = math.inf
 
 _INTERN_LOCK = threading.Lock()
@@ -278,7 +281,8 @@ class VirtualDiagram:
         acc = {a: c for a, c in self.entries}
         for a, c in other.entries:
             acc[a] = acc.get(a, 0) + c
-        return virtual_diagram(acc, level=self.level)
+        # the operands were validated and a sum creates no new atom
+        return virtual_diagram(acc, level=self.level, validate=False)
 
     def __sub__(self, other: "VirtualDiagram") -> "VirtualDiagram":
         return self + (-other)
@@ -291,7 +295,9 @@ class VirtualDiagram:
             return NotImplemented
         if k == 0:
             return virtual_diagram({}, level=self.level)
-        return virtual_diagram({a: k * c for a, c in self.entries}, level=self.level)
+        return virtual_diagram(
+            {a: k * c for a, c in self.entries}, level=self.level, validate=False
+        )
 
     def positive_part(self) -> Diagram:
         return diagram({a: c for a, c in self.entries if c > 0}, level=self.level)
@@ -456,24 +462,14 @@ def right_diagonal_admissible(v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) ->
     return endpoint_leq(v.minus, v.plus, spec)
 
 
-def _perfect_matching(adj: list[list[bool]]) -> bool:
-    """Kuhn's augmenting-path test for a perfect matching on a square graph."""
-    n = len(adj)
-    match_right = [-1] * n
+def _perfect_matching(adj: np.ndarray) -> bool:
+    """Whether the square bipartite graph ``adj`` has a perfect matching.
 
-    def try_augment(i, seen):
-        for j in range(n):
-            if adj[i][j] and not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or try_augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_augment(i, [False] * n):
-            return False
-    return True
+    A minimum assignment on the cost ``~adj`` picks only True cells exactly
+    when a perfect matching exists.
+    """
+    rows, cols = linear_sum_assignment(~adj)
+    return bool(adj[rows, cols].all())
 
 
 def diagram_leq(G: Diagram, L: Diagram, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
@@ -495,16 +491,17 @@ def diagram_leq(G: Diagram, L: Diagram, spec: PreorderSpec = DEFAULT_PREORDER) -
     if size == 0:
         return True
     # rows: m atoms of G then n diagonal slots; cols: n atoms of L then m slots
-    adj = [[False] * size for _ in range(size)]
+    adj = np.zeros((size, size), dtype=bool)
     for i, u in enumerate(left):
-        for j, v in enumerate(right):
-            adj[i][j] = atom_leq(u, v, spec)
-        adj[i][n + i] = left_diagonal_admissible(u, spec)
+        row = [atom_leq(u, v, spec) for v in right]
+        diag = left_diagonal_admissible(u, spec)
+        if not (diag or any(row)):
+            return False  # u has no neighbour, so no matching covers it
+        adj[i, :n] = row
+        adj[i, n + i] = diag
     for j, v in enumerate(right):
-        adj[m + j][j] = right_diagonal_admissible(v, spec)
-    for i in range(m, size):
-        for j in range(n, size):
-            adj[i][j] = True
+        adj[m + j, j] = right_diagonal_admissible(v, spec)
+    adj[m:, n:] = True
     return _perfect_matching(adj)
 
 
@@ -583,17 +580,21 @@ def d_prod(u: Atom, v: Atom, p: float,
     )
 
 
+def level1_diag_cost(u: Atom, p: float) -> float:
+    """Closed-form diagonal distance of a level-1 atom: |d - b| * 2^(1/p - 1),
+    with 2^(1/p - 1) read as 1/2 at p = inf."""
+    gap = dist_ground(u.minus, u.plus)
+    if gap == 0.0:
+        return 0.0
+    return gap * (0.5 if p == INF else 2.0 ** (1.0 / p - 1.0))
+
+
 def d_diag(u: Atom, p: float, diagonal: DiagonalPolicy = DEFAULT_DIAGONAL) -> float:
     """Distance from an atom to the diagonal of its level."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if u.level == 1:
-        # closed form: |d - b| * 2^(1/p - 1); read 2^(1/p-1) as 1/2 at p=inf
-        gap = dist_ground(u.minus, u.plus)
-        if gap == 0.0:
-            return 0.0
-        scale = 0.5 if p == INF else 2.0 ** (1.0 / p - 1.0)
-        return gap * scale
+        return level1_diag_cost(u, p)
     if u.level in diagonal.scan_sets and diagonal.mode == "scan":
         candidates = diagonal.scan_sets[u.level]
         if not candidates:
@@ -654,6 +655,7 @@ __all__ = [
     "is_basepoint_pair",
     "is_diagonal",
     "left_diagonal_admissible",
+    "level1_diag_cost",
     "linear_diagram",
     "norm_p",
     "psi_golden",

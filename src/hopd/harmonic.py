@@ -450,7 +450,9 @@ def harmonic_eval_raw(
 
     S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u).  The per-atom
     weight xi_a * (Z-(a) - Z+(a)) is collected exactly in integers; psi
-    enters through a single double-precision dot product.
+    enters through a single double-precision dot product.  Raises
+    ``CoefficientOverflow`` when max|c| * sum|c| >= 2^63, where the
+    int64 weights could wrap.
     """
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
@@ -461,6 +463,10 @@ def harmonic_eval_raw(
     if not xi.entries:
         return 0.0
     phi, coeff = level1_arrays(xi)
+    # |net(a)| <= max|c| * sum|c|; n * max|c| bounds sum|c| without a pass
+    cmax = max(int(coeff.max()), -int(coeff.min()))
+    if cmax * cmax * len(coeff) >= 2**63 and cmax * sum(map(abs, coeff.tolist())) >= 2**63:
+        raise CoefficientOverflow("net multiplicities may leave the 64-bit range")
     psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
     if phi.shape[1] == 2 and engine in ("auto", "vector"):
         z_down, z_up = _zeta2_both(phi[:, 0], phi[:, 1], coeff)

@@ -11,10 +11,12 @@ same distances exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import coo_matrix
 
 from .core import (
     Atom,
@@ -25,10 +27,13 @@ from .core import (
     LevelMismatch,
     LinearDiagram,
     VirtualDiagram,
+    _perfect_matching,
+    d1,
+    d_diag,
     dist_ground,
+    level1_diag_cost,
     norm_p,
 )
-from .flow import min_cost_transport
 
 INF = math.inf
 
@@ -67,18 +72,16 @@ def assign_p(prob: AssignProblem) -> float:
     m, l = len(prob.left), len(prob.right)
     if m == 0 and l == 0:
         return 0.0
+    # rows: m left atoms then l diagonal slots; cols: l right atoms then m
+    # slots; an atom opts out only to its own slot, slot-to-slot is free
+    costs = np.full((m + l, m + l), INF)
+    costs[:m, :l] = np.reshape(prob.off, (m, l))
+    costs[range(m), range(l, l + m)] = prob.left
+    costs[range(m, m + l), range(l)] = prob.right
+    costs[m:, l:] = 0.0
     if prob.p == INF:
-        return _assign_inf(prob, m, l)
-    p = prob.p
-    size = m + l
-    A = np.full((size, size), INF)
-    for i in range(m):
-        for j in range(l):
-            A[i, j] = prob.off[i][j] ** p
-        A[i, l + i] = prob.left[i] ** p
-    for j in range(l):
-        A[m + j, j] = prob.right[j] ** p
-    A[m:, l:] = 0.0
+        return _assign_inf(costs)
+    A = costs**prob.p
     try:
         rows, cols = linear_sum_assignment(A)
     except ValueError:
@@ -86,55 +89,54 @@ def assign_p(prob: AssignProblem) -> float:
     total = float(A[rows, cols].sum())
     if math.isinf(total):
         return INF
-    return total ** (1.0 / p)
+    return total ** (1.0 / prob.p)
 
 
-def _assign_inf(prob: AssignProblem, m: int, l: int) -> float:
-    size = m + l
-    costs = np.full((size, size), INF)
-    for i in range(m):
-        for j in range(l):
-            costs[i, j] = prob.off[i][j]
-        costs[i, l + i] = prob.left[i]
-    for j in range(l):
-        costs[m + j, j] = prob.right[j]
-    costs[m:, l:] = 0.0
-
-    def feasible(t: float) -> bool:
-        return _has_perfect_matching(costs <= t)
-
-    finite = sorted({0.0} | {c for c in costs.ravel() if not math.isinf(c)})
+def _assign_inf(costs: np.ndarray) -> float:
+    """Bottleneck assignment: the least threshold with a perfect matching."""
+    finite = np.union1d([0.0], costs[np.isfinite(costs)])
     lo, hi = 0, len(finite) - 1
-    if not feasible(finite[hi]):
+    if not _perfect_matching(costs <= finite[hi]):
         return INF
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(finite[mid]):
+        if _perfect_matching(costs <= finite[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return finite[lo]
+    return float(finite[lo])
 
 
-def _has_perfect_matching(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    match_right = [-1] * n
+def min_cost_transport(divergence: Sequence, cost) -> float:
+    """Minimize sum pi_ij * cost[i][j] subject to pi >= 0 and
+    sum_j (pi_ij - pi_ji) = divergence[i] for every node i.
 
-    def augment(i, seen):
-        for j in np.flatnonzero(adj[i]):
-            j = int(j)
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_right[j] < 0 or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(n):
-        if not augment(i, [False] * n):
-            return False
-    return True
+    Divergences may be ints, floats or Fractions and must sum to zero;
+    costs are finite and nonnegative over all ordered node pairs.  Solved
+    as a HiGHS linear program over the off-diagonal arcs.
+    """
+    n = len(divergence)
+    if n == 0:
+        return 0.0
+    if sum(divergence) != 0:
+        raise ValueError("divergences must sum to zero")
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    arc_cost = np.asarray(cost, dtype=np.float64)[src, dst]
+    if np.isnan(arc_cost).any() or (arc_cost < 0).any():
+        raise ValueError("costs must be nonnegative")
+    if np.isinf(arc_cost).any():
+        raise ValueError("infinite cost arc")
+    arcs = np.arange(len(src))
+    # arc k leaves src[k] (+1) and enters dst[k] (-1)
+    a_eq = coo_matrix(
+        (np.repeat([1.0, -1.0], len(arcs)), (np.concatenate([src, dst]), np.tile(arcs, 2))),
+        shape=(n, len(arcs)),
+    ).tocsr()
+    b_eq = np.array([float(d) for d in divergence])
+    res = linprog(arc_cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
 
 
 @dataclass
@@ -196,10 +198,7 @@ def _naive_atom_cost(u, v, k, p, diagonal, c) -> float:
 
 def _naive_diag_cost(u: Atom, k, p, diagonal, c) -> float:
     if k == 1:
-        gap = dist_ground(u.minus, u.plus)
-        if gap == 0.0:
-            return 0.0
-        return gap * (0.5 if p == INF else 2.0 ** (1.0 / p - 1.0))
+        return level1_diag_cost(u, p)
     if diagonal.mode == "scan" and k in diagonal.scan_sets:
         best = INF
         for cand in diagonal.scan_sets[k]:
@@ -287,10 +286,7 @@ class _CertifiedRun:
         if hit is not None:
             return hit
         if k == 1:
-            gap = dist_ground(u.minus, u.plus)
-            value = 0.0 if gap == 0.0 else gap * (
-                0.5 if self.p == INF else 2.0 ** (1.0 / self.p - 1.0)
-            )
+            value = level1_diag_cost(u, self.p)
         elif self.diagonal.mode == "scan" and k in self.diagonal.scan_sets:
             value = min(
                 norm_p(
@@ -371,12 +367,11 @@ def linear_w1_norm(
 ) -> float:
     """Optimal-transport norm of a real-linear diagram.
 
-    Min-cost flow over the support plus the basepoint, divergences equal to
-    the coefficients with the basepoint absorbing their negative sum, arc
-    costs the strengthened atom metric.
+    Min-cost transport over the support plus the basepoint, divergences
+    equal to the coefficients with the basepoint absorbing their negative
+    sum, arc costs the strengthened atom metric.  An infinite cost on the
+    support (an atom with a +inf death) raises ValueError.
     """
-    from .core import d1, d_diag
-
     entries = xi.entries
     if not entries:
         return 0.0
@@ -388,10 +383,6 @@ def linear_w1_norm(
         for j in range(i + 1, n):
             cost[i][j] = cost[j][i] = d1(atoms[i], atoms[j], 1, diagonal)
         cost[i][n] = cost[n][i] = d_diag(atoms[i], 1, diagonal)
-    for row in cost:
-        for v in row:
-            if math.isinf(v):
-                raise ValueError("infinite atom cost on the support")
     divergence = list(coeffs) + [-sum(coeffs)]
     return min_cost_transport(divergence, cost)
 
@@ -513,5 +504,6 @@ __all__ = [
     "empty_cost",
     "group_metric",
     "linear_w1_norm",
+    "min_cost_transport",
     "naive_wasserstein",
 ]

@@ -310,6 +310,27 @@ class TestHarmonicEval:
         assert harmonic_eval_raw(xi, psi) == explicit
 
 
+class TestHarmonicOverflow:
+    def test_self_pair_beyond_64_bits_raises_like_explicit_routes(self):
+        # the self-pair class of a has coefficient 2**64
+        xi = virtual_diagram({interval(0.2, 0.8): 2**32, interval(0.1, 0.9): 3})
+        psi = CoboundaryCharacter(1)
+        for route in (naive_self_aggregate, self_aggregate_pairs):
+            with pytest.raises(CoefficientOverflow):
+                route(xi)
+        for engine in ("auto", "vector", "cdq"):
+            with pytest.raises(CoefficientOverflow):
+                harmonic_eval_raw(xi, psi, engine=engine)
+
+    def test_just_below_bound_is_exact(self):
+        # max|c| * sum|c| = 2**31 * (2**31 + 1) < 2**63
+        a, b = interval(0.2, 0.8), interval(0.1, 0.9)
+        xi = virtual_diagram({a: 2**31, b: 1})
+        psi = CoboundaryCharacter(1)
+        explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
+        assert harmonic_eval_raw(xi, psi) == explicit
+
+
 class TestNetMultiplicities:
     def test_pair_aggregate_exact_above_2_53(self):
         # products near 2^54 are not representable in float64

@@ -25,6 +25,7 @@ from hopd.wasserstein import (
     empty_cost,
     group_metric,
     linear_w1_norm,
+    min_cost_transport,
     naive_wasserstein,
 )
 
@@ -110,6 +111,30 @@ class TestAssign:
         off = [[0.5, 0.9], [0.9, 0.5]]
         prob = assign_problem(off, [2.0, 2.0], [2.0, 2.0], INF)
         assert_close(assign_p(prob), 0.5)
+
+    def test_inf_large_problem_needs_no_recursion(self):
+        # 1200-node matching graph: deeper than Python's recursion limit
+        k = 600
+        off = np.full((k, k), 5.0)
+        idx = np.arange(k)
+        off[idx, idx] = 1.0
+        off[idx[:-1], idx[:-1] + 1] = 0.5
+        prob = assign_problem(off.tolist(), [9.0] * k, [9.0] * k, INF)
+        assert assign_p(prob) == 1.0
+
+
+class TestMinCostTransport:
+    def test_two_nodes(self):
+        assert min_cost_transport([1, -1], [[0.0, 2.0], [3.0, 0.0]]) == 2.0
+
+    def test_divergences_must_sum_to_zero(self):
+        with pytest.raises(ValueError):
+            min_cost_transport([1, 0], [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, INF])
+    def test_bad_arc_cost_rejected(self, bad):
+        with pytest.raises(ValueError):
+            min_cost_transport([1, -1], [[0.0, bad], [1.0, 0.0]])
 
 
 class TestWassersteinRecursion:

@@ -88,58 +88,47 @@ def _check_average_guard(c: int, N: int):
 def merge_model_moment(c: int, N: int, power: int) -> Fraction:
     """Exact E[(t_0 + ... + t_N)^power] under the uniform merge model.
 
-    The DP carries, for each current stage size t, the conditional moments
-    E[S^m, t_k = t] for m = 0..power, where S is the running size sum.
-    Each state stores integer numerators over one shared denominator, so the
-    hot loop is pure big-integer arithmetic; fractions are only normalized
-    when states merge.
+    The DP carries, for each current stage size t, the joint moments
+    E[S^m; t_k = t] for m = 0..power, where S is the running size sum, as
+    integer numerators over one denominator shared by the whole stage.  A
+    stage scales each source once to L = lcm of the Bell numbers B(2t) in
+    play, merges the Stirling-weighted sources per target size t2, and only
+    then applies the binomial shift E[(S + t2)^m], which is linear and
+    depends on t2 alone.  One gcd per stage keeps the fraction reduced.
     """
     _check_average_guard(c, N)
-    # state: t -> (numerator vector for m = 0..power, common denominator)
-    dist: dict[int, tuple[list[int], int]] = {
-        c: ([c**m for m in range(power + 1)], 1)
-    }
+    binom = [[comb(m, i) for i in range(m + 1)] for m in range(power + 1)]
+    den = 1
+    dist: dict[int, list[int]] = {c: [c**m for m in range(power + 1)]}
     for _ in range(N):
-        pending: dict[int, list[tuple[list[int], int]]] = {}
-        for t, (nums, den) in dist.items():
-            bell = bell_number(2 * t)
+        bells = {t: bell_number(2 * t) for t in dist}
+        stage = lcm(*bells.values())
+        acc: dict[int, list[int]] = {}
+        for t, nums in dist.items():
+            scale = stage // bells[t]
+            scaled = [v * scale for v in nums]
             row = _stirling_row(2 * t)
-            new_den = den * bell
             for t2 in range(1, 2 * t + 1):
-                s2 = row[t2]
-                if s2 == 0:
-                    continue
-                powers = [t2**i for i in range(power + 1)]
-                # E[(S + t2)^m] expands binomially over the carried moments
-                shifted = [
-                    s2 * sum(comb(m, i) * powers[m - i] * nums[i] for i in range(m + 1))
-                    for m in range(power + 1)
-                ]
-                pending.setdefault(t2, []).append((shifted, new_den))
+                s2 = row[t2]  # S(2t, t2) > 0 for 1 <= t2 <= 2t
+                part = acc.get(t2)
+                if part is None:
+                    acc[t2] = [s2 * v for v in scaled]
+                else:
+                    for i, v in enumerate(scaled):
+                        part[i] += s2 * v
+        den *= stage
         dist = {}
-        for t2, parts in pending.items():
-            if len(parts) == 1:
-                dist[t2] = parts[0]
-                continue
-            common = lcm(*(den for _, den in parts))
-            acc = [0] * (power + 1)
-            for nums, den in parts:
-                scale = common // den
-                for m in range(power + 1):
-                    acc[m] += nums[m] * scale
-            shrink = common
-            for v in acc:
-                shrink = gcd(shrink, v)
-                if shrink == 1:
-                    break
-            if shrink > 1:
-                acc = [v // shrink for v in acc]
-                common //= shrink
-            dist[t2] = (acc, common)
-    total = Fraction(0)
-    for nums, den in dist.values():
-        total += Fraction(nums[power], den)
-    return total
+        for t2, mom in acc.items():
+            powers = [t2**k for k in range(power + 1)]
+            dist[t2] = [
+                sum(b * powers[m - i] * mom[i] for i, b in enumerate(coeffs))
+                for m, coeffs in enumerate(binom)
+            ]
+        shrink = gcd(den, *(v for nums in dist.values() for v in nums))
+        if shrink > 1:
+            den //= shrink
+            dist = {t: [v // shrink for v in nums] for t, nums in dist.items()}
+    return Fraction(sum(nums[power] for nums in dist.values()), den)
 
 
 def envelope_average(c: int, N: int, mode: str) -> Fraction:

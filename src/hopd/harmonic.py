@@ -35,6 +35,8 @@ from .core import (
     PreorderSpec,
     PreorderUnavailable,
     VirtualDiagram,
+    _I64_MAX,
+    _I64_MIN,
     atom_leq,
     psi_golden,
 )
@@ -135,19 +137,33 @@ def coboundary_net_multiplicities(aggregate, base_atoms) -> np.ndarray:
     before touching floats keeps both evaluation routes bit-identical.
     """
     n = len(base_atoms)
-    if isinstance(aggregate, PairAggregate):
-        net = np.zeros(n, dtype=np.int64)
-        np.add.at(net, aggregate.j, aggregate.coeff)
-        np.subtract.at(net, aggregate.i, aggregate.coeff)
-        return net
-    index = {a.uid: k for k, a in enumerate(base_atoms)}
     net = [0] * n
+    if isinstance(aggregate, PairAggregate):
+        coeff = aggregate.coeff
+        cmax = max(int(coeff.max()), -int(coeff.min())) if coeff.size else 0
+        if cmax * coeff.size < 2**63:  # no partial sum can leave int64
+            fast = np.zeros(n, dtype=np.int64)
+            np.add.at(fast, aggregate.j, coeff)
+            np.subtract.at(fast, aggregate.i, coeff)
+            return fast
+        for i, j, c in zip(aggregate.i.tolist(), aggregate.j.tolist(), coeff.tolist()):
+            net[j] += c
+            net[i] -= c
+        return _net_array(net)
+    index = {a.uid: k for k, a in enumerate(base_atoms)}
     for cls, c in aggregate.entries:
         minus, plus = cls.minus, cls.plus
         if len(minus.entries) != 1 or len(plus.entries) != 1:
             raise MissingAngle("coboundary collection needs singleton endpoints")
         net[index[plus.entries[0][0].uid]] += c
         net[index[minus.entries[0][0].uid]] -= c
+    return _net_array(net)
+
+
+def _net_array(net: list[int]) -> np.ndarray:
+    """Exact integer nets as int64; ``CoefficientOverflow`` if one leaves int64."""
+    if net and (max(net) > _I64_MAX or min(net) < _I64_MIN):
+        raise CoefficientOverflow("a net multiplicity leaves the 64-bit range")
     return np.array(net, dtype=np.int64)
 
 
@@ -449,10 +465,12 @@ def harmonic_eval_raw(
     """Unwrapped coboundary phase of the self-aggregate via dominance sums.
 
     S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u).  The per-atom
-    weight xi_a * (Z-(a) - Z+(a)) is collected exactly in integers; psi
+    net xi_a * (Z-(a) - Z+(a)) is collected exactly in integers; psi
     enters through a single double-precision dot product.  Raises
-    ``CoefficientOverflow`` when max|c| * sum|c| >= 2^63, where the
-    int64 weights could wrap.
+    ``CoefficientOverflow`` exactly where the explicit routes do: when
+    max|c|^2 leaves int64 (the self class (a, a)), or when an exact net
+    does.  Below that, if max|c| * sum|c| could reach 2^63, the nets are
+    taken as Python integers instead of int64 products.
     """
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
@@ -463,20 +481,24 @@ def harmonic_eval_raw(
     if not xi.entries:
         return 0.0
     phi, coeff = level1_arrays(xi)
-    # |net(a)| <= max|c| * sum|c|; n * max|c| bounds sum|c| without a pass
     cmax = max(int(coeff.max()), -int(coeff.min()))
-    if cmax * cmax * len(coeff) >= 2**63 and cmax * sum(map(abs, coeff.tolist())) >= 2**63:
-        raise CoefficientOverflow("net multiplicities may leave the 64-bit range")
+    if cmax * cmax > _I64_MAX:
+        raise CoefficientOverflow("pairwise products exceed 64-bit range")
+    # |net(a)| <= max|c| * sum|c|; n * max|c| bounds sum|c| without a pass
+    wide = cmax * cmax * len(coeff) >= 2**63 and cmax * sum(map(abs, coeff.tolist())) >= 2**63
     psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
-    if phi.shape[1] == 2 and engine in ("auto", "vector"):
+    if phi.shape[1] == 2 and engine in ("auto", "vector") and not wide:
         z_down, z_up = _zeta2_both(phi[:, 0], phi[:, 1], coeff)
+        net = coeff * (z_down - z_up)
     else:
+        # each dominance sum is exact (cdq's Python ints, or the int64
+        # kernel while sum|c| fits); the products are taken in Python ints
         coords = [tuple(row) for row in phi.tolist()]
         w = coeff.tolist()
-        z_down = np.array(_dominance_down(coords, w, engine), dtype=np.int64)
+        z_down = _dominance_down(coords, w, engine)
         neg = [tuple(-v for v in row) for row in coords]
-        z_up = np.array(_dominance_down(neg, w, engine), dtype=np.int64)
-    net = coeff * (z_down - z_up)
+        z_up = _dominance_down(neg, w, engine)
+        net = _net_array([c * (d - u) for c, d, u in zip(w, z_down, z_up)])
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
 

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -119,3 +122,45 @@ class TestAverageCase:
             lo, hi = sandwich_bounds(c, N)
             ratio = average_ratio(c, N)
             assert lo <= ratio <= hi, (c, N)
+
+
+def stirling_by_inclusion_exclusion(n, k):
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+
+def moment_by_stage_paths(c, N, power):
+    """E[(t_0 + ... + t_N)^power] summed over every stage path, in Fractions."""
+
+    def walk(t, total, prob, left):
+        if left == 0:
+            return prob * total**power
+        bell = sum(stirling_by_inclusion_exclusion(2 * t, k) for k in range(2 * t + 1))
+        return sum(
+            walk(t2, total + t2, prob * Fraction(stirling_by_inclusion_exclusion(2 * t, t2), bell), left - 1)
+            for t2 in range(1, 2 * t + 1)
+        )
+
+    return walk(c, c, Fraction(1), N)
+
+
+class TestMomentOracle:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_equals_path_enumeration(self, c, N):
+        for power in sorted({0, 1, 2, 5, 3 * N}):
+            assert merge_model_moment(c, N, power) == moment_by_stage_paths(c, N, power)
+
+    def test_sweep_digest_is_pinned(self):
+        # SHA-256 of the reprs over the benchmark sweep, recorded before the
+        # DP carried one denominator per stage; any change in a value shows
+        sweep = [(c, N) for c in (1, 2) for N in range(1, 7)] + [(3, N) for N in range(1, 6)]
+        digest = hashlib.sha256()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the reprs run to tens of thousands of digits
+        try:
+            for mode in ("naive", "certified"):
+                for c, N in sweep:
+                    digest.update(repr(envelope_average(c, N, mode)).encode() + b"\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert digest.hexdigest() == "18c83ba5b88ad73f5392c4d41c4adcf5315a1018d5fc7870595f729883d5fb15"

@@ -330,6 +330,31 @@ class TestHarmonicOverflow:
         explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
         assert harmonic_eval_raw(xi, psi) == explicit
 
+    def test_nets_that_fit_agree_past_the_screen(self):
+        # max|c| * sum|c| > 2**63 trips the O(n) screen, yet every net fits
+        c = 2**31 - 1
+        xi = virtual_diagram({interval(0.2, 0.8): c, interval(0.1, 0.9): c, interval(0.95, 1.5): c})
+        psi = CoboundaryCharacter(1)
+        phases = {
+            coboundary_phase_raw(route(xi), psi, xi.support())
+            for route in (naive_self_aggregate, self_aggregate_pairs)
+        }
+        for engine in ("auto", "vector", "cdq"):
+            phases.add(harmonic_eval_raw(xi, psi, engine=engine))
+        assert len(phases) == 1
+
+    def test_nets_beyond_64_bits_raise_on_every_route(self):
+        # six nested intervals: the self classes fit, the nets reach 5 * 2**62
+        xi = virtual_diagram({interval(0.5 - 0.05 * k, 0.51 + 0.05 * k): 2**31 for k in range(6)})
+        psi = CoboundaryCharacter(1)
+        for route in (naive_self_aggregate, self_aggregate_pairs):
+            agg = route(xi)
+            with pytest.raises(CoefficientOverflow):
+                coboundary_net_multiplicities(agg, xi.support())
+        for engine in ("auto", "vector", "cdq"):
+            with pytest.raises(CoefficientOverflow):
+                harmonic_eval_raw(xi, psi, engine=engine)
+
 
 class TestNetMultiplicities:
     def test_pair_aggregate_exact_above_2_53(self):

@@ -24,6 +24,7 @@ from .core import (
     LinearDiagram,
     PreorderSpec,
     VirtualDiagram,
+    _I64_MAX,
     _check_i64,
     atom,
     atom_leq,
@@ -31,8 +32,6 @@ from .core import (
     linear_diagram,
     virtual_diagram,
 )
-
-_I64_MAX = 2**63 - 1
 
 
 class ExpansionGuardExceeded(RuntimeError):
@@ -42,11 +41,15 @@ class ExpansionGuardExceeded(RuntimeError):
 @dataclass(frozen=True)
 class AggregateOptions:
     """drop_diagonal_classes keeps the basepoint identification (angle 0 on
-    diagonal classes) by construction; overflow chooses between raising and
-    clamping on 64-bit coefficient overflow."""
+    diagonal classes) by construction.
+
+    There is no overflow option: a class coefficient outside int64 raises
+    ``CoefficientOverflow`` on every route.  A clamped coefficient would no
+    longer be the product c_u * c_v, so no dominance-sum route could
+    reproduce it.
+    """
 
     drop_diagonal_classes: bool = True
-    overflow: str = "error"  # "error" | "saturate"
 
 
 DEFAULT_OPTIONS = AggregateOptions()
@@ -68,15 +71,6 @@ def pair_is_diagonal(u: Atom, v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) ->
     return atom_leq(u, v, spec) and atom_leq(v, u, spec)
 
 
-def _accumulate(acc: dict, key, delta: int, overflow: str):
-    value = acc.get(key, 0) + delta
-    if overflow == "saturate":
-        value = max(-(2**63), min(_I64_MAX, value))
-    else:
-        _check_i64(value)
-    acc[key] = value
-
-
 def bilinear_aggregate(
     G: VirtualDiagram,
     L: VirtualDiagram,
@@ -93,7 +87,8 @@ def bilinear_aggregate(
                 continue
             if options.drop_diagonal_classes and pair_is_diagonal(u, v, spec):
                 continue
-            _accumulate(acc, pair_class(u, v), cu * cv, options.overflow)
+            key = pair_class(u, v)
+            acc[key] = _check_i64(acc.get(key, 0) + cu * cv)
     # every kept class was screened by the pair loop; skip re-validation
     return virtual_diagram(acc, level=G.level + 1, validate=False)
 
@@ -159,10 +154,7 @@ def level1_arrays(xi: VirtualDiagram):
     return cached
 
 
-def self_aggregate_pairs(
-    xi: VirtualDiagram, options: AggregateOptions = DEFAULT_OPTIONS,
-    block: int = 1024,
-) -> PairAggregate:
+def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate:
     """Vectorized ordered-pair enumeration of the self-aggregate (level 1).
 
     Identical output to ``naive_self_aggregate``: every ordered pair is
@@ -174,9 +166,7 @@ def self_aggregate_pairs(
     n, r = phi.shape
     cmax = int(np.abs(coeff).max()) if n else 0
     if cmax * cmax > _I64_MAX:
-        if options.overflow == "error":
-            raise CoefficientOverflow("pairwise products exceed 64-bit range")
-        return _pairs_from_loop(xi, options)
+        raise CoefficientOverflow("pairwise products exceed 64-bit range")
     base = [a for a, _ in xi.entries]
     if n <= block:
         mask = phi[:, 0, None] <= phi[None, :, 0]
@@ -200,30 +190,6 @@ def self_aggregate_pairs(
     i = np.concatenate(ii)
     j = np.concatenate(jj)
     return PairAggregate(xi.level + 1, base, i, j, coeff[i] * coeff[j])
-
-
-def _pairs_from_loop(xi: VirtualDiagram, options: AggregateOptions) -> PairAggregate:
-    base = [a for a, _ in xi.entries]
-    coeff = [c for _, c in xi.entries]
-    ii, jj, cc = [], [], []
-    for i, u in enumerate(base):
-        for j, v in enumerate(base):
-            if atom_leq(u, v):
-                ii.append(i)
-                jj.append(j)
-                prod = coeff[i] * coeff[j]
-                if options.overflow == "saturate":
-                    prod = max(-(2**63), min(_I64_MAX, prod))
-                else:
-                    _check_i64(prod)
-                cc.append(prod)
-    return PairAggregate(
-        xi.level + 1,
-        base,
-        np.array(ii, dtype=np.intp),
-        np.array(jj, dtype=np.intp),
-        np.array(cc, dtype=np.int64),
-    )
 
 
 def sum_aggregate(
@@ -315,7 +281,7 @@ def tree_expansion_oracle(
                 nxt.append(pair_class(left, right))
             nodes = nxt
         if ok:
-            _accumulate(acc, nodes[0], weight, options.overflow)
+            acc[nodes[0]] = _check_i64(acc.get(nodes[0], 0) + weight)
     return virtual_diagram(acc, level=xi.level + s, validate=False)
 
 

@@ -397,14 +397,12 @@ def linear_diagram(entries, level=None, *, epsilon=0) -> LinearDiagram:
 class PreorderSpec:
     """Comparison rules across levels.
 
-    ground_dim: order dimension of the ground space (coordinatewise <=).
     diagonal_always_admissible: permissive reading of diagram comparison,
         where any unmatched atom may be sent to the diagonal.
     matching_fallback: allow matching-oracle comparison where no coordinate
         representation exists (levels >= 2).
     """
 
-    ground_dim: int = 1
     diagonal_always_admissible: bool = False
     matching_fallback: bool = True
 

@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-AVERAGE_GUARD_N = 12
-AVERAGE_GUARD_WIDTH = 512  # cap on c * 2^N so the exact DP stays tractable
+AVERAGE_GUARD_WIDTH = 256  # cap on c * 2^N so the exact DP stays tractable
 
 
 class GuardExceeded(ValueError):
@@ -78,11 +77,8 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
 def _check_average_guard(c: int, N: int):
     if c < 1 or N < 1:
         raise ValueError("c and N must be >= 1")
-    if N > AVERAGE_GUARD_N or c * 2**N > AVERAGE_GUARD_WIDTH:
-        raise GuardExceeded(
-            f"average-case DP guarded at N <= {AVERAGE_GUARD_N} "
-            f"and c*2^N <= {AVERAGE_GUARD_WIDTH}"
-        )
+    if c * 2**N > AVERAGE_GUARD_WIDTH:
+        raise GuardExceeded(f"average-case DP guarded at c*2^N <= {AVERAGE_GUARD_WIDTH}")
 
 
 def merge_model_moment(c: int, N: int, power: int) -> Fraction:

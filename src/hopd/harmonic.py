@@ -228,14 +228,16 @@ class DominanceInput:
         return DominanceInput(pts)
 
 
-def dominance_sums(
-    inp: DominanceInput, direction: str = "down", engine: str = "auto"
-) -> dict:
+def dominance_sums(inp: DominanceInput, direction: str = "down") -> dict:
     """Inclusive coordinatewise dominance sums.
 
     down: Z-(v) = sum of coefficients of points <= v (v included).
     up:   Z+(u) = sum over points >= u, computed by coordinate negation
     through the same code path.
+
+    Two coordinates go to the int64 kernel while sum|w| < 2^63, so that
+    every partial sum fits; anything else goes to cdq, which sums Python
+    integers and is exact at any size.
     """
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
@@ -246,28 +248,13 @@ def dominance_sums(
     if direction == "up":
         coords = [tuple(-x for x in c) for c in coords]
     weights = [p[1] for p in pts]
-    z = _dominance_down(coords, weights, engine)
-    return {pts[k][2]: z[k] for k in range(len(pts))}
-
-
-def _dominance_down(coords, weights, engine="auto"):
-    r = len(coords[0])
-    # the int64 kernel is exact when every partial sum fits; cdq sums
-    # Python integers and is exact at any size
-    fits = sum(abs(w) for w in weights) < 2**63
-    if engine == "auto":
-        engine = "vector" if r == 2 and fits else "cdq"
-    if engine == "vector":
-        if r != 2:
-            raise ValueError("vector engine handles two coordinates only")
-        if not fits:
-            raise CoefficientOverflow("dominance sums may leave the 64-bit range")
+    if len(coords[0]) == 2 and sum(map(abs, weights)) < 2**63:
         xy = np.asarray(coords, dtype=np.float64)
         w = np.asarray(weights, dtype=np.int64)
-        return _zeta2_both(xy[:, 0], xy[:, 1], w)[0].tolist()
-    if engine == "cdq":
-        return _zeta_cdq(coords, weights)
-    raise ValueError(f"unknown engine {engine!r}")
+        z = _zeta2_both(xy[:, 0], xy[:, 1], w)[0].tolist()
+    else:
+        z = _zeta_cdq(coords, weights)
+    return {pts[k][2]: z[k] for k in range(len(pts))}
 
 
 def _coalesce(coords, weights):
@@ -459,18 +446,15 @@ def psi_vector(psi: CoboundaryCharacter, atoms) -> np.ndarray:
     return np.array([psi.psi_of(a) for a in atoms], dtype=np.float64)
 
 
-def harmonic_eval_raw(
-    xi: VirtualDiagram, psi: CoboundaryCharacter, engine: str = "auto"
-) -> float:
+def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     """Unwrapped coboundary phase of the self-aggregate via dominance sums.
 
     S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u).  The per-atom
-    net xi_a * (Z-(a) - Z+(a)) is collected exactly in integers; psi
-    enters through a single double-precision dot product.  Raises
+    net xi_a * (Z-(a) - Z+(a)) is collected exactly in int64; psi enters
+    through a single double-precision dot product.  Raises
     ``CoefficientOverflow`` exactly where the explicit routes do: when
     max|c|^2 leaves int64 (the self class (a, a)), or when an exact net
-    does.  Below that, if max|c| * sum|c| could reach 2^63, the nets are
-    taken as Python integers instead of int64 products.
+    does.
     """
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
@@ -484,29 +468,34 @@ def harmonic_eval_raw(
     cmax = max(int(coeff.max()), -int(coeff.min()))
     if cmax * cmax > _I64_MAX:
         raise CoefficientOverflow("pairwise products exceed 64-bit range")
-    # |net(a)| <= max|c| * sum|c|; n * max|c| bounds sum|c| without a pass
-    wide = cmax * cmax * len(coeff) >= 2**63 and cmax * sum(map(abs, coeff.tolist())) >= 2**63
-    psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
-    if phi.shape[1] == 2 and engine in ("auto", "vector") and not wide:
+    # past the self-class check max|c| < 2^31.5, so sum|c| < 2^63 for any
+    # diagram under 2^31 atoms: every dominance sum, and d = Z- - Z+
+    # (|d| <= sum|c|), is exact in int64
+    if phi.shape[1] == 2:
         z_down, z_up = _zeta2_both(phi[:, 0], phi[:, 1], coeff)
-        net = coeff * (z_down - z_up)
     else:
-        # each dominance sum is exact (cdq's Python ints, or the int64
-        # kernel while sum|c| fits); the products are taken in Python ints
         coords = [tuple(row) for row in phi.tolist()]
         w = coeff.tolist()
-        z_down = _dominance_down(coords, w, engine)
-        neg = [tuple(-v for v in row) for row in coords]
-        z_up = _dominance_down(neg, w, engine)
-        net = _net_array([c * (d - u) for c, d, u in zip(w, z_down, z_up)])
+        z_down = np.array(_zeta_cdq(coords, w), dtype=np.int64)
+        z_up = np.array(_zeta_cdq([tuple(-v for v in c) for c in coords], w), dtype=np.int64)
+    d = z_down - z_up
+    if cmax * cmax * coeff.size > _I64_MAX:
+        # |c * d| <= max|c| * sum|c| may leave int64: require
+        # |d| <= (2^63 - 1 + [c * d < 0]) // |c| per atom, in uint64, where
+        # the magnitude 2^63 of a net of exactly -2^63 fits
+        limit = (np.uint64(_I64_MAX) + ((coeff < 0) != (d < 0))) // np.maximum(
+            np.abs(coeff).view(np.uint64), 1
+        )
+        if np.any(np.abs(d).view(np.uint64) > limit):
+            raise CoefficientOverflow("a net multiplicity leaves the 64-bit range")
+    net = coeff * d
+    psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
 
-def harmonic_eval(
-    xi: VirtualDiagram, psi: CoboundaryCharacter, engine: str = "auto"
-) -> float:
+def harmonic_eval(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     """Coboundary phase of the self-aggregate, reduced mod 2*pi."""
-    return wrap_angle(harmonic_eval_raw(xi, psi, engine))
+    return wrap_angle(harmonic_eval_raw(xi, psi))
 
 
 def iterated_character_phase(

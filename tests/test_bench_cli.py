@@ -223,3 +223,4 @@ class TestCli:
 
     def test_envelope_guard_exits_2(self):
         assert cli_main(["envelope", "--c", "1", "--n", "13", "--average", "naive"]) == 2
+        assert cli_main(["envelope", "--c", "7", "--n", "6", "--average", "naive"]) == 2

@@ -111,6 +111,11 @@ class TestAverageCase:
             merge_model_moment(1, 13, 3)
         with pytest.raises(GuardExceeded):
             merge_model_moment(100, 10, 3)
+        # widths 448 and 512 would take minutes; both modes refuse them at once
+        for c, N in ((7, 6), (1, 9)):
+            for mode in ("naive", "certified"):
+                with pytest.raises(GuardExceeded):
+                    envelope_average(c, N, mode)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopd.aggregation import naive_self_aggregate, self_aggregate_pairs, tree_expansion_oracle, iterated_aggregate
-from hopd.core import CoefficientOverflow, interval, psi_golden, virtual_diagram
+from hopd import harmonic
+from hopd.core import CoefficientOverflow, atom, ground, interval, psi_golden, virtual_diagram
 from hopd.harmonic import (
     Character,
     CoboundaryCharacter,
@@ -22,6 +23,8 @@ from hopd.harmonic import (
     iterated_character_phase,
     quadratic_phase,
     wrap_angle,
+    _zeta2_both,
+    _zeta_cdq,
 )
 
 from conftest import rand_virtual
@@ -128,6 +131,36 @@ def brute_dominance(points, direction):
     return out
 
 
+def cdq_both(x, y, w):
+    """``_zeta_cdq`` with the signature of the int64 kernel ``_zeta2_both``."""
+    pts = list(zip(x.tolist(), y.tolist()))
+    ws = w.tolist()
+    down = _zeta_cdq(pts, ws)
+    up = _zeta_cdq([(-a, -b) for a, b in pts], ws)
+    return np.array(down, dtype=np.int64), np.array(up, dtype=np.int64)
+
+
+# the two-coordinate dominance transforms, keyed as in the test ids
+TRANSFORMS = {"vector": _zeta2_both, "cdq": cdq_both}
+
+
+def transform_sums(transform, points, direction):
+    xy = np.array([p[0] for p in points], dtype=np.float64)
+    w = np.array([p[1] for p in points], dtype=np.int64)
+    z = transform(xy[:, 0], xy[:, 1], w)[direction == "up"]
+    return {p[2]: int(v) for p, v in zip(points, z)}
+
+
+def harmonic_with(transform, xi, psi):
+    """``harmonic_eval_raw`` with its two-coordinate transform swapped."""
+    saved = harmonic._zeta2_both
+    harmonic._zeta2_both = transform
+    try:
+        return harmonic_eval_raw(xi, psi)
+    finally:
+        harmonic._zeta2_both = saved
+
+
 class TestDominanceSums:
     def test_single_point_reflexive(self):
         inp = DominanceInput.from_arrays([(0.5, 0.5)], [5])
@@ -141,6 +174,7 @@ class TestDominanceSums:
 
     @pytest.mark.parametrize("engine", ["cdq", "vector"])
     def test_engines_match_brute_force_r2(self, rng, engine):
+        transform = TRANSFORMS[engine]
         for _ in range(25):
             n = rng.randint(1, 120)
             pts = [
@@ -153,8 +187,9 @@ class TestDominanceSums:
             ]
             inp = DominanceInput(tuple(pts))
             for direction in ("down", "up"):
-                got = dominance_sums(inp, direction, engine)
-                assert got == brute_dominance(pts, direction)
+                want = brute_dominance(pts, direction)
+                assert transform_sums(transform, pts, direction) == want
+                assert dominance_sums(inp, direction) == want
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 193, 255, 256, 257, 1000])
     def test_vector_infinite_and_duplicate_coordinates(self, rng, n):
@@ -170,9 +205,9 @@ class TestDominanceSums:
             pts.append(((x, y), rng.randint(-9, 9), k))
         inp = DominanceInput(tuple(pts))
         for direction in ("down", "up"):
-            assert dominance_sums(inp, direction, "vector") == brute_dominance(
-                pts, direction
-            )
+            want = brute_dominance(pts, direction)
+            assert transform_sums(_zeta2_both, pts, direction) == want
+            assert dominance_sums(inp, direction) == want
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_cdq_random_dims(self, rng, r):
@@ -186,17 +221,16 @@ class TestDominanceSums:
                 )
                 for k in range(n)
             ]
-            inp = DominanceInput(tuple(pts))
             for direction in ("down", "up"):
-                assert dominance_sums(inp, direction, "cdq") == brute_dominance(
-                    pts, direction
-                )
+                sign = 1 if direction == "down" else -1
+                coords = [tuple(sign * x for x in p[0]) for p in pts]
+                got = _zeta_cdq(coords, [p[1] for p in pts])
+                assert dict(zip(range(n), got)) == brute_dominance(pts, direction)
 
     def test_sums_beyond_64_bits_stay_exact(self):
         inp = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62])
+        # sum|w| >= 2^63 sends two coordinates to cdq instead of the kernel
         assert dominance_sums(inp, "down") == {0: 2**62, 1: 2**63}
-        with pytest.raises(CoefficientOverflow):
-            dominance_sums(inp, "down", "vector")
 
     def test_duplicates_mutual(self):
         pts = [((0.5, 0.5), 2, "a"), ((0.5, 0.5), 3, "b")]
@@ -250,7 +284,7 @@ class TestHarmonicEval:
         for _ in range(8):
             xi = rand_virtual(rng, rng.randint(1, 80), grid=20)
             psi = random_psi(rng, xi)
-            lhs = harmonic_eval(xi, psi, engine=engine)
+            lhs = wrap_angle(harmonic_with(TRANSFORMS[engine], xi, psi))
             rhs = evaluate_character(psi, naive_self_aggregate(xi))
             assert angles_close(lhs, rhs, 1e-9)
 
@@ -288,6 +322,19 @@ class TestHarmonicEval:
             explicit += coboundary_phase_raw(naive_self_aggregate(x), psi, x.support())
         assert angles_close(wrap_angle(raw), wrap_angle(explicit / 3), 1e-9)
 
+    def test_two_dimensional_ground_matches_explicit_phase(self, rng):
+        # four coordinates (-b1, -b2, d1, d2) per atom: cdq, not the kernel
+        for _ in range(30):
+            entries = {}
+            for _ in range(rng.randint(1, 30)):
+                b = (rng.randrange(4) / 4, rng.randrange(4) / 4)
+                d = tuple(x + (1 + rng.randrange(4)) / 4 for x in b)
+                entries[atom(ground(*b), ground(*d))] = rng.choice([-1, 1]) * rng.randint(1, 9)
+            xi = virtual_diagram(entries, level=1)
+            for psi in (CoboundaryCharacter(1), random_psi(rng, xi)):
+                explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
+                assert harmonic_eval_raw(xi, psi) == explicit
+
     @given(
         st.lists(
             st.tuples(
@@ -318,9 +365,9 @@ class TestHarmonicOverflow:
         for route in (naive_self_aggregate, self_aggregate_pairs):
             with pytest.raises(CoefficientOverflow):
                 route(xi)
-        for engine in ("auto", "vector", "cdq"):
+        for transform in TRANSFORMS.values():
             with pytest.raises(CoefficientOverflow):
-                harmonic_eval_raw(xi, psi, engine=engine)
+                harmonic_with(transform, xi, psi)
 
     def test_just_below_bound_is_exact(self):
         # max|c| * sum|c| = 2**31 * (2**31 + 1) < 2**63
@@ -331,7 +378,7 @@ class TestHarmonicOverflow:
         assert harmonic_eval_raw(xi, psi) == explicit
 
     def test_nets_that_fit_agree_past_the_screen(self):
-        # max|c| * sum|c| > 2**63 trips the O(n) screen, yet every net fits
+        # n * max|c|^2 > 2**63 - 1 turns the exact net check on; every net fits
         c = 2**31 - 1
         xi = virtual_diagram({interval(0.2, 0.8): c, interval(0.1, 0.9): c, interval(0.95, 1.5): c})
         psi = CoboundaryCharacter(1)
@@ -339,8 +386,8 @@ class TestHarmonicOverflow:
             coboundary_phase_raw(route(xi), psi, xi.support())
             for route in (naive_self_aggregate, self_aggregate_pairs)
         }
-        for engine in ("auto", "vector", "cdq"):
-            phases.add(harmonic_eval_raw(xi, psi, engine=engine))
+        for transform in TRANSFORMS.values():
+            phases.add(harmonic_with(transform, xi, psi))
         assert len(phases) == 1
 
     def test_nets_beyond_64_bits_raise_on_every_route(self):
@@ -351,9 +398,45 @@ class TestHarmonicOverflow:
             agg = route(xi)
             with pytest.raises(CoefficientOverflow):
                 coboundary_net_multiplicities(agg, xi.support())
-        for engine in ("auto", "vector", "cdq"):
+        for transform in TRANSFORMS.values():
             with pytest.raises(CoefficientOverflow):
-                harmonic_eval_raw(xi, psi, engine=engine)
+                harmonic_with(transform, xi, psi)
+
+
+    @staticmethod
+    def minus_2_63_diagram(sign, extra=False):
+        # d(a) = -/+2**32 at the outer interval, so its net is exactly -2**63
+        entries = {
+            interval(0.1, 0.9): -sign * 2**31,
+            interval(0.2, 0.4): sign * 2**31,
+            interval(0.5, 0.7): sign * 2**31,
+        }
+        if extra:
+            # contained in the outer interval only: its net moves to -2**63 - 2**31
+            entries[interval(0.45, 0.48)] = sign
+        return virtual_diagram(entries)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_net_of_exactly_minus_2_63_is_kept(self, sign):
+        xi = self.minus_2_63_diagram(sign)
+        psi = CoboundaryCharacter(1)
+        net = coboundary_net_multiplicities(naive_self_aggregate(xi), xi.support())
+        assert int(net.min()) == -(2**63)
+        explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
+        assert coboundary_phase_raw(self_aggregate_pairs(xi), psi, xi.support()) == explicit
+        for transform in TRANSFORMS.values():
+            assert harmonic_with(transform, xi, psi) == explicit
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_more_atom_past_minus_2_63_raises(self, sign):
+        xi = self.minus_2_63_diagram(sign, extra=True)
+        psi = CoboundaryCharacter(1)
+        for route in (naive_self_aggregate, self_aggregate_pairs):
+            with pytest.raises(CoefficientOverflow):
+                coboundary_net_multiplicities(route(xi), xi.support())
+        for transform in TRANSFORMS.values():
+            with pytest.raises(CoefficientOverflow):
+                harmonic_with(transform, xi, psi)
 
 
 class TestNetMultiplicities:

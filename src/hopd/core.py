@@ -552,6 +552,17 @@ def dist_ground(x: GroundPoint, y: GroundPoint) -> float:
     return best
 
 
+def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`dist_ground` over the last axis of broadcast coordinate arrays: the
+    largest coordinate gap, where equal coordinates give 0 and +inf against
+    a finite value gives inf.  A NaN pad is skipped, as `zip` would."""
+    inf_x, inf_y = np.isinf(x), np.isinf(y)
+    gap = np.abs(np.where(inf_x, 0.0, x) - np.where(inf_y, 0.0, y))  # no inf - inf
+    gap = np.where(inf_x | inf_y, INF, gap)
+    gap = np.where((x == y) | np.isnan(x) | np.isnan(y), 0.0, gap)
+    return gap.max(axis=-1)
+
+
 def _endpoint_dist(a: Endpoint, b: Endpoint, p: float, diagonal: DiagonalPolicy) -> float:
     if isinstance(a, GroundPoint):
         return dist_ground(a, b)

@@ -10,6 +10,7 @@ same distances exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,6 +28,7 @@ from .core import (
     LevelMismatch,
     LinearDiagram,
     VirtualDiagram,
+    _dist_ground_array,
     _perfect_matching,
     d1,
     d_diag,
@@ -112,28 +114,47 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     sum_j (pi_ij - pi_ji) = divergence[i] for every node i.
 
     Divergences may be ints, floats or Fractions and must sum to zero;
-    costs are finite and nonnegative over all ordered node pairs.  Solved
-    as a HiGHS linear program over the off-diagonal arcs.
+    costs are finite and nonnegative over all ordered node pairs (the
+    diagonal is ignored).  With nonnegative costs and no capacities an
+    optimal flow runs along shortest paths, so the problem is solved as a
+    HiGHS transportation linear program from the supply nodes (divergence
+    > 0) to the demand nodes (divergence < 0) on the metric closure of the
+    costs; zero-divergence nodes act as relays inside the closure.
     """
     n = len(divergence)
     if n == 0:
         return 0.0
     if sum(divergence) != 0:
         raise ValueError("divergences must sum to zero")
-    src, dst = np.nonzero(~np.eye(n, dtype=bool))
-    arc_cost = np.asarray(cost, dtype=np.float64)[src, dst]
+    dist = np.array(cost, dtype=np.float64)
+    if dist.shape != (n, n):
+        raise ValueError("cost must be an n x n matrix")
+    arc_cost = dist[~np.eye(n, dtype=bool)]
     if np.isnan(arc_cost).any() or (arc_cost < 0).any():
         raise ValueError("costs must be nonnegative")
     if np.isinf(arc_cost).any():
         raise ValueError("infinite cost arc")
-    arcs = np.arange(len(src))
-    # arc k leaves src[k] (+1) and enters dst[k] (-1)
+    # signs of the exact values: a tiny Fraction is still a supply
+    supply = [i for i, d in enumerate(divergence) if d > 0]
+    demand = [i for i, d in enumerate(divergence) if d < 0]
+    if not supply:
+        return 0.0
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):  # Floyd-Warshall closure
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    m, t = len(supply), len(demand)
+    arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
+    # one row per supply and per demand but the last, which the
+    # others imply since the divergences balance
     a_eq = coo_matrix(
-        (np.repeat([1.0, -1.0], len(arcs)), (np.concatenate([src, dst]), np.tile(arcs, 2))),
-        shape=(n, len(arcs)),
-    ).tocsr()
-    b_eq = np.array([float(d) for d in divergence])
-    res = linprog(arc_cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        (np.ones(2 * m * t), (np.concatenate([arcs // t, m + arcs % t]), np.tile(arcs, 2))),
+        shape=(m + t, m * t),
+    ).tocsr()[:-1]
+    b_eq = np.array(
+        [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
+    )
+    res = linprog(dist[np.ix_(supply, demand)].ravel(), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)
@@ -369,22 +390,49 @@ def linear_w1_norm(
 
     Min-cost transport over the support plus the basepoint, divergences
     equal to the coefficients with the basepoint absorbing their negative
-    sum, arc costs the strengthened atom metric.  An infinite cost on the
-    support (an atom with a +inf death) raises ValueError.
+    sum, arc costs the strengthened atom metric (at level 1 built in numpy
+    from the endpoint coordinates).  `min_cost_transport` solves it as a
+    transportation LP from positive to negative nodes on the metric closure
+    of those costs.  An infinite cost on the support (an atom with a +inf
+    death) raises ValueError.
     """
     entries = xi.entries
     if not entries:
         return 0.0
     atoms = [a for a, _ in entries]
     coeffs = [c for _, c in entries]
-    n = len(atoms)
-    cost = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cost[i][j] = cost[j][i] = d1(atoms[i], atoms[j], 1, diagonal)
-        cost[i][n] = cost[n][i] = d_diag(atoms[i], 1, diagonal)
+    if xi.level == 1:
+        cost = _level1_cost_matrix(atoms)
+    else:
+        n = len(atoms)
+        cost = [[0.0] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                cost[i][j] = cost[j][i] = d1(atoms[i], atoms[j], 1, diagonal)
+            cost[i][n] = cost[n][i] = d_diag(atoms[i], 1, diagonal)
     divergence = list(coeffs) + [-sum(coeffs)]
     return min_cost_transport(divergence, cost)
+
+
+def _level1_cost_matrix(atoms: Sequence[Atom]) -> np.ndarray:
+    """`d1` between level-1 atoms and `d_diag` to the basepoint (last
+    index), both at p = 1, with the same floating-point operations."""
+    births = _coord_matrix([a.minus for a in atoms])
+    deaths = _coord_matrix([a.plus for a in atoms])
+    gap = _dist_ground_array(births, deaths)
+    n = len(atoms)
+    cost = np.zeros((n + 1, n + 1))
+    direct = (_dist_ground_array(births[:, None], births[None])
+              + _dist_ground_array(deaths[:, None], deaths[None]))  # 0 on the diagonal
+    cost[:n, :n] = np.minimum(direct, gap[:, None] + gap[None])
+    cost[:n, n] = cost[n, :n] = gap
+    return cost
+
+
+def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:
+    """Ground coordinates as rows, NaN-padded to the longest point."""
+    cols = itertools.zip_longest(*(x.coords for x in points), fillvalue=math.nan)
+    return np.array(list(cols), dtype=np.float64).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,30 @@
 import itertools
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
+from hopd import wasserstein
 from hopd.core import (
     DiagonalPolicy,
     atom,
+    d1,
     d_diag,
     d_prod,
     diagram,
     empty_diagram,
+    ground,
     interval,
     virtual_diagram,
 )
 from hopd.wasserstein import (
+    _level1_cost_matrix,
     CostCounters,
     assign_p,
     assign_problem,
@@ -123,6 +131,23 @@ class TestAssign:
         assert assign_p(prob) == 1.0
 
 
+def transshipment_oracle(divergence, cost):
+    """All-arcs transshipment LP: one variable per ordered node pair, one
+    conservation row per node, no shortest paths taken."""
+    n = len(divergence)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    arcs = np.arange(len(src))
+    a_eq = coo_matrix(
+        (np.repeat([1.0, -1.0], len(arcs)), (np.concatenate([src, dst]), np.tile(arcs, 2))),
+        shape=(n, len(arcs)),
+    ).tocsr()
+    b_eq = np.array([float(d) for d in divergence])
+    arc_cost = np.asarray(cost, dtype=np.float64)[src, dst]
+    res = linprog(arc_cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 class TestMinCostTransport:
     def test_two_nodes(self):
         assert min_cost_transport([1, -1], [[0.0, 2.0], [3.0, 0.0]]) == 2.0
@@ -135,6 +160,42 @@ class TestMinCostTransport:
     def test_bad_arc_cost_rejected(self, bad):
         with pytest.raises(ValueError):
             min_cost_transport([1, -1], [[0.0, bad], [1.0, 0.0]])
+
+    def test_cost_shape_rejected(self):
+        with pytest.raises(ValueError):
+            min_cost_transport([1, -1], [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+
+    def test_no_nonzero_divergence_skips_the_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("LP called")
+
+        monkeypatch.setattr(wasserstein, "linprog", no_lp)
+        assert min_cost_transport([0], [[0.0]]) == 0.0
+        assert min_cost_transport([0, Fraction(0)], [[0.0, 3.0], [1.0, 0.0]]) == 0.0
+
+    def test_relay_node_shortens_the_route(self):
+        # the direct arc 0 -> 2 costs 5; the relay through node 1 costs 2
+        cost = [[0.0, 1.0, 5.0], [9.0, 0.0, 1.0], [9.0, 9.0, 0.0]]
+        assert min_cost_transport([1, 0, -1], cost) == 2.0
+
+    def test_balanced_integers_with_unbalanced_floats(self):
+        # 10**17 + 1 rounds to 10**17, so the float supplies fall one short
+        # of the demands; the exact divergences still balance
+        div = [10**17 + 1, -(10**17), -1]
+        cost = [[0.0 if i == j else 1.0 for j in range(3)] for i in range(3)]
+        assert_close(min_cost_transport(div, cost), 1e17, 1e-12)
+
+    def test_matches_transshipment_oracle(self, rng):
+        # asymmetric costs without the triangle inequality, zero-cost arcs,
+        # zero-divergence relays and exact Fraction divergences
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            cost = [[rng.choice([0.0, rng.uniform(0, 10), rng.uniform(0, 1)]) for _ in range(n)]
+                    for _ in range(n)]
+            div = [rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+                   for _ in range(n - 1)]
+            div.append(-sum(div))
+            assert_close(min_cost_transport(div, cost), transshipment_oracle(div, cost), 1e-9)
 
 
 class TestWassersteinRecursion:
@@ -343,6 +404,33 @@ class TestLinearNorm:
             linear_w1_norm(xi + eta)
             <= linear_w1_norm(xi) + linear_w1_norm(eta) + 1e-9
         )
+
+    def test_level1_cost_matrix_equals_d1_loop(self, rng):
+        def point(dim):
+            coords = [rng.randrange(6) / 4 for _ in range(dim)]
+            if rng.random() < 0.2:
+                coords[-1] = INF
+            return ground(*coords)
+
+        for dims in [(1,)] * 20 + [(2,)] * 20 + [(1, 2)] * 10:
+            atoms = []
+            for _ in range(rng.randint(1, 9)):
+                dim = rng.choice(dims)
+                atoms.append(atom(point(dim), point(dim)))
+            atoms = list(dict.fromkeys(atoms))
+            n = len(atoms)
+            loop = np.zeros((n + 1, n + 1))
+            for i, j in itertools.permutations(range(n), 2):
+                loop[i, j] = d1(atoms[i], atoms[j], 1)
+            for i in range(n):
+                loop[i, n] = loop[n, i] = d_diag(atoms[i], 1)
+            assert (_level1_cost_matrix(atoms) == loop).all()
+
+        xi = virtual_diagram({interval(0.1, INF): 1, interval(0.2, 0.5): -2, interval(0.3, INF): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                linear_w1_norm(xi)
 
 
 class TestComplexityProfile:

@@ -17,7 +17,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._fenwick import FenwickTree
 from .aggregation import (
     AggregateOptions,
     DEFAULT_OPTIONS,
@@ -232,131 +231,27 @@ def dominance_sums(inp: DominanceInput, direction: str = "down") -> dict:
     """Inclusive coordinatewise dominance sums.
 
     down: Z-(v) = sum of coefficients of points <= v (v included).
-    up:   Z+(u) = sum over points >= u, computed by coordinate negation
-    through the same code path.
+    up:   Z+(u) = sum over points >= u.
 
-    Two coordinates go to the int64 kernel while sum|w| < 2^63, so that
-    every partial sum fits; anything else goes to cdq, which sums Python
-    integers and is exact at any size.
+    Both directions come from one ``_zeta_both`` call, exact in int64 for
+    any number of coordinates.  Every point needs the same number of
+    coordinates (``ValueError`` otherwise), and sum|w| must stay below 2^63
+    so that no partial sum can leave int64; past that, ``CoefficientOverflow``
+    is raised, as on every other evaluation route.
     """
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
     pts = inp.points
     if not pts:
         return {}
-    coords = [p[0] for p in pts]
-    if direction == "up":
-        coords = [tuple(-x for x in c) for c in coords]
+    if len({len(p[0]) for p in pts}) > 1:
+        raise ValueError("dominance points must all have the same number of coordinates")
     weights = [p[1] for p in pts]
-    if len(coords[0]) == 2 and sum(map(abs, weights)) < 2**63:
-        xy = np.asarray(coords, dtype=np.float64)
-        w = np.asarray(weights, dtype=np.int64)
-        z = _zeta2_both(xy[:, 0], xy[:, 1], w)[0].tolist()
-    else:
-        z = _zeta_cdq(coords, weights)
+    if sum(map(abs, weights)) > _I64_MAX:
+        raise CoefficientOverflow("dominance sums may leave the 64-bit range")
+    phi = np.array([p[0] for p in pts], dtype=np.float64)
+    z = _zeta_both(phi, np.array(weights, dtype=np.int64))[direction == "up"].tolist()
     return {pts[k][2]: z[k] for k in range(len(pts))}
-
-
-def _coalesce(coords, weights):
-    """Group identical coordinate tuples; equal points dominate mutually."""
-    groups: dict[tuple, int] = {}
-    members: dict[tuple, list[int]] = {}
-    for k, c in enumerate(coords):
-        groups[c] = groups.get(c, 0) + weights[k]
-        members.setdefault(c, []).append(k)
-    keys = sorted(groups)
-    return keys, [groups[k] for k in keys], members
-
-
-def _zeta_cdq(coords, weights):
-    """Merge-style divide and conquer over the first coordinate.
-
-    Cross contributions left -> right recurse over remaining coordinates,
-    with a Fenwick tree over the last-coordinate ranks handling the final
-    two dimensions; one remaining coordinate degenerates to sorted prefix
-    sums.  Comparisons are inclusive throughout.
-    """
-    keys, w, members = _coalesce(coords, weights)
-    m = len(keys)
-    r = len(coords[0])
-    z = list(w)
-
-    last_rank = {}
-    for v in sorted({k[-1] for k in keys}):
-        last_rank[v] = len(last_rank)
-    ranks = [last_rank[k[-1]] for k in keys]
-    fen = FenwickTree(len(last_rank))
-
-    def join(src, tgt, dim):
-        # every src already <= every tgt on coords [0, dim)
-        if not src or not tgt:
-            return
-        if dim >= r:
-            total = sum(w[s] for s in src)
-            for t in tgt:
-                z[t] += total
-            return
-        if dim == r - 1:
-            src_sorted = sorted(src, key=lambda s: keys[s][dim])
-            tgt_sorted = sorted(tgt, key=lambda t: keys[t][dim])
-            run = 0
-            si = 0
-            for t in tgt_sorted:
-                limit = keys[t][dim]
-                while si < len(src_sorted) and keys[src_sorted[si]][dim] <= limit:
-                    run += w[src_sorted[si]]
-                    si += 1
-                z[t] += run
-            return
-        if dim == r - 2:
-            # one sorted pass over this coordinate, prefix-sum tree on the last
-            order = sorted(
-                [(keys[s][dim], 0, s) for s in src] + [(keys[t][dim], 1, t) for t in tgt]
-            )
-            for _, is_tgt, k in order:
-                if is_tgt:
-                    z[k] += fen.prefix(ranks[k])
-                else:
-                    fen.add(ranks[k], w[k])
-            fen.reset()
-            return
-        order = sorted(
-            [(keys[s][dim], 0, s) for s in src] + [(keys[t][dim], 1, t) for t in tgt]
-        )
-
-        def rec(items):
-            if len(items) <= 1:
-                return
-            mid = len(items) // 2
-            left, right = items[:mid], items[mid:]
-            rec(left)
-            rec(right)
-            join(
-                [k for _, is_tgt, k in left if not is_tgt],
-                [k for _, is_tgt, k in right if is_tgt],
-                dim + 1,
-            )
-
-        rec(order)
-
-    def solve(lo, hi):
-        if hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        solve(mid, hi)
-        join(list(range(lo, mid)), list(range(mid, hi)), 0)
-
-    # keys are in lexicographic order, so any left-half point is <= any
-    # right-half point on the first coordinate (inclusive on ties)
-    solve(0, m)
-    pos = {key: i for i, key in enumerate(keys)}
-    out = [0] * len(coords)
-    for key, idxs in members.items():
-        zv = z[pos[key]]
-        for k in idxs:
-            out[k] = zv
-    return out
 
 
 # Up to this many points one dense comparison matrix beats the rank-space
@@ -433,6 +328,77 @@ def _zeta2_both(x, y, w):
     return down[inv], up[inv]
 
 
+def _zeta_both(phi, w):
+    """Down and up dominance sums of the rows of phi with int64 weights w,
+    for any number of columns.
+
+    One column is padded with a zero column; two go to ``_zeta2_both``.
+    With more, small inputs take one dense comparison matrix, and larger
+    ones move to rank space: every column ranked (``+inf`` last), equal rows
+    coalesced in lexicographic order, 64-row blocks solved densely, then
+    bottom-up merge levels.  Rows are distinct and in lexicographic order,
+    so a left half precedes its sibling right half on the first column and
+    no right row lies below a left row.  A level therefore needs only the
+    sums over the remaining columns within each parent block: one
+    (r-1)-column call over all rows, with parent blocks kept apart by adding
+    parent * size to the first remaining column and subtracting it from the
+    second.  Minus the previous level's call, which covered the row's own
+    half, that leaves the sum over the sibling half: a right row adds it to
+    its down sum and a left row to its up sum.  Each call ranks its columns
+    afresh, so the offsets never compound.  Sums wrap modulo 2^64, so they
+    are exact whenever the results fit in int64.
+    """
+    n, r = phi.shape
+    if r < 2:
+        phi = np.hstack([phi, np.zeros((n, 2 - r))])
+        r = 2
+    if r == 2:
+        return _zeta2_both(phi[:, 0], phi[:, 1], w)
+    if n <= _DENSE_MAX:
+        le = np.all(phi[:, None] <= phi[None], axis=2)
+        return w @ le, le @ w
+    ranks = np.column_stack([np.unique(col, return_inverse=True)[1] for col in phi.T])
+    order = np.lexsort(ranks.T[::-1])
+    sr = ranks[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.any(sr[1:] != sr[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    m = starts.size
+    size = -(-m // _BLOCK) * _BLOCK  # padded with zero-weight rows
+    W = np.zeros(size, dtype=np.int64)
+    W[:m] = np.add.reduceat(w[order], starts)
+    rest = np.zeros((size, r - 1), dtype=np.int64)
+    rest[:m] = sr[starts, 1:]
+    # base blocks: the remaining columns, then position for the first
+    Rb = rest.reshape(-1, _BLOCK, r - 1)
+    le = np.ones((size // _BLOCK, _BLOCK, _BLOCK), dtype=bool)
+    for k in range(r - 1):
+        le &= Rb[:, :, None, k] <= Rb[:, None, :, k]
+    Wb = W.reshape(-1, _BLOCK)
+    half_down = np.einsum("bi,bij->bj", Wb, le).ravel()
+    half_up = np.einsum("bij,bj->bi", le, Wb).ravel()
+    le &= np.tri(_BLOCK, dtype=bool).T
+    down = np.einsum("bi,bij->bj", Wb, le).ravel()
+    up = np.einsum("bij,bj->bi", le, Wb).ravel()
+    pos = np.arange(size)
+    lg = _LOG_BLOCK
+    while (1 << lg) < size:
+        offset = (pos >> (lg + 1)) * size  # ranks are below size
+        sub = rest.copy()
+        sub[:, 0] += offset
+        sub[:, 1] -= offset
+        block_down, block_up = _zeta_both(sub, W)
+        right = (pos >> lg) & 1
+        down += right * (block_down - half_down)
+        up += (1 - right) * (block_up - half_up)
+        half_down, half_up = block_down, block_up
+        lg += 1
+    return down[inv], up[inv]
+
+
 # ---------------------------------------------------------------------------
 # Harmonic evaluation
 
@@ -446,38 +412,29 @@ def psi_vector(psi: CoboundaryCharacter, atoms) -> np.ndarray:
     return np.array([psi.psi_of(a) for a in atoms], dtype=np.float64)
 
 
-def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
-    """Unwrapped coboundary phase of the self-aggregate via dominance sums.
+def harmonic_nets(xi: VirtualDiagram) -> np.ndarray:
+    """Exact net multiplicities of the self-aggregate via dominance sums.
 
-    S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u).  The per-atom
-    net xi_a * (Z-(a) - Z+(a)) is collected exactly in int64; psi enters
-    through a single double-precision dot product.  Raises
-    ``CoefficientOverflow`` exactly where the explicit routes do: when
-    max|c|^2 leaves int64 (the self class (a, a)), or when an exact net
-    does.
+    The net of atom a is xi_a * (Z-(a) - Z+(a)), in ``xi.entries`` order:
+    the same int64 vector that ``coboundary_net_multiplicities`` collects
+    from an explicit aggregate.  Raises ``CoefficientOverflow`` exactly
+    where the explicit routes do: when max|c|^2 leaves int64 (the self
+    class (a, a)), or when an exact net does.
     """
-    if psi.level != xi.level:
-        raise LevelMismatch("potential level mismatch")
     if xi.level != 1:
         raise PreorderUnavailable(
             "no coordinate representation at this level; use quadratic_phase"
         )
-    if not xi.entries:
-        return 0.0
     phi, coeff = level1_arrays(xi)
+    if not coeff.size:
+        return np.zeros(0, dtype=np.int64)
     cmax = max(int(coeff.max()), -int(coeff.min()))
     if cmax * cmax > _I64_MAX:
         raise CoefficientOverflow("pairwise products exceed 64-bit range")
     # past the self-class check max|c| < 2^31.5, so sum|c| < 2^63 for any
     # diagram under 2^31 atoms: every dominance sum, and d = Z- - Z+
     # (|d| <= sum|c|), is exact in int64
-    if phi.shape[1] == 2:
-        z_down, z_up = _zeta2_both(phi[:, 0], phi[:, 1], coeff)
-    else:
-        coords = [tuple(row) for row in phi.tolist()]
-        w = coeff.tolist()
-        z_down = np.array(_zeta_cdq(coords, w), dtype=np.int64)
-        z_up = np.array(_zeta_cdq([tuple(-v for v in c) for c in coords], w), dtype=np.int64)
+    z_down, z_up = _zeta_both(phi, coeff)
     d = z_down - z_up
     if cmax * cmax * coeff.size > _I64_MAX:
         # |c * d| <= max|c| * sum|c| may leave int64: require
@@ -488,7 +445,18 @@ def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
         )
         if np.any(np.abs(d).view(np.uint64) > limit):
             raise CoefficientOverflow("a net multiplicity leaves the 64-bit range")
-    net = coeff * d
+    return coeff * d
+
+
+def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
+    """Unwrapped coboundary phase of the self-aggregate via dominance sums.
+
+    S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u): the exact nets of
+    ``harmonic_nets`` in one double-precision dot product with psi.
+    """
+    if psi.level != xi.level:
+        raise LevelMismatch("potential level mismatch")
+    net = harmonic_nets(xi)
     psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
@@ -547,6 +515,7 @@ __all__ = [
     "evaluate_character",
     "harmonic_eval",
     "harmonic_eval_raw",
+    "harmonic_nets",
     "iterated_character_phase",
     "quadratic_phase",
     "wrap_angle",

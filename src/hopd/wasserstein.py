@@ -30,8 +30,6 @@ from .core import (
     VirtualDiagram,
     _dist_ground_array,
     _perfect_matching,
-    d1,
-    d_diag,
     dist_ground,
     level1_diag_cost,
     norm_p,
@@ -391,7 +389,8 @@ def linear_w1_norm(
     Min-cost transport over the support plus the basepoint, divergences
     equal to the coefficients with the basepoint absorbing their negative
     sum, arc costs the strengthened atom metric (at level 1 built in numpy
-    from the endpoint coordinates).  `min_cost_transport` solves it as a
+    from the endpoint coordinates, above it from one certified run, whose
+    memo tables all the pairs share).  `min_cost_transport` solves it as a
     transportation LP from positive to negative nodes on the metric closure
     of those costs.  An infinite cost on the support (an atom with a +inf
     death) raises ValueError.
@@ -404,12 +403,15 @@ def linear_w1_norm(
     if xi.level == 1:
         cost = _level1_cost_matrix(atoms)
     else:
-        n = len(atoms)
+        # one certified run, so endpoint transports shared by several atoms
+        # are computed once
+        run = _CertifiedRun(1, diagonal, CostCounters())
+        n, k = len(atoms), xi.level
         cost = [[0.0] * (n + 1) for _ in range(n + 1)]
         for i in range(n):
             for j in range(i + 1, n):
-                cost[i][j] = cost[j][i] = d1(atoms[i], atoms[j], 1, diagonal)
-            cost[i][n] = cost[n][i] = d_diag(atoms[i], 1, diagonal)
+                cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
+            cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
     divergence = list(coeffs) + [-sum(coeffs)]
     return min_cost_transport(divergence, cost)
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopd.aggregation import naive_self_aggregate, self_aggregate_pairs, tree_expansion_oracle, iterated_aggregate
-from hopd import harmonic
 from hopd.core import CoefficientOverflow, atom, ground, interval, psi_golden, virtual_diagram
 from hopd.harmonic import (
     Character,
@@ -20,11 +19,12 @@ from hopd.harmonic import (
     evaluate_character,
     harmonic_eval,
     harmonic_eval_raw,
+    harmonic_nets,
     iterated_character_phase,
     quadratic_phase,
     wrap_angle,
     _zeta2_both,
-    _zeta_cdq,
+    _zeta_both,
 )
 
 from conftest import rand_virtual
@@ -131,34 +131,11 @@ def brute_dominance(points, direction):
     return out
 
 
-def cdq_both(x, y, w):
-    """``_zeta_cdq`` with the signature of the int64 kernel ``_zeta2_both``."""
-    pts = list(zip(x.tolist(), y.tolist()))
-    ws = w.tolist()
-    down = _zeta_cdq(pts, ws)
-    up = _zeta_cdq([(-a, -b) for a, b in pts], ws)
-    return np.array(down, dtype=np.int64), np.array(up, dtype=np.int64)
-
-
-# the two-coordinate dominance transforms, keyed as in the test ids
-TRANSFORMS = {"vector": _zeta2_both, "cdq": cdq_both}
-
-
-def transform_sums(transform, points, direction):
+def kernel_sums(points, direction):
     xy = np.array([p[0] for p in points], dtype=np.float64)
     w = np.array([p[1] for p in points], dtype=np.int64)
-    z = transform(xy[:, 0], xy[:, 1], w)[direction == "up"]
+    z = _zeta2_both(xy[:, 0], xy[:, 1], w)[direction == "up"]
     return {p[2]: int(v) for p, v in zip(points, z)}
-
-
-def harmonic_with(transform, xi, psi):
-    """``harmonic_eval_raw`` with its two-coordinate transform swapped."""
-    saved = harmonic._zeta2_both
-    harmonic._zeta2_both = transform
-    try:
-        return harmonic_eval_raw(xi, psi)
-    finally:
-        harmonic._zeta2_both = saved
 
 
 class TestDominanceSums:
@@ -172,9 +149,7 @@ class TestDominanceSums:
         assert dominance_sums(inp, "down") == {0: 2, 1: 5}
         assert dominance_sums(inp, "up") == {0: 5, 1: 3}
 
-    @pytest.mark.parametrize("engine", ["cdq", "vector"])
-    def test_engines_match_brute_force_r2(self, rng, engine):
-        transform = TRANSFORMS[engine]
+    def test_kernel_matches_brute_force_r2(self, rng):
         for _ in range(25):
             n = rng.randint(1, 120)
             pts = [
@@ -188,7 +163,7 @@ class TestDominanceSums:
             inp = DominanceInput(tuple(pts))
             for direction in ("down", "up"):
                 want = brute_dominance(pts, direction)
-                assert transform_sums(transform, pts, direction) == want
+                assert kernel_sums(pts, direction) == want
                 assert dominance_sums(inp, direction) == want
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 193, 255, 256, 257, 1000])
@@ -206,31 +181,49 @@ class TestDominanceSums:
         inp = DominanceInput(tuple(pts))
         for direction in ("down", "up"):
             want = brute_dominance(pts, direction)
-            assert transform_sums(_zeta2_both, pts, direction) == want
+            assert kernel_sums(pts, direction) == want
             assert dominance_sums(inp, direction) == want
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_cdq_random_dims(self, rng, r):
-        for _ in range(20):
-            n = rng.randint(1, 90)
-            pts = [
-                (
-                    tuple(rng.randrange(5) / 2.0 for _ in range(r)),
-                    rng.randint(-5, 5),
-                    k,
-                )
-                for k in range(n)
-            ]
-            for direction in ("down", "up"):
-                sign = 1 if direction == "down" else -1
-                coords = [tuple(sign * x for x in p[0]) for p in pts]
-                got = _zeta_cdq(coords, [p[1] for p in pts])
-                assert dict(zip(range(n), got)) == brute_dominance(pts, direction)
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+    def test_zeta_both_random_dims(self, rng, r):
+        # sizes straddle the dense cut-over and the 64-row block and merge
+        # edges; coarse grids force duplicates, and -inf and +inf must order
+        # first and last in every column
+        for n in (1, 63, 64, 65, 129, 193, 1000):
+            for grid in (2, 5):
+                phi = np.array(
+                    [
+                        [rng.choice((-math.inf, math.inf)) if rng.random() < 0.1 else float(rng.randrange(grid))
+                         for _ in range(r)]
+                        for _ in range(n)
+                    ]
+                ).reshape(n, r)
+                w = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
+                le = np.ones((n, n), dtype=bool)
+                for k in range(r):
+                    le &= phi[:, k, None] <= phi[None, :, k]
+                down, up = _zeta_both(phi, w)
+                assert down.tolist() == (w @ le).tolist()
+                assert up.tolist() == (le @ w).tolist()
+                inp = DominanceInput.from_arrays(phi, w)
+                assert dominance_sums(inp, "down") == dict(enumerate(down.tolist()))
+                assert dominance_sums(inp, "up") == dict(enumerate(up.tolist()))
 
     def test_sums_beyond_64_bits_stay_exact(self):
-        inp = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62])
-        # sum|w| >= 2^63 sends two coordinates to cdq instead of the kernel
-        assert dominance_sums(inp, "down") == {0: 2**62, 1: 2**63}
+        # sums that may leave int64 raise instead of wrapping, in any width
+        for coords in ([(0.0, 0.0), (1.0, 1.0)], [(0.0,), (1.0,)], [(0.0,) * 3, (1.0,) * 3]):
+            for w in ([2**62, 2**62], [2**63 - 1, 1], [2**70, 0], [-(2**63), 0]):
+                with pytest.raises(CoefficientOverflow):
+                    dominance_sums(DominanceInput.from_arrays(coords, w), "down")
+        edge = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62 - 1])
+        assert dominance_sums(edge, "down") == {0: 2**62, 1: 2**63 - 1}
+
+    def test_mixed_widths_rejected(self):
+        for coords in ([(0, 0, 0), (1, 1)], [(0,), (1, 1, 1)], [(0, 0), (1, 1, 1)]):
+            inp = DominanceInput.from_arrays(coords, [1, 2])
+            for direction in ("down", "up"):
+                with pytest.raises(ValueError, match="same number of coordinates"):
+                    dominance_sums(inp, direction)
 
     def test_duplicates_mutual(self):
         pts = [((0.5, 0.5), 2, "a"), ((0.5, 0.5), 3, "b")]
@@ -279,12 +272,11 @@ class TestHarmonicEval:
             xi = virtual_diagram({a: c})
             assert angles_close(harmonic_eval(xi, psi), 0.0)
 
-    @pytest.mark.parametrize("engine", ["vector", "cdq"])
-    def test_equals_explicit_aggregate_character(self, rng, engine):
+    def test_equals_explicit_aggregate_character(self, rng):
         for _ in range(8):
             xi = rand_virtual(rng, rng.randint(1, 80), grid=20)
             psi = random_psi(rng, xi)
-            lhs = wrap_angle(harmonic_with(TRANSFORMS[engine], xi, psi))
+            lhs = harmonic_eval(xi, psi)
             rhs = evaluate_character(psi, naive_self_aggregate(xi))
             assert angles_close(lhs, rhs, 1e-9)
 
@@ -323,7 +315,7 @@ class TestHarmonicEval:
         assert angles_close(wrap_angle(raw), wrap_angle(explicit / 3), 1e-9)
 
     def test_two_dimensional_ground_matches_explicit_phase(self, rng):
-        # four coordinates (-b1, -b2, d1, d2) per atom: cdq, not the kernel
+        # four coordinates (-b1, -b2, d1, d2) per atom, past the kernel
         for _ in range(30):
             entries = {}
             for _ in range(rng.randint(1, 30)):
@@ -331,9 +323,27 @@ class TestHarmonicEval:
                 d = tuple(x + (1 + rng.randrange(4)) / 4 for x in b)
                 entries[atom(ground(*b), ground(*d))] = rng.choice([-1, 1]) * rng.randint(1, 9)
             xi = virtual_diagram(entries, level=1)
+            net = coboundary_net_multiplicities(naive_self_aggregate(xi), xi.support())
+            assert harmonic_nets(xi).tolist() == net.tolist()
             for psi in (CoboundaryCharacter(1), random_psi(rng, xi)):
                 explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
                 assert harmonic_eval_raw(xi, psi) == explicit
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ground_dimensions_past_the_dense_cut_over(self, rng, dim):
+        # 2 * dim coordinates per atom and supports beyond 192 atoms, so the
+        # rank-space merge levels run; +inf deaths in the last coordinate
+        for size in (150, 400):
+            entries = {}
+            while len(entries) < size:
+                b = tuple(rng.randrange(5) / 4 for _ in range(dim))
+                d = [x + (1 + rng.randrange(4)) / 4 for x in b]
+                if rng.random() < 0.1:
+                    d[-1] = math.inf
+                entries.setdefault(atom(ground(*b), ground(*d)), rng.choice([-1, 1]) * rng.randint(1, 9))
+            xi = virtual_diagram(entries, level=1)
+            net = coboundary_net_multiplicities(self_aggregate_pairs(xi), xi.support())
+            assert harmonic_nets(xi).tolist() == net.tolist()
 
     @given(
         st.lists(
@@ -352,6 +362,8 @@ class TestHarmonicEval:
             death = math.inf if gap is None else (b + gap) / 4
             entries[interval(b / 4, death)] = c
         xi = virtual_diagram(entries, level=1)
+        net = coboundary_net_multiplicities(naive_self_aggregate(xi), xi.support())
+        assert harmonic_nets(xi).tolist() == net.tolist()
         psi = CoboundaryCharacter(1)
         explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
         assert harmonic_eval_raw(xi, psi) == explicit
@@ -365,9 +377,8 @@ class TestHarmonicOverflow:
         for route in (naive_self_aggregate, self_aggregate_pairs):
             with pytest.raises(CoefficientOverflow):
                 route(xi)
-        for transform in TRANSFORMS.values():
-            with pytest.raises(CoefficientOverflow):
-                harmonic_with(transform, xi, psi)
+        with pytest.raises(CoefficientOverflow):
+            harmonic_eval_raw(xi, psi)
 
     def test_just_below_bound_is_exact(self):
         # max|c| * sum|c| = 2**31 * (2**31 + 1) < 2**63
@@ -386,8 +397,7 @@ class TestHarmonicOverflow:
             coboundary_phase_raw(route(xi), psi, xi.support())
             for route in (naive_self_aggregate, self_aggregate_pairs)
         }
-        for transform in TRANSFORMS.values():
-            phases.add(harmonic_with(transform, xi, psi))
+        phases.add(harmonic_eval_raw(xi, psi))
         assert len(phases) == 1
 
     def test_nets_beyond_64_bits_raise_on_every_route(self):
@@ -398,9 +408,8 @@ class TestHarmonicOverflow:
             agg = route(xi)
             with pytest.raises(CoefficientOverflow):
                 coboundary_net_multiplicities(agg, xi.support())
-        for transform in TRANSFORMS.values():
-            with pytest.raises(CoefficientOverflow):
-                harmonic_with(transform, xi, psi)
+        with pytest.raises(CoefficientOverflow):
+            harmonic_eval_raw(xi, psi)
 
 
     @staticmethod
@@ -422,10 +431,10 @@ class TestHarmonicOverflow:
         psi = CoboundaryCharacter(1)
         net = coboundary_net_multiplicities(naive_self_aggregate(xi), xi.support())
         assert int(net.min()) == -(2**63)
+        assert harmonic_nets(xi).tolist() == net.tolist()
         explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
         assert coboundary_phase_raw(self_aggregate_pairs(xi), psi, xi.support()) == explicit
-        for transform in TRANSFORMS.values():
-            assert harmonic_with(transform, xi, psi) == explicit
+        assert harmonic_eval_raw(xi, psi) == explicit
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_more_atom_past_minus_2_63_raises(self, sign):
@@ -434,9 +443,8 @@ class TestHarmonicOverflow:
         for route in (naive_self_aggregate, self_aggregate_pairs):
             with pytest.raises(CoefficientOverflow):
                 coboundary_net_multiplicities(route(xi), xi.support())
-        for transform in TRANSFORMS.values():
-            with pytest.raises(CoefficientOverflow):
-                harmonic_with(transform, xi, psi)
+        with pytest.raises(CoefficientOverflow):
+            harmonic_eval_raw(xi, psi)
 
 
 class TestNetMultiplicities:

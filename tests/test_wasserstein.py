@@ -433,6 +433,38 @@ class TestLinearNorm:
                 linear_w1_norm(xi)
 
 
+    def test_level2_cost_matrix_shares_one_certified_run(self, rng, monkeypatch):
+        from hopd.aggregation import naive_self_aggregate
+        from conftest import rand_virtual
+
+        runs = []
+
+        class CountedRun(wasserstein._CertifiedRun):
+            def __init__(self, *args):
+                runs.append(self)
+                super().__init__(*args)
+
+        for _ in range(8):
+            xi = naive_self_aggregate(rand_virtual(rng, rng.randint(2, 4), grid=6, coeff_range=(-3, 3)))
+            extra = atom(rand_level1_diagram(rng), rand_level1_diagram(rng))
+            xi = xi + virtual_diagram({extra: rng.choice([-2, -1, 1, 2])}, level=2)
+            atoms = xi.support()
+            n = len(atoms)
+            cost = [[0.0] * (n + 1) for _ in range(n + 1)]
+            for i, j in itertools.combinations(range(n), 2):
+                cost[i][j] = cost[j][i] = d1(atoms[i], atoms[j], 1)
+            for i in range(n):
+                cost[i][n] = cost[n][i] = d_diag(atoms[i], 1)
+            coeffs = [c for _, c in xi.entries]
+            want = min_cost_transport(coeffs + [-sum(coeffs)], cost)
+            runs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(wasserstein, "_CertifiedRun", CountedRun)
+                got = linear_w1_norm(xi)
+            assert len(runs) == 1
+            assert_close(got, want, 1e-9)
+
+
 class TestComplexityProfile:
     def test_single_level1_atom(self):
         prof = complexity_profile(virtual_diagram({interval(0, 1): 1}))

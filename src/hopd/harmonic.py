@@ -254,11 +254,61 @@ def dominance_sums(inp: DominanceInput, direction: str = "down") -> dict:
     return {pts[k][2]: z[k] for k in range(len(pts))}
 
 
-# Up to this many points one dense comparison matrix beats the rank-space
-# merge on fixed per-call cost (they cross near 190 points on x86-64).
+# Up to this many points the two-column kernel's dense comparison matrix
+# beats its rank-space merge on fixed per-call cost (they cross near 190
+# points on x86-64).
 _DENSE_MAX = 192
 _LOG_BLOCK = 6
 _BLOCK = 1 << _LOG_BLOCK
+_UPPER = np.tri(_BLOCK, dtype=bool).T  # i <= j within a block
+
+
+def _rank_blocks(cols, w):
+    """Rank space shared by the dominance transforms.
+
+    Every column gets dense integer ranks (``+inf`` ranks last),
+    equal rows are coalesced in lexicographic order with their weights
+    summed, and the result is padded with zero-weight rows to whole 64-row
+    blocks.  Returns inv (row -> coalesced index), the weights W, the ranks
+    of the columns after the first, and per block the comparison le[b, i, j]
+    = row i lies below row j on all of those columns.
+    """
+    ranks = [np.unique(col, return_inverse=True)[1] for col in cols]
+    # one mixed-radix key orders the rows lexicographically; when the next
+    # digit would overflow it, the key is replaced by its dense ranks
+    key = np.zeros(w.size, dtype=np.int64)
+    for rk in ranks:
+        span = int(rk.max()) + 1
+        if int(key.max()) > _I64_MAX // span - 1:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * span + rk
+    order = np.argsort(key)
+    sk = key[order]
+    n = w.size
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    m = starts.size
+    size = -(-m // _BLOCK) * _BLOCK  # padded with zero-weight rows
+    W = np.zeros(size, dtype=np.int64)
+    W[:m] = np.add.reduceat(w[order], starts)
+    rest = np.zeros((size, len(ranks) - 1), dtype=np.int64)
+    for k, rk in enumerate(ranks[1:]):
+        rest[:m, k] = rk[order[starts]]
+    Rb = rest.astype(np.int32).reshape(-1, _BLOCK, rest.shape[1])
+    le = Rb[:, :, None, 0] <= Rb[:, None, :, 0]
+    for k in range(1, rest.shape[1]):
+        le &= Rb[:, :, None, k] <= Rb[:, None, :, k]
+    return inv, W, rest, le
+
+
+def _block_sums(W, le):
+    """Down and up sums within each 64-row block under the comparison le."""
+    Wb = W.reshape(-1, _BLOCK)
+    return np.einsum("bi,bij->bj", Wb, le).ravel(), np.einsum("bij,bj->bi", le, Wb).ravel()
 
 
 def _zeta2_both(x, y, w):
@@ -280,29 +330,12 @@ def _zeta2_both(x, y, w):
     if n <= _DENSE_MAX:
         le = (x[:, None] <= x) & (y[:, None] <= y)
         return w @ le, le @ w
-    _, xr = np.unique(x, return_inverse=True)
-    ys, yr = np.unique(y, return_inverse=True)
-    key = xr * ys.size + yr
-    order = np.argsort(key)
-    sk = key[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    inv = np.empty(n, dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    m = starts.size
-    size = -(-m // _BLOCK) * _BLOCK  # padded with zero-weight points
-    W = np.zeros(size, dtype=np.int64)
-    W[:m] = np.add.reduceat(w[order], starts)
-    Y = np.zeros(size, dtype=np.int64)
-    Y[:m] = sk[starts] % ys.size
-    # base blocks: within a block, position i <= j already gives x_i <= x_j
-    Yb = Y.astype(np.int32).reshape(-1, _BLOCK)
-    Wb = W.reshape(-1, _BLOCK)
-    le = (Yb[:, :, None] <= Yb[:, None, :]) & np.tri(_BLOCK, dtype=bool).T
-    down = np.einsum("bi,bij->bj", Wb, le).ravel()
-    up = np.einsum("bij,bj->bi", le, Wb).ravel()
+    inv, W, rest, le = _rank_blocks((x, y), w)
+    # within a block, position i <= j already gives x_i <= x_j
+    le &= _UPPER
+    down, up = _block_sums(W, le)
+    size = W.size
+    Y = rest[:, 0]
     # one (y-rank, position) order serves every level: on equal y-ranks a
     # left half precedes its sibling, which makes both sums inclusive
     pos = np.arange(size)
@@ -333,12 +366,12 @@ def _zeta_both(phi, w):
     for any number of columns.
 
     One column is padded with a zero column; two go to ``_zeta2_both``.
-    With more, small inputs take one dense comparison matrix, and larger
-    ones move to rank space: every column ranked (``+inf`` last), equal rows
-    coalesced in lexicographic order, 64-row blocks solved densely, then
-    bottom-up merge levels.  Rows are distinct and in lexicographic order,
-    so a left half precedes its sibling right half on the first column and
-    no right row lies below a left row.  A level therefore needs only the
+    With more, every input moves to rank space (``_rank_blocks``): columns
+    ranked (``+inf`` last), equal rows coalesced in lexicographic order,
+    64-row blocks solved densely, then bottom-up merge levels.  Rows are
+    distinct and in lexicographic order, so a left half precedes its
+    sibling right half on the first column and no right row lies below a
+    left row.  A level therefore needs only the
     sums over the remaining columns within each parent block: one
     (r-1)-column call over all rows, with parent blocks kept apart by adding
     parent * size to the first remaining column and subtracting it from the
@@ -354,35 +387,11 @@ def _zeta_both(phi, w):
         r = 2
     if r == 2:
         return _zeta2_both(phi[:, 0], phi[:, 1], w)
-    if n <= _DENSE_MAX:
-        le = np.all(phi[:, None] <= phi[None], axis=2)
-        return w @ le, le @ w
-    ranks = np.column_stack([np.unique(col, return_inverse=True)[1] for col in phi.T])
-    order = np.lexsort(ranks.T[::-1])
-    sr = ranks[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.any(sr[1:] != sr[:-1], axis=1, out=new[1:])
-    starts = np.flatnonzero(new)
-    inv = np.empty(n, dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    m = starts.size
-    size = -(-m // _BLOCK) * _BLOCK  # padded with zero-weight rows
-    W = np.zeros(size, dtype=np.int64)
-    W[:m] = np.add.reduceat(w[order], starts)
-    rest = np.zeros((size, r - 1), dtype=np.int64)
-    rest[:m] = sr[starts, 1:]
+    inv, W, rest, le = _rank_blocks(phi.T, w)
     # base blocks: the remaining columns, then position for the first
-    Rb = rest.reshape(-1, _BLOCK, r - 1)
-    le = np.ones((size // _BLOCK, _BLOCK, _BLOCK), dtype=bool)
-    for k in range(r - 1):
-        le &= Rb[:, :, None, k] <= Rb[:, None, :, k]
-    Wb = W.reshape(-1, _BLOCK)
-    half_down = np.einsum("bi,bij->bj", Wb, le).ravel()
-    half_up = np.einsum("bij,bj->bi", le, Wb).ravel()
-    le &= np.tri(_BLOCK, dtype=bool).T
-    down = np.einsum("bi,bij->bj", Wb, le).ravel()
-    up = np.einsum("bij,bj->bi", le, Wb).ravel()
+    half_down, half_up = _block_sums(W, le)
+    down, up = _block_sums(W, le & _UPPER)
+    size = W.size
     pos = np.arange(size)
     lg = _LOG_BLOCK
     while (1 << lg) < size:

@@ -138,6 +138,19 @@ def kernel_sums(points, direction):
     return {p[2]: int(v) for p, v in zip(points, z)}
 
 
+def assert_zeta_both_exact(phi, w):
+    """_zeta_both and dominance_sums against the quadratic brute force."""
+    le = np.ones((len(w), len(w)), dtype=bool)
+    for k in range(phi.shape[1]):
+        le &= phi[:, k, None] <= phi[None, :, k]
+    down, up = _zeta_both(phi, w)
+    assert down.tolist() == (w @ le).tolist()
+    assert up.tolist() == (le @ w).tolist()
+    inp = DominanceInput.from_arrays(phi, w)
+    assert dominance_sums(inp, "down") == dict(enumerate(down.tolist()))
+    assert dominance_sums(inp, "up") == dict(enumerate(up.tolist()))
+
+
 class TestDominanceSums:
     def test_single_point_reflexive(self):
         inp = DominanceInput.from_arrays([(0.5, 0.5)], [5])
@@ -186,28 +199,32 @@ class TestDominanceSums:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
     def test_zeta_both_random_dims(self, rng, r):
-        # sizes straddle the dense cut-over and the 64-row block and merge
-        # edges; coarse grids force duplicates, and -inf and +inf must order
-        # first and last in every column
-        for n in (1, 63, 64, 65, 129, 193, 1000):
-            for grid in (2, 5):
-                phi = np.array(
+        # coarse grids force duplicates, and -inf and +inf must order first
+        # and last in every column; coalescing caps their distinct rows, so
+        # continuous coordinates (every row distinct) put the row count on
+        # and just past the 64-row block and merge-level edges
+        cases = [(n, grid) for n in (1, 63, 64, 65, 129, 193, 1000) for grid in (2, 5)]
+        cases += [(n, None) for n in (63, 64, 65, 128, 129, 193, 256, 257, 1000)]
+        for n, grid in cases:
+            phi = np.array(
+                [
                     [
-                        [rng.choice((-math.inf, math.inf)) if rng.random() < 0.1 else float(rng.randrange(grid))
-                         for _ in range(r)]
-                        for _ in range(n)
+                        rng.choice((-math.inf, math.inf)) if rng.random() < 0.1
+                        else float(rng.randrange(grid)) if grid else rng.random()
+                        for _ in range(r)
                     ]
-                ).reshape(n, r)
-                w = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
-                le = np.ones((n, n), dtype=bool)
-                for k in range(r):
-                    le &= phi[:, k, None] <= phi[None, :, k]
-                down, up = _zeta_both(phi, w)
-                assert down.tolist() == (w @ le).tolist()
-                assert up.tolist() == (le @ w).tolist()
-                inp = DominanceInput.from_arrays(phi, w)
-                assert dominance_sums(inp, "down") == dict(enumerate(down.tolist()))
-                assert dominance_sums(inp, "up") == dict(enumerate(up.tolist()))
+                    for _ in range(n)
+                ]
+            ).reshape(n, r)
+            w = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
+            assert_zeta_both_exact(phi, w)
+
+    def test_zeta_both_key_past_64_bits(self, rng):
+        # 300 distinct values in each of 8 columns: 300^8 > 2^63, so the
+        # lexicographic key has to be re-ranked before its last digit
+        phi = np.array([[rng.random() for _ in range(8)] for _ in range(300)])
+        w = np.array([rng.randint(-9, 9) for _ in range(300)], dtype=np.int64)
+        assert_zeta_both_exact(phi, w)
 
     def test_sums_beyond_64_bits_stay_exact(self):
         # sums that may leave int64 raise instead of wrapping, in any width
@@ -330,9 +347,9 @@ class TestHarmonicEval:
                 assert harmonic_eval_raw(xi, psi) == explicit
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_ground_dimensions_past_the_dense_cut_over(self, rng, dim):
-        # 2 * dim coordinates per atom and supports beyond 192 atoms, so the
-        # rank-space merge levels run; +inf deaths in the last coordinate
+    def test_ground_dimensions_match_pair_nets(self, rng, dim):
+        # 2 * dim coordinates per atom and supports of several 64-row
+        # blocks, so merge levels run; +inf deaths in the last coordinate
         for size in (150, 400):
             entries = {}
             while len(entries) < size:

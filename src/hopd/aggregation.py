@@ -158,24 +158,25 @@ def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate
     """Vectorized ordered-pair enumeration of the self-aggregate (level 1).
 
     Identical output to ``naive_self_aggregate``: every ordered pair is
-    visited and tested against the coordinate preorder.  Distinct interned
-    atoms have distinct coordinates, so no class is diagonal and no two pairs
-    share a class.
+    visited and tested against the coordinate preorder, ``block`` rows at a
+    time, so the cost stays quadratic in the support.  Each block's boolean
+    mask is read back as flat indices split by ``divmod``, which lists the
+    same pairs in the same row-major order as a 2-D ``np.nonzero`` at a
+    fraction of its cost on sparse masks.  Distinct interned atoms have
+    distinct coordinates, so no class is diagonal and no two pairs share a
+    class.  Raises ``ValueError`` unless ``block`` is a positive integer.
     """
+    if not isinstance(block, (int, np.integer)) or block < 1:
+        raise ValueError(f"block must be a positive integer, got {block!r}")
     phi, coeff = level1_arrays(xi)
     n, r = phi.shape
     cmax = int(np.abs(coeff).max()) if n else 0
     if cmax * cmax > _I64_MAX:
         raise CoefficientOverflow("pairwise products exceed 64-bit range")
     base = [a for a, _ in xi.entries]
-    if n <= block:
-        mask = phi[:, 0, None] <= phi[None, :, 0]
-        for col in range(1, r):
-            mask &= phi[:, col, None] <= phi[None, :, col]
-        i, j = np.nonzero(mask)
-        return PairAggregate(xi.level + 1, base, i, j, coeff[i] * coeff[j])
-    ii, jj = [], []
-    buf = np.empty((block, n), dtype=bool)
+    # empty seeds keep the concatenation defined when n = 0
+    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    buf = np.empty((min(block, n), n), dtype=bool)
     tmp = np.empty_like(buf)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
@@ -184,7 +185,7 @@ def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate
         for col in range(1, r):
             np.less_equal(phi[lo:hi, col, None], phi[:, col], out=tmp[:k])
             np.logical_and(mask, tmp[:k], out=mask)
-        bi, bj = np.nonzero(mask)
+        bi, bj = np.divmod(np.flatnonzero(mask), n)
         ii.append(bi + lo)
         jj.append(bj)
     i = np.concatenate(ii)

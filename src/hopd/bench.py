@@ -3,9 +3,10 @@
 Timing policy follows the experiments: the timed region covers aggregation
 (or harmonic evaluation) only; graph generation, persistence, Wasserstein
 matching, representation warming, and I/O all happen outside it, with the
-timed region running single-threaded.  Every timed run first verifies that
-the harmonic angle equals the explicit-aggregate character angle (1e-9 mod
-2*pi); a timing row is emitted only for verified-equal results.
+timed region running single-threaded.  Every timed run is then verified: per
+sample, the harmonic route's exact int64 nets must equal those collected from
+the explicit aggregate, and the phase of the mean must agree (1e-9 mod 2*pi);
+a timing row is emitted only for verified-equal results.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .graphgen import MODELS, generate, model_index, model_spec, seed_for
 from .harmonic import (
     CoboundaryCharacter,
     angles_close,
+    coboundary_net_multiplicities,
     coboundary_phase_raw,
     harmonic_eval_raw,
+    harmonic_nets,
     wrap_angle,
 )
 from .serialize import from_text
@@ -51,7 +54,7 @@ UNIT_DIVISORS = {"ns": 1, "ms": 1_000_000, "min": 60_000_000_000}
 
 
 class OracleMismatch(AssertionError):
-    """Harmonic and explicit angles disagreed; the timing row was withheld."""
+    """Harmonic and explicit nets or angles disagreed; the timing row was withheld."""
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,16 @@ def timed_harmonic(xs, psi: CoboundaryCharacter):
 
 def _verify(xs, parts, raws, psi, m):
     explicit_raw = 0.0
-    for x, part in zip(xs, parts):
+    for k, (x, part) in enumerate(zip(xs, parts)):
         base = x.support()
+        # exact nets first: integers that depend neither on psi nor on rounding
+        harmonic, explicit = harmonic_nets(x), coboundary_net_multiplicities(part, base)
+        if not np.array_equal(harmonic, explicit):
+            at = np.flatnonzero(harmonic != explicit)[:5]
+            raise OracleMismatch(
+                f"sample {k}: harmonic nets {harmonic[at].tolist()} vs explicit nets "
+                f"{explicit[at].tolist()} at atoms {at.tolist()}"
+            )
         explicit_raw += coboundary_phase_raw(part, psi, base)
     harmonic = wrap_angle(sum(raws) / m)
     explicit = wrap_angle(explicit_raw / m)

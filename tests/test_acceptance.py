@@ -51,8 +51,10 @@ from hopd.filtration import (
 from hopd.harmonic import (
     CoboundaryCharacter,
     angles_close,
+    coboundary_net_multiplicities,
     evaluate_character,
     harmonic_eval,
+    harmonic_nets,
 )
 from hopd.wasserstein import (
     CostCounters,
@@ -94,8 +96,12 @@ def test_c01_harmonic_explicit_oracle_equality():
                 zip(xi.support(), rng.uniform(0.0, 2 * math.pi, xi.support_size()))
             ),
         )
+        pairs = self_aggregate_pairs(xi)
+        assert np.array_equal(
+            harmonic_nets(xi), coboundary_net_multiplicities(pairs, xi.support())
+        ), (inst, size)
         harmonic = harmonic_eval(xi, psi)
-        explicit = evaluate_character(psi, self_aggregate_pairs(xi))
+        explicit = evaluate_character(psi, pairs)
         assert angles_close(harmonic, explicit, TOL), (inst, size)
         if size <= 200 and checked_small < 40:
             # tie the array route to the literal pair-loop construction
@@ -107,8 +113,8 @@ def test_c01_harmonic_explicit_oracle_equality():
     elapsed = time.time() - t0
     assert elapsed < 120, f"criterion 1 took {elapsed:.1f}s"
     print(
-        f"\n[criterion 1] PASS: 1000 instances, harmonic == explicit within 1e-9 "
-        f"({elapsed:.1f}s < 120s)"
+        f"\n[criterion 1] PASS: 1000 instances, exact nets equal and harmonic == "
+        f"explicit within 1e-9 ({elapsed:.1f}s < 120s)"
     )
 
 
@@ -174,6 +180,14 @@ def test_c03_scaling_exponents(narrow_scaling_rows):
     harm_slope = loglog_slope(
         [(r["support"], r["harmonic_median"]) for r in summary]
     )
+    # per-rung medians next to the slopes, before the asserts, so the log
+    # shows how near the gate a run sits
+    rungs = "".join(
+        f"\n  support {r['support']:>6}: naive median {r['naive_median'] / 1e9:.4f} s, "
+        f"harmonic median {r['harmonic_median'] / 1e9:.4f} s"
+        for r in summary
+    )
+    print(f"{rungs}\n  naive slope {naive_slope:.3f}, harmonic slope {harm_slope:.3f}")
     assert 1.7 <= naive_slope <= 2.3, naive_slope
     assert 0.8 <= harm_slope <= 1.4, harm_slope
     print(

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,9 +19,11 @@ from hopd.aggregation import (
     sum_aggregate,
     tree_expansion_oracle,
 )
+from hopd.bench import synth_level1
 from hopd.core import (
     CoefficientOverflow,
     atom,
+    atom_coords,
     atom_leq,
     ground,
     interval,
@@ -38,6 +42,39 @@ def brute_force_aggregate(g, l):
                 key = pair_class(u, v)
                 out[key] = out.get(key, 0) + cu * cv
     return {k: c for k, c in out.items() if c}
+
+
+def dense_pairs(xi):
+    """Independent enumerator: one n x n comparison read back by np.nonzero."""
+    n = xi.support_size()
+    mask = np.ones((n, n), dtype=bool)
+    for col in zip(*(atom_coords(a) for a, _ in xi.entries)):
+        col = np.array(col)
+        mask &= col[:, None] <= col[None, :]
+    i, j = np.nonzero(mask)
+    c = np.array([c for _, c in xi.entries], dtype=np.int64)
+    return i, j, c[i] * c[j]
+
+
+def pinned_diagram(family: str, n: int):
+    """Diagrams with heavy coordinate ties, ~10% +inf deaths, a sparse mask,
+    or 2-D ground points (four coordinate columns)."""
+    rng = np.random.default_rng([n, len(family)])
+    if family == "narrow":
+        return synth_level1(n, "narrow", rng)
+    entries = {}
+    while len(entries) < n:
+        c = int(rng.integers(1, 11)) * int(rng.choice((-1, 1)))
+        inf = rng.random() < 0.1
+        if family == "grid":
+            b = int(rng.integers(128)) / 128
+            d = math.inf if inf else b + int(rng.integers(1, 65)) / 64
+            entries.setdefault(interval(b, d), c)
+        else:
+            x, y = rng.integers(16, size=2) / 16
+            dx, dy = rng.integers(1, 17, size=2) / 16
+            entries.setdefault(atom(ground(x, y), ground(x + dx, math.inf if inf else y + dy)), c)
+    return virtual_diagram(entries, level=1)
 
 
 class TestBilinear:
@@ -114,6 +151,24 @@ class TestVectorKernel:
         )
         with pytest.raises(ValueError):
             level1_arrays(mixed)
+
+    @pytest.mark.parametrize("family", ["grid", "narrow", "plane"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1023, 1024, 1025, 2049])
+    def test_arrays_match_dense_nonzero(self, family, n):
+        # the pairs, in order, not only the set that to_virtual_diagram sorts
+        xi = pinned_diagram(family, n)
+        i, j, coeff = dense_pairs(xi)
+        for block in (64, 1024):
+            pairs = self_aggregate_pairs(xi, block=block)
+            for got, want in ((pairs.i, i), (pairs.j, j), (pairs.coeff, coeff)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (family, n, block)
+
+    @pytest.mark.parametrize("block", [0, -3, 2.5, None])
+    def test_bad_block_rejected(self, rng, block):
+        for xi in (virtual_diagram({}, level=1), rand_virtual(rng, 5)):
+            with pytest.raises(ValueError, match="block"):
+                self_aggregate_pairs(xi, block=block)
 
 
 class TestSumAndMean:

@@ -142,6 +142,20 @@ class TestOracleGuard:
         with pytest.raises(OracleMismatch):
             _verify([xi], parts, [1.0e6], psi, 1)
 
+    def test_wrong_class_coefficient_withholds_rows(self):
+        # the raws stay correct, so the nets must reject the corrupted class
+        from hopd.bench import OracleMismatch, _verify, timed_harmonic, timed_naive
+
+        xi = synth_level1(50, "uniform", np.random.default_rng(3))
+        psi = load_psi("golden")
+        _, parts, _ = timed_naive([xi], "vectorized")
+        _, raws = timed_harmonic([xi], psi)
+        _verify([xi], parts, raws, psi, 1)
+        agg = parts[0]
+        agg.coeff[np.flatnonzero(agg.i != agg.j)[0]] += 1
+        with pytest.raises(OracleMismatch, match="nets"):
+            _verify([xi], parts, raws, psi, 1)
+
 
 class TestPsiLoading:
     def test_golden(self):

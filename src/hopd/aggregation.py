@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +30,12 @@ from .core import (
     atom,
     atom_leq,
     diagram,
+    level1_gather,
     linear_diagram,
     virtual_diagram,
 )
+
+_ATOM, _COEFF, _UID = itemgetter(0), itemgetter(1), attrgetter("uid")
 
 
 class ExpansionGuardExceeded(RuntimeError):
@@ -131,27 +135,36 @@ class PairAggregate:
 
 
 def level1_arrays(xi: VirtualDiagram):
-    """Cached coordinate matrix (-births, deaths) and coefficient vector."""
+    """Coordinate matrix (-births, deaths) and int64 coefficient vector of a
+    level-1 signed diagram, in ``entries`` order, cached on ``xi``.
+
+    The warm-up reads the intern ids and the coefficients in two C-level
+    passes over ``entries``, then gathers the coordinate rows from the
+    columnar store that ``core.atom`` fills at intern time
+    (``core.level1_gather``); it allocates no per-atom Python object.  The
+    ids stay cached for ``level1_uids``.  Rows of mixed width (ground points
+    of different dimensions) raise ``ValueError``.  The cache lives on this
+    instance only, so a copy pays its own warm-up.
+    """
     cached = xi._cache.get("phi")
     if cached is None:
         if xi.level != 1:
             raise LevelMismatch("coordinate arrays exist at level 1 only")
-        if not xi.entries:
-            cached = (np.empty((0, 2)), np.empty(0, dtype=np.int64))
-        else:
-            atoms, coeffs = zip(*xi.entries)
-            # one row of minus then plus coordinates per atom (a row of another
-            # width raises); negating the minus half gives atom_coords
-            dim = len(atoms[0].minus.coords)
-            phi = np.fromiter(
-                (a.minus.coords + a.plus.coords for a in atoms),
-                dtype=(np.float64, 2 * dim),
-                count=len(atoms),
-            )
-            phi[:, :dim] *= -1
-            cached = (phi, np.array(coeffs, dtype=np.int64))
-        xi._cache["phi"] = cached
+        n = len(xi.entries)
+        uid = np.fromiter(map(_UID, map(_ATOM, xi.entries)), dtype=np.int64, count=n)
+        coeff = np.fromiter(map(_COEFF, xi.entries), dtype=np.int64, count=n)
+        phi = level1_gather(uid)
+        xi._cache["uid"] = uid
+        cached = xi._cache["phi"] = (phi, coeff)
     return cached
+
+
+def level1_uids(xi: VirtualDiagram) -> np.ndarray:
+    """Intern ids of the atoms of ``xi`` in ``entries`` order, as read by
+    ``level1_arrays`` (which runs first if it has not)."""
+    if "uid" not in xi._cache:
+        level1_arrays(xi)
+    return xi._cache["uid"]
 
 
 def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate:
@@ -294,6 +307,7 @@ __all__ = [
     "bilinear_aggregate",
     "iterated_aggregate",
     "level1_arrays",
+    "level1_uids",
     "mean_aggregate",
     "naive_self_aggregate",
     "pair_class",

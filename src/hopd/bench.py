@@ -33,9 +33,10 @@ from .harmonic import (
     CoboundaryCharacter,
     angles_close,
     coboundary_net_multiplicities,
-    coboundary_phase_raw,
     harmonic_eval_raw,
     harmonic_nets,
+    psi_vector,
+    transform_ops,
     wrap_angle,
 )
 from .serialize import from_text
@@ -191,7 +192,7 @@ def _verify(xs, parts, raws, psi, m):
                 f"sample {k}: harmonic nets {harmonic[at].tolist()} vs explicit nets "
                 f"{explicit[at].tolist()} at atoms {at.tolist()}"
             )
-        explicit_raw += coboundary_phase_raw(part, psi, base)
+        explicit_raw += float(np.dot(psi_vector(psi, base), explicit.astype(np.float64)))
     harmonic = wrap_angle(sum(raws) / m)
     explicit = wrap_angle(explicit_raw / m)
     if not angles_close(harmonic, explicit, 1e-9):
@@ -284,10 +285,9 @@ def run_runtime_scaling(cfg: ExperimentConfig) -> list[dict]:
                     "t_naive_ns": t_naive,
                     "t_harmonic_ns": t_harm,
                     # structural work counters: every ordered pair is visited
-                    # by the naive path; the harmonic transform makes one
-                    # pass over the support per merge level, twice (down/up)
+                    # by the naive path; the cells the dominance kernel reads
                     "pairs_visited": n * n,
-                    "transform_ops": 2 * n * max(1, math.ceil(math.log2(max(n, 2)))),
+                    "transform_ops": transform_ops(n),
                 }
             )
     return rows

@@ -10,7 +10,9 @@ allow rational/real coefficients.
 All values are interned: structurally equal objects are the same Python
 object, carry a dense integer ``uid``, and are immutable.  Intern ids are
 stable within a run only; canonical ordering of diagram entries uses a
-structural sort key so serialization is bit-stable across runs.
+structural sort key so serialization is bit-stable across runs.  Interning a
+level-1 atom also writes its coordinate row to a process-wide columnar store
+(``level1_gather``), so coordinate matrices are gathered, not walked.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _check_i64(value: int) -> int:
     return value
 
 
-def _intern(key, build):
+def _intern(key, build, *args):
+    """The interned object for ``key``; on a miss ``build(*args, uid)``
+    makes it under ``_INTERN_LOCK`` with the next intern id."""
     global _NEXT_UID
     obj = _INTERN.get(key)
     if obj is not None:
@@ -61,7 +65,7 @@ def _intern(key, build):
     with _INTERN_LOCK:
         obj = _INTERN.get(key)
         if obj is None:
-            obj = build(_NEXT_UID)
+            obj = build(*args, _NEXT_UID)
             _NEXT_UID += 1
             _INTERN[key] = obj
     return obj
@@ -69,6 +73,82 @@ def _intern(key, build):
 
 def intern_table_size() -> int:
     return len(_INTERN)
+
+
+class _Level1Store:
+    """Coordinates of every interned level-1 atom, in columns.
+
+    An atom over d-dimensional ground points takes d consecutive slots; slot
+    s + i holds (-birth_i, death_i) at ``coords[2(s + i)]`` and the next
+    float.  Its first slot s is ``first[uid]`` for its intern id u, and
+    ``dim[s]`` = d.  Slot 0 is a sentinel with dim 0, which ``first`` gives
+    for every id that is not a level-1 atom's.  Keying slots by the intern
+    id adds no attribute and no Python object to the atom.
+
+    Slots are appended only under ``_INTERN_LOCK``, before the atom is
+    published in the intern table.  A full column is replaced by a
+    zero-filled copy twice its size, never resized in place, so a reader
+    holding an older column still finds the slots of every atom it can see.
+    """
+
+    __slots__ = ("first", "dim", "coords", "slots")
+
+    def __init__(self):
+        self.first = np.zeros(4096, dtype=np.int32)  # ids also number other objects
+        self.dim = np.zeros(1024, dtype=np.int32)
+        self.coords = np.zeros(2048)
+        self.slots = 1  # the sentinel
+
+    def append(self, uid: int, minus: tuple, plus: tuple) -> None:
+        s, d = self.slots, len(minus)
+        if uid >= self.first.size:
+            self.first = _grown(self.first, uid + 1)
+        if s + d > self.dim.size:
+            self.dim = _grown(self.dim, s + d)
+            self.coords = _grown(self.coords, 2 * (s + d))
+        coords, i = self.coords, 2 * s
+        for b, e in zip(minus, plus):
+            coords[i] = -b
+            coords[i + 1] = e
+            i += 2
+        self.dim[s] = d
+        self.first[uid] = s
+        self.slots = s + d
+
+
+def _grown(col: np.ndarray, need: int) -> np.ndarray:
+    out = np.zeros(max(need, 2 * col.size), dtype=col.dtype)
+    out[: col.size] = col
+    return out
+
+
+_LEVEL1 = _Level1Store()
+_ONE_WIDTH = "coordinate rows need level-1 atoms over ground points of one dimension"
+
+
+def level1_gather(uids: np.ndarray) -> np.ndarray:
+    """Coordinate matrix (-births, deaths) of the level-1 atoms with intern
+    ids ``uids``, one row each, in that order; a gather from the store that
+    ``atom`` fills at intern time.
+
+    Raises ``ValueError`` unless all of them are level-1 atoms over ground
+    points of one dimension.
+    """
+    store = _LEVEL1
+    first, dim, coords = store.first, store.dim, store.coords
+    if not uids.size:
+        return np.empty((0, 2))
+    try:
+        slots = first[uids]
+    except IndexError:  # an id past every level-1 atom's
+        raise ValueError(_ONE_WIDTH) from None
+    dims = dim[slots]
+    d = int(dims[0])
+    if not d or np.any(dims != d):
+        raise ValueError(_ONE_WIDTH)
+    # (n, d, 2) slot pairs -> rows of d minus columns then d plus columns
+    pairs = coords.reshape(-1, 2)[slots[:, None] + np.arange(d)]
+    return pairs.transpose(0, 2, 1).reshape(uids.size, 2 * d)
 
 
 class GroundPoint:
@@ -88,17 +168,26 @@ class GroundPoint:
 
 
 def ground(*coords: float) -> GroundPoint:
-    cs = tuple(float(c) for c in coords)
+    # a lone coordinate takes one float(): tuple(map(float, ...)) costs about
+    # 0.3 us more, twice per new level-1 atom (ground_variants in
+    # BENCH_warmup.json)
+    cs = (float(coords[0]),) if len(coords) == 1 else tuple(map(float, coords))
+    key = ("p", cs)
+    # only valid points are interned (a NaN key never compares equal), so a
+    # hit needs no validation
+    point = _INTERN.get(key)
+    if point is not None:
+        return point
     if not cs:
         raise ValueError("ground point needs at least one coordinate")
-    for i, c in enumerate(cs):
-        if math.isnan(c):
+    for c in cs:
+        if c != c:
             raise ValueError("NaN coordinate")
-        if math.isinf(c) and i != len(cs) - 1:
-            raise ValueError("+inf permitted only in the last coordinate")
         if c == -INF:
             raise ValueError("-inf coordinate not permitted")
-    return _intern(("p", cs), lambda uid: GroundPoint(cs, uid))
+    if INF in cs[:-1]:
+        raise ValueError("+inf permitted only in the last coordinate")
+    return _intern(key, GroundPoint, cs)
 
 
 class Atom:
@@ -139,9 +228,16 @@ def atom(minus: Endpoint, plus: Endpoint) -> Atom:
         level = minus.level + 1
     else:
         raise LevelMismatch("endpoints must both be ground points or both diagrams")
-    return _intern(
-        ("a", minus.uid, plus.uid), lambda uid: Atom(level, minus, plus, uid)
-    )
+    key = ("a", minus.uid, plus.uid)
+    if level == 1:
+        return _intern(key, _level1_atom, minus, plus)
+    return _intern(key, Atom, level, minus, plus)
+
+
+def _level1_atom(minus: GroundPoint, plus: GroundPoint, uid: int) -> Atom:
+    """Built under ``_INTERN_LOCK``: the row is written before the atom is seen."""
+    _LEVEL1.append(uid, minus.coords, plus.coords)
+    return Atom(1, minus, plus, uid)
 
 
 def interval(birth: float, death: float) -> Atom:
@@ -233,7 +329,7 @@ def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
         raise ValueError("empty diagram needs an explicit level")
     items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
     key = ("d", level, tuple((a.uid, m) for a, m in items))
-    return _intern(key, lambda uid: Diagram(level, items, uid))
+    return _intern(key, Diagram, level, items)
 
 
 def empty_diagram(level: int) -> Diagram:
@@ -628,10 +724,19 @@ def d1(u: Atom, v: Atom, p: float,
     return min(direct, via)
 
 
+_GOLDEN = 0.6180339887498949
+
+
 def psi_golden(a: Atom) -> float:
     """Default benchmark potential: golden-ratio hash of the intern id."""
-    x = (a.uid * 0.6180339887498949) % 1.0
+    x = (a.uid * _GOLDEN) % 1.0
     return 2.0 * math.pi * x
+
+
+def psi_golden_array(uids: np.ndarray) -> np.ndarray:
+    """``psi_golden`` over an int64 array of intern ids, bit for bit: the
+    same float operations in the same order, elementwise."""
+    return 2.0 * math.pi * ((uids * _GOLDEN) % 1.0)
 
 
 __all__ = [
@@ -665,9 +770,11 @@ __all__ = [
     "is_diagonal",
     "left_diagonal_admissible",
     "level1_diag_cost",
+    "level1_gather",
     "linear_diagram",
     "norm_p",
     "psi_golden",
+    "psi_golden_array",
     "right_diagonal_admissible",
     "virtual_diagram",
 ]

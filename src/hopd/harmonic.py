@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,6 +23,7 @@ from .aggregation import (
     DEFAULT_OPTIONS,
     PairAggregate,
     level1_arrays,
+    level1_uids,
     pair_class,
     pair_is_diagonal,
 )
@@ -38,9 +40,11 @@ from .core import (
     _I64_MIN,
     atom_leq,
     psi_golden,
+    psi_golden_array,
 )
 
 TWO_PI = 2.0 * math.pi
+_UID = attrgetter("uid")
 
 
 class MissingAngle(KeyError):
@@ -263,6 +267,24 @@ _BLOCK = 1 << _LOG_BLOCK
 _UPPER = np.tri(_BLOCK, dtype=bool).T  # i <= j within a block
 
 
+def _merge_levels(size: int) -> int:
+    """Merge levels above the 64-row blocks of ``size`` padded rows: the
+    loop bound of both rank-space kernels."""
+    return max(0, (size - 1).bit_length() - _LOG_BLOCK)
+
+
+def transform_ops(n: int) -> int:
+    """Cells that ``_zeta2_both`` reads for n distinct points, the down and
+    up sums counted apart: the n x n comparison matrix twice while n <= 192,
+    else each 64-row block's 64 x 64 matrix twice, then two passes over the
+    padded rows per merge level.  This is the kernel of one-dimensional
+    ground points, whose rows (-birth, death) are distinct in a diagram."""
+    if n <= _DENSE_MAX:
+        return 2 * n * n
+    size = -(-n // _BLOCK) * _BLOCK
+    return 2 * size * (_BLOCK + _merge_levels(size))
+
+
 def _rank_blocks(cols, w):
     """Rank space shared by the dominance transforms.
 
@@ -342,8 +364,7 @@ def _zeta2_both(x, y, w):
     by_y = np.argsort(Y * size + pos)
     cl = np.zeros(size + 1, dtype=np.int64)
     cr = np.zeros(size + 1, dtype=np.int64)
-    lg = _LOG_BLOCK
-    while (1 << lg) < size:
+    for lg in range(_LOG_BLOCK, _LOG_BLOCK + _merge_levels(size)):
         # a stable sort on the parent index (a radix sort while it fits in
         # 16 bits) keeps the y order within each parent block
         parent = (by_y >> (lg + 1)).astype(np.min_scalar_type(size >> (lg + 1)))
@@ -357,7 +378,6 @@ def _zeta2_both(x, y, w):
         end = np.minimum(start + (2 << lg), size)
         down[order] += right * (cl[1:] - cl[start])
         up[order] += (1 - right) * (cr[end] - cr[1:])
-        lg += 1
     return down[inv], up[inv]
 
 
@@ -393,8 +413,7 @@ def _zeta_both(phi, w):
     down, up = _block_sums(W, le & _UPPER)
     size = W.size
     pos = np.arange(size)
-    lg = _LOG_BLOCK
-    while (1 << lg) < size:
+    for lg in range(_LOG_BLOCK, _LOG_BLOCK + _merge_levels(size)):
         offset = (pos >> (lg + 1)) * size  # ranks are below size
         sub = rest.copy()
         sub[:, 0] += offset
@@ -404,7 +423,6 @@ def _zeta_both(phi, w):
         down += right * (block_down - half_down)
         up += (1 - right) * (block_up - half_up)
         half_down, half_up = block_down, block_up
-        lg += 1
     return down[inv], up[inv]
 
 
@@ -412,12 +430,20 @@ def _zeta_both(phi, w):
 # Harmonic evaluation
 
 
-def psi_vector(psi: CoboundaryCharacter, atoms) -> np.ndarray:
-    """Potential values over a list of atoms; the default golden-ratio
-    potential is evaluated vectorized over intern ids."""
+def psi_vector(psi: CoboundaryCharacter, atoms, uids=None) -> np.ndarray:
+    """Potential values over an iterable of atoms, in its order.
+
+    The default golden-ratio potential is ``psi_golden_array`` of the intern
+    ids, which equals ``psi_golden`` bit for bit: of ``uids`` when given
+    (``harmonic_eval_raw`` passes the ids its ``level1_arrays`` warm-up
+    gathered, and the atoms are then not read), else of ids read from the
+    atoms in one C-level pass.  Any other potential is evaluated atom by atom
+    through ``psi_of``.
+    """
     if psi.psi is psi_golden:
-        uids = np.fromiter((a.uid for a in atoms), dtype=np.int64, count=len(atoms))
-        return TWO_PI * ((uids * 0.6180339887498949) % 1.0)
+        if uids is None:
+            uids = np.fromiter(map(_UID, atoms), dtype=np.int64)
+        return psi_golden_array(uids)
     return np.array([psi.psi_of(a) for a in atoms], dtype=np.float64)
 
 
@@ -466,7 +492,7 @@ def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
     net = harmonic_nets(xi)
-    psi_vec = psi_vector(psi, [a for a, _ in xi.entries])
+    psi_vec = psi_vector(psi, (a for a, _ in xi.entries), level1_uids(xi))
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
 
@@ -527,5 +553,6 @@ __all__ = [
     "harmonic_nets",
     "iterated_character_phase",
     "quadratic_phase",
+    "transform_ops",
     "wrap_angle",
 ]

@@ -12,6 +12,7 @@ from hopd.aggregation import (
     bilinear_aggregate,
     iterated_aggregate,
     level1_arrays,
+    level1_uids,
     mean_aggregate,
     naive_self_aggregate,
     pair_class,
@@ -21,7 +22,9 @@ from hopd.aggregation import (
 )
 from hopd.bench import synth_level1
 from hopd.core import (
+    INF,
     CoefficientOverflow,
+    VirtualDiagram,
     atom,
     atom_coords,
     atom_leq,
@@ -151,6 +154,25 @@ class TestVectorKernel:
         )
         with pytest.raises(ValueError):
             level1_arrays(mixed)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_level1_arrays_match_atom_coords(self, rng, dim):
+        # the gathered rows, bit for bit, including -0.0 and +inf
+        for _ in range(5):
+            entries = {}
+            for _ in range(rng.randint(1, 300)):
+                births = [rng.choice((0.0, -0.0, rng.random())) for _ in range(dim)]
+                deaths = [b + rng.choice((INF, 1.0 + rng.random())) for b in births]
+                deaths[:-1] = [min(d, 5.0) for d in deaths[:-1]]  # +inf only last
+                c = rng.choice((-3, -1, 1, 2))
+                entries[atom(ground(*births), ground(*deaths))] = c
+            xi = virtual_diagram(entries, level=1)
+            phi, coeff = level1_arrays(VirtualDiagram(1, xi.entries))
+            want = np.array([atom_coords(a) for a, _ in xi.entries])
+            assert phi.shape == (len(xi.entries), 2 * dim)
+            assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
+            assert coeff.tolist() == [c for _, c in xi.entries]
+            assert level1_uids(xi).tolist() == [a.uid for a, _ in xi.entries]
 
     @pytest.mark.parametrize("family", ["grid", "narrow", "plane"])
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1023, 1024, 1025, 2049])

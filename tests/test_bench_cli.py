@@ -96,6 +96,8 @@ class TestScaling:
         rows = run_runtime_scaling(cfg)
         assert len(rows) == 9
         assert tuple(rows[0]) == SCALING_COLUMNS
+        # supports 100-158 take the dense kernel: 2 n^2 cells
+        assert [r["transform_ops"] for r in rows] == [2 * r["support"] ** 2 for r in rows]
         summary = scaling_summary(rows)
         for entry in summary:
             assert entry["naive_min"] <= entry["naive_median"] <= entry["naive_max"]

@@ -1,9 +1,16 @@
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopd import core
 from hopd.core import (
+    Atom,
     PreorderSpec,
     atom,
     atom_coords,
@@ -18,6 +25,7 @@ from hopd.core import (
     ground,
     interval,
     is_diagonal,
+    level1_gather,
     virtual_diagram,
     CoefficientOverflow,
     LevelMismatch,
@@ -317,5 +325,88 @@ class TestGroundSpace:
         with pytest.raises(ValueError):
             ground(float("nan"))
 
+    def test_ground_validation_around_lookup(self):
+        # ground looks the intern table up before it validates: a rejected
+        # point is never interned, so asking again (even with the same NaN
+        # object) raises again, in every dimension
+        nan = float("nan")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN"):
+                ground(nan)
+            with pytest.raises(ValueError, match="NaN"):
+                ground(0.5, nan)
+            with pytest.raises(ValueError, match="-inf"):
+                ground(-INF)
+            with pytest.raises(ValueError, match="-inf"):
+                ground(0.5, -INF)
+            with pytest.raises(ValueError, match="last coordinate"):
+                ground(INF, 0.5)
+        with pytest.raises(ValueError):
+            ground("not a number")
+        with pytest.raises(TypeError):
+            ground(None)
+        # a lone coordinate is the last one, so +inf is a valid death
+        assert ground(INF) is ground(INF)
+        assert atom_coords(interval(0.25, INF)) == (-0.25, INF)
+        assert ground(1) is ground(1.0) is ground(np.float64(1.0))
+        assert ground(0.5, 0.25) is ground(0.5, 0.25)
+
     def test_dist_ground_sup_metric(self):
         assert dist_ground(ground(0.0, 0.0), ground(0.3, 0.1)) == pytest.approx(0.3)
+
+
+class TestLevel1Store:
+    """The columnar coordinates that interning writes for level-1 atoms."""
+
+    @staticmethod
+    def level1_atoms():
+        return [a for a in list(core._INTERN.values()) if isinstance(a, Atom) and a.level == 1]
+
+    def test_gather_matches_atom_coords(self):
+        atoms = [interval(0.0, 1.0), interval(-0.0, 2.0), interval(0.5, INF)]
+        phi = level1_gather(np.array([a.uid for a in atoms]))
+        want = np.array([atom_coords(a) for a in atoms])
+        assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
+        assert level1_gather(np.empty(0, dtype=np.int64)).shape == (0, 2)
+
+    def test_gather_rejects_other_ids(self):
+        # a ground point and a level-2 atom have no coordinate row
+        lvl2 = atom(diagram({interval(0, 1): 1}), diagram({interval(0, 2): 1}))
+        for other in (ground(0.125).uid, lvl2.uid, core._LEVEL1.first.size + 7):
+            with pytest.raises(ValueError):
+                level1_gather(np.array([interval(0, 1).uid, other]))
+
+    def test_concurrent_interning(self):
+        # 4 threads intern overlapping intervals at once; every atom must
+        # find its own row, and the store must hold one row per atom
+        rng = random.Random(4)
+        grid = [(rng.uniform(10, 11), rng.uniform(12, 13)) for _ in range(3000)]
+        start = threading.Barrier(4)
+        orders = [random.Random(seed).sample(grid, 2000) for seed in range(4)]
+
+        def build(order):
+            start.wait(timeout=30)
+            out = [interval(b, d) for b, d in order]
+            out += [atom(ground(b, d), ground(d, b + 5.0)) for b, d in order[:500]]
+            return out
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the interning threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                built = [a for part in pool.map(build, orders, timeout=60) for a in part]
+        finally:
+            sys.setswitchinterval(switch)
+        flat = {bd for order in orders for bd in order}
+        plane = {bd for order in orders for bd in order[:500]}
+        assert len(set(built)) == len(flat) + len(plane)
+        for width in (2, 4):
+            made = [a for a in set(built) if len(atom_coords(a)) == width]
+            phi = level1_gather(np.array([a.uid for a in made]))
+            assert np.array_equal(phi, np.array([atom_coords(a) for a in made]))
+        # every level-1 atom ever interned owns its own slots, and nothing more
+        atoms = self.level1_atoms()
+        store = core._LEVEL1
+        firsts = store.first[[a.uid for a in atoms]]
+        assert len(set(firsts.tolist())) == len(atoms)
+        assert store.slots == 1 + sum(len(a.minus.coords) for a in atoms)

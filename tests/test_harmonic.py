@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopd.aggregation import naive_self_aggregate, self_aggregate_pairs, tree_expansion_oracle, iterated_aggregate
-from hopd.core import CoefficientOverflow, atom, ground, interval, psi_golden, virtual_diagram
+from hopd.aggregation import (
+    iterated_aggregate,
+    level1_uids,
+    naive_self_aggregate,
+    self_aggregate_pairs,
+    tree_expansion_oracle,
+)
+from hopd.core import (
+    CoefficientOverflow,
+    atom,
+    ground,
+    interval,
+    psi_golden,
+    psi_golden_array,
+    virtual_diagram,
+)
 from hopd.harmonic import (
     Character,
     CoboundaryCharacter,
@@ -21,8 +35,11 @@ from hopd.harmonic import (
     harmonic_eval_raw,
     harmonic_nets,
     iterated_character_phase,
+    psi_vector,
     quadratic_phase,
+    transform_ops,
     wrap_angle,
+    _merge_levels,
     _zeta2_both,
     _zeta_both,
 )
@@ -277,6 +294,22 @@ class TestDominanceSums:
         assert one == two
 
 
+class TestTransformOps:
+    def test_merge_levels_is_the_kernel_loop_bound(self):
+        # the doubling loop the kernels ran before the helper bounded them
+        for size in range(64, 1 << 14, 64):
+            lg, levels = 6, 0
+            while (1 << lg) < size:
+                lg, levels = lg + 1, levels + 1
+            assert _merge_levels(size) == levels
+
+    def test_counts_dense_then_blocks_and_levels(self):
+        assert [transform_ops(n) for n in (0, 1, 192)] == [0, 2, 2 * 192 * 192]
+        # 193 points pad to 256 rows: four 64 x 64 blocks and two merge levels
+        assert transform_ops(193) == 2 * 4 * 64 * 64 + 2 * 2 * 256
+        assert transform_ops(10**5) == 2 * 100_032 * (64 + 11)
+
+
 class TestHarmonicEval:
     def test_zero(self):
         psi = CoboundaryCharacter(1, {})
@@ -312,6 +345,21 @@ class TestHarmonicEval:
         assert psi.psi_of(xi.support()[0]) == pytest.approx(
             psi_golden(xi.support()[0])
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 193, 10_000])
+    def test_golden_potential_from_gathered_ids(self, rng, n):
+        # the potential harmonic_eval_raw computes from the gathered ids is
+        # psi_golden exactly, and so is the raw phase built on it
+        xi = rand_virtual(rng, n)
+        atoms = xi.support()
+        scalar = np.array([psi_golden(a) for a in atoms], dtype=np.float64)
+        assert np.array_equal(psi_golden_array(level1_uids(xi)), scalar)
+        psi = CoboundaryCharacter(1)
+        assert np.array_equal(psi_vector(psi, atoms), scalar)
+        assert np.array_equal(psi_vector(psi, iter(atoms)), scalar)
+        assert np.array_equal(psi_vector(psi, (), level1_uids(xi)), scalar)
+        net = harmonic_nets(xi).astype(np.float64)
+        assert harmonic_eval_raw(xi, psi) == float(np.dot(scalar, net))
 
     def test_level2_unsupported(self, rng):
         xi = rand_virtual(rng, 3, grid=6)

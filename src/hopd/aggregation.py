@@ -141,10 +141,10 @@ def level1_arrays(xi: VirtualDiagram):
     The warm-up reads the intern ids and the coefficients in two C-level
     passes over ``entries``, then gathers the coordinate rows from the
     columnar store that ``core.atom`` fills at intern time
-    (``core.level1_gather``); it allocates no per-atom Python object.  The
-    ids stay cached for ``level1_uids``.  Rows of mixed width (ground points
-    of different dimensions) raise ``ValueError``.  The cache lives on this
-    instance only, so a copy pays its own warm-up.
+    (``core.level1_gather``); it allocates no per-atom Python object.  Rows
+    of mixed width (ground points of different dimensions) raise
+    ``ValueError``.  The cache lives on this instance only, so a copy pays
+    its own warm-up.
     """
     cached = xi._cache.get("phi")
     if cached is None:
@@ -153,18 +153,8 @@ def level1_arrays(xi: VirtualDiagram):
         n = len(xi.entries)
         uid = np.fromiter(map(_UID, map(_ATOM, xi.entries)), dtype=np.int64, count=n)
         coeff = np.fromiter(map(_COEFF, xi.entries), dtype=np.int64, count=n)
-        phi = level1_gather(uid)
-        xi._cache["uid"] = uid
-        cached = xi._cache["phi"] = (phi, coeff)
+        cached = xi._cache["phi"] = (level1_gather(uid), coeff)
     return cached
-
-
-def level1_uids(xi: VirtualDiagram) -> np.ndarray:
-    """Intern ids of the atoms of ``xi`` in ``entries`` order, as read by
-    ``level1_arrays`` (which runs first if it has not)."""
-    if "uid" not in xi._cache:
-        level1_arrays(xi)
-    return xi._cache["uid"]
 
 
 def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate:
@@ -307,7 +297,6 @@ __all__ = [
     "bilinear_aggregate",
     "iterated_aggregate",
     "level1_arrays",
-    "level1_uids",
     "mean_aggregate",
     "naive_self_aggregate",
     "pair_class",

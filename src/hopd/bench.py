@@ -93,7 +93,7 @@ class ExperimentConfig:
 
 
 def load_psi(spec: str) -> CoboundaryCharacter:
-    """"golden" for the intern-id hash, or "file:PATH" with `angle <atom>` lines."""
+    """"golden" for the coordinate hash, or "file:PATH" with `angle <atom>` lines."""
     if spec == "golden":
         return CoboundaryCharacter(1)
     if spec.startswith("file:"):
@@ -149,19 +149,20 @@ def _now() -> int:
 
 
 def timed_naive(xs, engine: str):
-    """Explicit aggregation of every sample plus the mean; returns parts."""
+    """Explicit aggregation of every sample (plus the mean on the loop engine);
+    returns (ns, parts)."""
     if engine == "loop":
         t0 = _now()
         parts = [naive_self_aggregate(x) for x in xs]
-        mean = _mean_of(parts, len(xs))
+        _mean_of(parts, len(xs))
         t1 = _now()
-        return t1 - t0, parts, mean
+        return t1 - t0, parts
     for x in xs:
         level1_arrays(x)  # representation warming stays outside the timing
     t0 = _now()
     parts = [self_aggregate_pairs(x) for x in xs]
     t1 = _now()
-    return t1 - t0, parts, None
+    return t1 - t0, parts
 
 
 def _mean_of(parts, m):
@@ -243,7 +244,7 @@ def run_speedup_matrix(cfg: ExperimentConfig) -> list[dict]:
     for a, b in pairs:
         # self-pairs draw the right-hand samples from shifted sample indices
         xs = [g - h for g, h in zip(samples(a), samples(b, cfg.m if a == b else 0))]
-        t_naive, parts, _ = timed_naive(xs, "loop")
+        t_naive, parts = timed_naive(xs, "loop")
         t_harm, raws = timed_harmonic(xs, psi)
         _verify(xs, parts, raws, psi, cfg.m)
         support = sum(x.support_size() for x in xs)
@@ -271,7 +272,7 @@ def run_runtime_scaling(cfg: ExperimentConfig) -> list[dict]:
         for rep in range(cfg.repeats):
             rng = np.random.default_rng([cfg.seed, idx, rep])
             xi = synth_level1(size, cfg.family, rng)
-            t_naive, parts, _ = timed_naive([xi], cfg.engine)
+            t_naive, parts = timed_naive([xi], cfg.engine)
             t_harm, raws = timed_harmonic([xi], psi)
             _verify([xi], parts, raws, psi, 1)
             n = xi.support_size()

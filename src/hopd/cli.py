@@ -122,9 +122,9 @@ def _config_from_args(args) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _emit(cfg: ExperimentConfig, rows, columns, name: str) -> None:
+def _emit(cfg: ExperimentConfig, rows, columns, stem: str) -> None:
     text = bench.format_rows(rows, columns, cfg.fmt)
-    path = bench.write_output(cfg, name, text)
+    path = bench.write_output(cfg, f"{stem}.{cfg.fmt}", text)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -133,8 +133,7 @@ def _emit(cfg: ExperimentConfig, rows, columns, name: str) -> None:
 
 def _cmd_speedup(cfg: ExperimentConfig) -> int:
     rows = bench.run_speedup_matrix(cfg)
-    suffix = "jsonl" if cfg.fmt == "jsonl" else "csv"
-    _emit(cfg, rows, bench.SPEEDUP_COLUMNS, f"speedup.{suffix}")
+    _emit(cfg, rows, bench.SPEEDUP_COLUMNS, "speedup")
     for row in rows:
         tn = bench.convert_units(row["t_naive_ns"], cfg.units)
         th = bench.convert_units(row["t_harmonic_ns"], cfg.units)
@@ -147,8 +146,7 @@ def _cmd_speedup(cfg: ExperimentConfig) -> int:
 
 def _cmd_scaling(cfg: ExperimentConfig) -> int:
     rows = bench.run_runtime_scaling(cfg)
-    suffix = "jsonl" if cfg.fmt == "jsonl" else "csv"
-    _emit(cfg, rows, bench.SCALING_COLUMNS, f"scaling.{suffix}")
+    _emit(cfg, rows, bench.SCALING_COLUMNS, "scaling")
     summary = bench.scaling_summary(rows)
     if cfg.out is not None:
         bench.write_output(cfg, "scaling.svg", bench.scaling_svg(summary))
@@ -164,8 +162,7 @@ def _cmd_scaling(cfg: ExperimentConfig) -> int:
 
 def _cmd_wbench(cfg: ExperimentConfig) -> int:
     rows = bench.run_wbench(cfg)
-    suffix = "jsonl" if cfg.fmt == "jsonl" else "csv"
-    _emit(cfg, rows, bench.WBENCH_COLUMNS, f"wbench.{suffix}")
+    _emit(cfg, rows, bench.WBENCH_COLUMNS, "wbench")
     return 0
 
 

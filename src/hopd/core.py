@@ -17,6 +17,7 @@ level-1 atom also writes its coordinate row to a process-wide columnar store
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -724,19 +725,36 @@ def d1(u: Atom, v: Atom, p: float,
     return min(direct, via)
 
 
-_GOLDEN = 0.6180339887498949
+_GAMMA = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the splitmix64 increment
+_MIX = np.uint64(0xBF58476D1CE4E5B9)  # splitmix64's first finalizer multiplier
+_SHIFT, _TOP53 = np.uint64(30), np.uint64(11)  # numpy scalars: no conversion per call
+_TO_ANGLE = 2.0 * math.pi / 2.0**53
+
+
+@functools.cache
+def _column_multipliers(width: int) -> np.ndarray:
+    """Distinct odd 64-bit multipliers, one per coordinate column."""
+    return np.uint64(_GAMMA) * np.arange(1, 2 * width, 2, dtype=np.uint64)
+
+
+def psi_golden_array(phi: np.ndarray) -> np.ndarray:
+    """Default benchmark potential of the level-1 atoms with coordinate rows
+    ``phi`` (-births, deaths), a function of each row's content alone: the
+    row's IEEE bits (-0.0 read as 0.0) summed against the odd multipliers
+    gamma * (2k + 1) of the golden-ratio Weyl sequence, one splitmix64
+    xorshift-multiply (uint64 arithmetic wraps), top 53 bits to [0, 2 pi).
+    """
+    h = (phi + 0.0).view(np.uint64) @ _column_multipliers(phi.shape[1])
+    h ^= h >> _SHIFT
+    h *= _MIX
+    h >>= _TOP53
+    return h * _TO_ANGLE
 
 
 def psi_golden(a: Atom) -> float:
-    """Default benchmark potential: golden-ratio hash of the intern id."""
-    x = (a.uid * _GOLDEN) % 1.0
-    return 2.0 * math.pi * x
-
-
-def psi_golden_array(uids: np.ndarray) -> np.ndarray:
-    """``psi_golden`` over an int64 array of intern ids, bit for bit: the
-    same float operations in the same order, elementwise."""
-    return 2.0 * math.pi * ((uids * _GOLDEN) % 1.0)
+    """``psi_golden_array`` of one level-1 atom's ``atom_coords`` row;
+    ``PreorderUnavailable`` above level 1, which has no coordinate row."""
+    return float(psi_golden_array(np.array([atom_coords(a)]))[0])
 
 
 __all__ = [

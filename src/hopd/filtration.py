@@ -11,10 +11,11 @@ independent oracle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Atom, Diagram, diagram, interval
+from .core import Diagram, diagram, interval
 
 INF = math.inf
 
@@ -133,6 +134,12 @@ def _essential_death(f: Filtration, policy: str, delta: float) -> float:
     return f.cap_value() + delta
 
 
+def _pairs_diagram(pairs: Iterable[tuple[float, float]]) -> Diagram:
+    """Level-1 diagram of (birth, death) pairs counted with multiplicity;
+    zero-persistence pairs are dropped as diagonal."""
+    return diagram(Counter(interval(b, d) for b, d in pairs if b != d), level=1)
+
+
 def persistence_h0(
     f: Filtration, essential: str = "cap", cap_delta: float = 0.0
 ) -> Diagram:
@@ -149,13 +156,7 @@ def persistence_h0(
             components -= 1
     death = _essential_death(f, essential, cap_delta)
     pairs.extend((0.0, death) for _ in range(components))
-    atoms: dict[Atom, int] = {}
-    for b, d in pairs:
-        if b == d:
-            continue
-        a = interval(b, d)
-        atoms[a] = atoms.get(a, 0) + 1
-    return diagram(atoms, level=1)
+    return _pairs_diagram(pairs)
 
 
 def persistence_h1(
@@ -208,13 +209,7 @@ def persistence_h1(
     for idx, is_pos in enumerate(positive):
         if is_pos and idx not in paired_edges:
             pairs.append((edge_value[idx], death))
-    atoms: dict[Atom, int] = {}
-    for b, d in pairs:
-        if b == d:
-            continue
-        a = interval(b, d)
-        atoms[a] = atoms.get(a, 0) + 1
-    return diagram(atoms, level=1)
+    return _pairs_diagram(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +267,7 @@ def persistence_oracle(
     for i in essentials:
         if f.simplices[i][1] == dim:
             out.append((f.simplices[i][0], death_cap))
-    atoms: dict[Atom, int] = {}
-    for b, d in out:
-        if b == d:
-            continue
-        a = interval(b, d)
-        atoms[a] = atoms.get(a, 0) + 1
-    return diagram(atoms, level=1)
+    return _pairs_diagram(out)
 
 
 def triangle_count(g: WeightedGraph) -> int:

@@ -13,17 +13,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .aggregation import (
+    _ATOM,
     AggregateOptions,
     DEFAULT_OPTIONS,
     PairAggregate,
     level1_arrays,
-    level1_uids,
     pair_class,
     pair_is_diagonal,
 )
@@ -38,13 +37,13 @@ from .core import (
     VirtualDiagram,
     _I64_MAX,
     _I64_MIN,
+    atom_coords,
     atom_leq,
     psi_golden,
     psi_golden_array,
 )
 
 TWO_PI = 2.0 * math.pi
-_UID = attrgetter("uid")
 
 
 class MissingAngle(KeyError):
@@ -83,7 +82,8 @@ class CoboundaryCharacter:
 
     The induced angle vanishes on diagonal classes by construction.  ``psi``
     may be a mapping (total on the support in use) or any callable on atoms;
-    the default benchmark potential hashes intern ids by the golden ratio.
+    the default benchmark potential ``psi_golden`` hashes each level-1
+    atom's coordinates, so it depends on the diagram alone.
     """
 
     level: int
@@ -153,13 +153,13 @@ def coboundary_net_multiplicities(aggregate, base_atoms) -> np.ndarray:
             net[j] += c
             net[i] -= c
         return _net_array(net)
-    index = {a.uid: k for k, a in enumerate(base_atoms)}
+    index = {a: k for k, a in enumerate(base_atoms)}
     for cls, c in aggregate.entries:
         minus, plus = cls.minus, cls.plus
         if len(minus.entries) != 1 or len(plus.entries) != 1:
             raise MissingAngle("coboundary collection needs singleton endpoints")
-        net[index[plus.entries[0][0].uid]] += c
-        net[index[minus.entries[0][0].uid]] -= c
+        net[index[plus.entries[0][0]]] += c
+        net[index[minus.entries[0][0]]] -= c
     return _net_array(net)
 
 
@@ -430,20 +430,19 @@ def _zeta_both(phi, w):
 # Harmonic evaluation
 
 
-def psi_vector(psi: CoboundaryCharacter, atoms, uids=None) -> np.ndarray:
+def psi_vector(psi: CoboundaryCharacter, atoms, phi=None) -> np.ndarray:
     """Potential values over an iterable of atoms, in its order.
 
-    The default golden-ratio potential is ``psi_golden_array`` of the intern
-    ids, which equals ``psi_golden`` bit for bit: of ``uids`` when given
-    (``harmonic_eval_raw`` passes the ids its ``level1_arrays`` warm-up
-    gathered, and the atoms are then not read), else of ids read from the
-    atoms in one C-level pass.  Any other potential is evaluated atom by atom
-    through ``psi_of``.
+    The golden potential is ``psi_golden_array`` of the atoms' coordinate
+    rows: ``phi`` when given (the atoms are then not read), else rows built
+    by ``atom_coords``; either way it equals ``psi_golden`` bit for bit.
+    Any other potential is evaluated atom by atom through ``psi_of``.
     """
     if psi.psi is psi_golden:
-        if uids is None:
-            uids = np.fromiter(map(_UID, atoms), dtype=np.int64)
-        return psi_golden_array(uids)
+        if phi is None:
+            rows = [atom_coords(a) for a in atoms]
+            phi = np.array(rows) if rows else np.empty((0, 2))
+        return psi_golden_array(phi)
     return np.array([psi.psi_of(a) for a in atoms], dtype=np.float64)
 
 
@@ -487,12 +486,13 @@ def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     """Unwrapped coboundary phase of the self-aggregate via dominance sums.
 
     S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u): the exact nets of
-    ``harmonic_nets`` in one double-precision dot product with psi.
+    ``harmonic_nets`` in one double-precision dot product with psi, the
+    golden one read off the same coordinate rows as the nets.
     """
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
     net = harmonic_nets(xi)
-    psi_vec = psi_vector(psi, (a for a, _ in xi.entries), level1_uids(xi))
+    psi_vec = psi_vector(psi, map(_ATOM, xi.entries), level1_arrays(xi)[0])
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
 

@@ -12,7 +12,6 @@ from hopd.aggregation import (
     bilinear_aggregate,
     iterated_aggregate,
     level1_arrays,
-    level1_uids,
     mean_aggregate,
     naive_self_aggregate,
     pair_class,
@@ -172,7 +171,6 @@ class TestVectorKernel:
             assert phi.shape == (len(xi.entries), 2 * dim)
             assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
             assert coeff.tolist() == [c for _, c in xi.entries]
-            assert level1_uids(xi).tolist() == [a.uid for a, _ in xi.entries]
 
     @pytest.mark.parametrize("family", ["grid", "narrow", "plane"])
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1023, 1024, 1025, 2049])

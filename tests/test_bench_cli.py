@@ -140,7 +140,7 @@ class TestOracleGuard:
         rng = np.random.default_rng(3)
         xi = synth_level1(50, "uniform", rng)
         psi = load_psi("golden")
-        _, parts, _ = timed_naive([xi], "loop")
+        _, parts = timed_naive([xi], "loop")
         with pytest.raises(OracleMismatch):
             _verify([xi], parts, [1.0e6], psi, 1)
 
@@ -150,7 +150,7 @@ class TestOracleGuard:
 
         xi = synth_level1(50, "uniform", np.random.default_rng(3))
         psi = load_psi("golden")
-        _, parts, _ = timed_naive([xi], "vectorized")
+        _, parts = timed_naive([xi], "vectorized")
         _, raws = timed_harmonic([xi], psi)
         _verify([xi], parts, raws, psi, 1)
         agg = parts[0]

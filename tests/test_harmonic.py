@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +11,16 @@ from hypothesis import given, strategies as st
 
 from hopd.aggregation import (
     iterated_aggregate,
-    level1_uids,
+    level1_arrays,
     naive_self_aggregate,
     self_aggregate_pairs,
     tree_expansion_oracle,
 )
 from hopd.core import (
     CoefficientOverflow,
+    PreorderUnavailable,
     atom,
+    diagram,
     ground,
     interval,
     psi_golden,
@@ -347,19 +353,30 @@ class TestHarmonicEval:
         )
 
     @pytest.mark.parametrize("n", [0, 1, 193, 10_000])
-    def test_golden_potential_from_gathered_ids(self, rng, n):
-        # the potential harmonic_eval_raw computes from the gathered ids is
-        # psi_golden exactly, and so is the raw phase built on it
-        xi = rand_virtual(rng, n)
-        atoms = xi.support()
-        scalar = np.array([psi_golden(a) for a in atoms], dtype=np.float64)
-        assert np.array_equal(psi_golden_array(level1_uids(xi)), scalar)
+    def test_golden_potential_from_gathered_ids(self, n):
+        # the potential harmonic_eval_raw reads off the rows that
+        # level1_arrays gathers by intern id is psi_golden exactly, on +inf
+        # deaths and 2-D ground points, and so is the raw phase built on it
+        gen = np.random.default_rng(n)
         psi = CoboundaryCharacter(1)
-        assert np.array_equal(psi_vector(psi, atoms), scalar)
-        assert np.array_equal(psi_vector(psi, iter(atoms)), scalar)
-        assert np.array_equal(psi_vector(psi, (), level1_uids(xi)), scalar)
-        net = harmonic_nets(xi).astype(np.float64)
-        assert harmonic_eval_raw(xi, psi) == float(np.dot(scalar, net))
+        for dim in (1, 2):
+            births = gen.random((n, dim))
+            deaths = births + 0.5 + gen.random((n, dim))
+            deaths[gen.random(n) < 0.1, -1] = math.inf
+            coeffs = gen.choice([-2, 1, 3], size=n).tolist()
+            xi = virtual_diagram(
+                {atom(ground(*b), ground(*d)): c for b, d, c in zip(births, deaths, coeffs)},
+                level=1,
+            )
+            atoms = xi.support()
+            phi = level1_arrays(xi)[0]
+            scalar = np.array([psi_golden(a) for a in atoms], dtype=np.float64)
+            assert np.array_equal(psi_golden_array(phi), scalar)
+            assert np.array_equal(psi_vector(psi, atoms), scalar)
+            assert np.array_equal(psi_vector(psi, iter(atoms)), scalar)
+            assert np.array_equal(psi_vector(psi, (), phi), scalar)
+            net = harmonic_nets(xi).astype(np.float64)
+            assert harmonic_eval_raw(xi, psi) == float(np.dot(scalar, net))
 
     def test_level2_unsupported(self, rng):
         xi = rand_virtual(rng, 3, grid=6)
@@ -432,6 +449,55 @@ class TestHarmonicEval:
         psi = CoboundaryCharacter(1)
         explicit = coboundary_phase_raw(naive_self_aggregate(xi), psi, xi.support())
         assert harmonic_eval_raw(xi, psi) == explicit
+
+
+# One diagram's raw phase and potentials, as float hex, in a fresh process
+# that first interns `argv[1]` unrelated intervals and then, unless
+# `argv[2]` is "none", the interval (argv[2], 1.0).
+_PHASE_SNIPPET = """
+import sys
+from hopd.core import interval, psi_golden, virtual_diagram
+from hopd.harmonic import CoboundaryCharacter, harmonic_eval_raw
+for k in range(int(sys.argv[1])):
+    interval(10.0 + k, 20.0 + 0.5 * k)
+if sys.argv[2] != "none":
+    interval(float(sys.argv[2]), 1.0)
+xi = virtual_diagram(
+    {interval(0.0, 1.0): 2, interval(0.25, 0.75): -3, interval(0.1, float("inf")): 1},
+    level=1,
+)
+print(harmonic_eval_raw(xi, CoboundaryCharacter(1)).hex(),
+      *(psi_golden(a).hex() for a in xi.support()))
+"""
+
+
+def _phase_in_fresh_process(unrelated: int, first: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", _PHASE_SNIPPET, str(unrelated), first],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+
+
+class TestGoldenPotential:
+    def test_phase_does_not_depend_on_earlier_interning(self):
+        # the potential reads coordinates, not the intern ids that the 50
+        # unrelated intervals shift
+        fresh = _phase_in_fresh_process(0, "none")
+        assert len(fresh.split()) == 4
+        assert _phase_in_fresh_process(50, "none") == fresh
+
+    def test_negative_zero_birth_reads_as_zero(self):
+        # interval(0.0, 1.0) and interval(-0.0, 1.0) intern to one atom whose
+        # stored sign is whichever came first; the potential must not see it
+        assert _phase_in_fresh_process(0, "-0.0") == _phase_in_fresh_process(0, "0.0")
+
+    def test_level2_atom_has_no_golden_potential(self):
+        lvl2 = atom(diagram({interval(0.0, 1.0): 1}), diagram({interval(0.2, 0.5): 1}))
+        with pytest.raises(PreorderUnavailable):
+            psi_golden(lvl2)
 
 
 class TestHarmonicOverflow:

@@ -15,6 +15,7 @@ from hopd.filtration import (
     weighted_graph,
     write_edge_list,
 )
+from hopd.graphgen import MODELS, generate, model_index, model_spec, seed_for
 from hopd.serialize import to_text
 
 INF = math.inf
@@ -121,6 +122,17 @@ class TestPersistenceH1:
             g = er_graph(50, 0.10, seed=seed)
             f = build_clique_filtration(g)
             assert persistence_h1(f) == persistence_oracle(f, 1)
+            assert persistence_h0(f) == persistence_oracle(f, 0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_h1_matches_full_reduction_on_every_model(self, model):
+        spec, idx = model_spec(model), model_index(model)
+        for k in range(5):
+            f = build_clique_filtration(generate(spec, seed_for(idx, k)).graph)
+            for policy in ("cap", "infinite"):
+                assert persistence_h1(f, essential=policy) == persistence_oracle(
+                    f, 1, essential=policy
+                )
             assert persistence_h0(f) == persistence_oracle(f, 0)
 
     def test_euler_rank_consistency(self):

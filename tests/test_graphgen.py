@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from hopd.filtration import build_clique_filtration, persistence_h1
+from hopd.filtration import build_clique_filtration, persistence_h1, write_edge_list
 from hopd.graphgen import (
     MODELS,
     generate,
@@ -11,6 +12,59 @@ from hopd.graphgen import (
     model_spec,
     seed_for,
 )
+from hopd.serialize import to_text
+
+# SHA-256 over seed_for(model_index(model), k), k = 0..9, of the edge list
+# plus metadata block, and of the serialized H1 diagram of the normalized
+# clique filtration.  Computed before the generators and the H1 reduction
+# were vectorized; a rewrite that moves a digest changed the graphs.
+PINNED_DIGESTS = {
+    "er": (
+        "e16f17740418f654c64a1d3015452912b95831058a9811a8f3b14595fba67f59",
+        "ff11d8873104949c5c512728e70579f558e10babd20b9a7375589d79a3a82a5b",
+    ),
+    "ws": (
+        "f9ffeee895f8e23939f9730a19146aa5cb81c2a93e36d53f024f77d417c48c13",
+        "ab60171564d039cc662683143541f795508740f17b90310b7c346b5f55b12105",
+    ),
+    "ba": (
+        "98641fd43d70f5070213853f7f62751e36a42f7e75386ddf58fd8d4d400ba45f",
+        "3a1cd3a033b986bbdc35a43af5467f3c20671ad1c4cc456e96ec08a08ee59e61",
+    ),
+    "cm": (
+        "9861592eb987b5d18c2b65e408d5a2fef2e2099bb7530a3a769c9557d7d2dc12",
+        "e1cb8bb8a7ae407e5138800d46849f83cdd57c2171c0e6dda5904ec572837b7d",
+    ),
+    "sbm": (
+        "b097adedd2cb87ffff56ef92a44302134757bf845f6ff004a16ec03ddff2a6f4",
+        "43505d2149e28e7a6839df9226bc318de643b5787237d206591a33f09970075d",
+    ),
+    "chunglu": (
+        "2e06565792a3afe6cbc8c93f83d467bb457e2a6e2f5e5ae99c2ede0ad32375b5",
+        "3f6aa91a0ac0952551bf0d7b7bb9602b7d810aa9647aff7e9a8d549bf85c9cb5",
+    ),
+    "ksw": (
+        "a6cab1ddc14421becd7b61ce8f0bf4a45df6d74ed7e99b9048eed2007f9ff374",
+        "f44d3c1df2c5aefae95af1f15be8d731330bcfa475988d3593546b8db2e30fa2",
+    ),
+    "girg": (
+        "ab04fb77049c9e9e784e140b5d5b4cdb66be304928bc64343efad588ae738f08",
+        "9ebfec3604928e970668ac41fffac5c25495892cf8e398e057f78cb7cca3e6ea",
+    ),
+    "hrg": (
+        "56115f73f55d23c8bb752c14c6b86009787c3de52a996187c726bf34e97c9c1f",
+        "d2742cc6644d67d87ee5d0ce0f810991dc057775bff25a7c945c684ca2f23085",
+    ),
+    "ergm": (
+        "8985a152e70cd086e0d536dcdba8ec48021e1357dd96840ae74b935a89bcc274",
+        "4f05be10d6c8943ab058a2ebfad36bc3f981eb0e710c71e37946ec85ca4886c4",
+    ),
+}
+
+
+def _pinned_samples(model):
+    spec, idx = model_spec(model), model_index(model)
+    return [generate(spec, seed_for(idx, k)) for k in range(10)]
 
 
 class TestSeedSchedule:
@@ -30,6 +84,20 @@ class TestDeterminism:
         spec = model_spec(model)
         seed = seed_for(model_index(model), 3)
         assert generate(spec, seed).graph == generate(spec, seed).graph
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_edge_lists_match_pinned_digest(self, model):
+        h = hashlib.sha256()
+        for sample in _pinned_samples(model):
+            h.update((write_edge_list(sample.graph) + metadata_block(sample.metadata)).encode())
+        assert h.hexdigest() == PINNED_DIGESTS[model][0]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_h1_matches_pinned_digest(self, model):
+        h = hashlib.sha256()
+        for sample in _pinned_samples(model):
+            h.update(to_text(persistence_h1(build_clique_filtration(sample.graph))).encode())
+        assert h.hexdigest() == PINNED_DIGESTS[model][1]
 
     def test_different_seeds_differ(self):
         spec = model_spec("er")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hopd.aggregation import mean_aggregate
-from hopd.bench import ExperimentConfig, convert_units, run_speedup_matrix
+from hopd.bench import ExperimentConfig, _model_samples, convert_units, run_speedup_matrix
 from hopd.cli import cli_main
 from hopd.filtration import build_clique_filtration, persistence_h1
 from hopd.graphgen import generate, model_index, model_spec, seed_for
@@ -64,6 +64,20 @@ def test_speedup_matrix_with_worker_pool():
     assert [{k: r[k] for k in keep} for r in serial] == [
         {k: r[k] for k in keep} for r in pooled
     ]
+
+
+def test_worker_pool_on_geometric_and_chain_models():
+    # girg's generator and ergm's chain are the numpy-heavy ones; the pool
+    # must produce the same diagrams and rows as one thread
+    models = ("girg", "ergm")
+    serial = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=1))
+    pooled = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=4))
+    keep = ("model_a", "model_b", "m", "support")
+    assert [{k: r[k] for k in keep} for r in serial] == [
+        {k: r[k] for k in keep} for r in pooled
+    ]
+    for model in models:
+        assert _model_samples(model, 4, 1) == _model_samples(model, 4, 4)
 
 
 def test_units_conversion():

@@ -3,9 +3,10 @@
 Vertices enter at value 0, an edge at its (optionally normalized) weight,
 and a triangle when its heaviest edge enters, so every face precedes its
 cofaces.  H1 pairs come from GF(2) column reduction of the triangle
-boundary matrix restricted to cycle-creating edges; a full reduction of the
-whole boundary matrix (no clearing, no restriction) is kept alongside as an
-independent oracle.
+boundary matrix restricted to cycle-creating edges, with each column a
+Python-int bitset (XOR adds columns, ``bit_length`` finds the pivot); a
+set-based full reduction of the whole boundary matrix (no clearing, no
+restriction, no bitsets) is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -169,45 +170,36 @@ def persistence_h1(
     policy) and zero-persistence pairs are dropped as diagonal.
     """
     _check_sorted(f)
-    edge_order: dict[tuple[int, int], int] = {}
+    # Columns over positive edges only, as Python-int bitsets: bit i is the
+    # i-th edge when it creates a cycle.  Negative edges never pair with
+    # triangles, so they contribute no bit.  Faces precede cofaces, so each
+    # triangle is reduced as it is read.
+    edge_bit: dict[tuple[int, int], int] = {}
     edge_value: list[float] = []
     positive: list[bool] = []
     uf = _UnionFind(f.n_vertices)
-    triangles: list[tuple[float, tuple[int, int, int]]] = []
+    low_owner: dict[int, int] = {}
+    pairs: list[tuple[float, float]] = []
     for value, dim, verts in f.simplices:
         if dim == 1:
-            idx = len(edge_value)
-            edge_order[verts] = idx
+            is_pos = not uf.union(verts[0], verts[1])
+            edge_bit[verts] = is_pos << len(edge_value)
             edge_value.append(value)
-            positive.append(not uf.union(verts[0], verts[1]))
+            positive.append(is_pos)
         elif dim == 2:
-            triangles.append((value, verts))
-
-    # columns over positive edges only; negative edges never pair with triangles
-    low_owner: dict[int, list[int]] = {}
-    pairs: list[tuple[float, float]] = []
-    paired_edges: set[int] = set()
-    for value, (a, b, c) in triangles:
-        col = []
-        for e in ((a, b), (a, c), (b, c)):
-            idx = edge_order[e]
-            if positive[idx]:
-                col.append(idx)
-        col = sorted(set(col))
-        while col:
-            low = col[-1]
-            other = low_owner.get(low)
-            if other is None:
-                break
-            col = sorted(set(col) ^ set(other))
-        if col:
-            low = col[-1]
-            low_owner[low] = col
-            paired_edges.add(low)
-            pairs.append((edge_value[low], value))
+            a, b, c = verts
+            col = edge_bit[(a, b)] | edge_bit[(a, c)] | edge_bit[(b, c)]
+            while col:
+                low = col.bit_length() - 1
+                other = low_owner.get(low)
+                if other is None:
+                    low_owner[low] = col
+                    pairs.append((edge_value[low], value))
+                    break
+                col ^= other
     death = _essential_death(f, essential, cap_delta)
     for idx, is_pos in enumerate(positive):
-        if is_pos and idx not in paired_edges:
+        if is_pos and idx not in low_owner:
             pairs.append((edge_value[idx], death))
     return _pairs_diagram(pairs)
 

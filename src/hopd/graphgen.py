@@ -3,7 +3,10 @@
 Ten models over 50 vertices with fixed parameters; every sample is fully
 determined by (model, seed).  Randomness comes from PCG64 streams split per
 purpose (topology vs. edge marks), so regenerating with the same seed gives
-a bit-identical edge list.  Geometric models (ksw, girg, hrg) use their
+a bit-identical edge list.  The per-pair models (er, sbm, chunglu, girg,
+hrg and ergm's initial graph) read one uniform per vertex pair in ``triu``
+order from a single batched draw, the same stream as one scalar draw per
+pair; the test suite pins every model's edge lists by SHA-256.  Geometric models (ksw, girg, hrg) use their
 underlying distances as edge weights; all other models draw independent
 uniform(0,1) marks.
 """
@@ -87,6 +90,11 @@ def _uniform_marks(edges, rng) -> list[tuple[int, int, float]]:
     return [(u, v, float(w)) for (u, v), w in zip(edges, ws)]
 
 
+def _pair_list(iu, iv, keep, *columns) -> list[tuple]:
+    """The kept (u, v, *column values) rows, in pair order, as Python scalars."""
+    return list(zip(*(c[keep].tolist() for c in (iu, iv, *columns))))
+
+
 def generate(spec: ModelSpec, seed: int) -> GraphSample:
     topo_rng, mark_rng = _streams(seed)
     builder = _BUILDERS[spec.model]
@@ -107,9 +115,8 @@ def _gen_er(spec, rng):
     n, p = spec.n, spec.param("p")
     if not 0 <= p <= 1:
         raise ValueError("edge probability out of range")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = rng.random(len(pairs)) < p
-    return [pairs[k] for k in np.flatnonzero(mask)], {"p": p}
+    iu, iv = np.triu_indices(n, 1)
+    return _pair_list(iu, iv, rng.random(len(iu)) < p), {"p": p}
 
 
 def _gen_ws(spec, rng):
@@ -184,13 +191,10 @@ def _gen_sbm(spec, rng):
     n = spec.n
     blocks = int(spec.param("blocks"))
     within, between = spec.param("within"), spec.param("between")
-    membership = [v * blocks // n for v in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = within if membership[u] == membership[v] else between
-            if rng.random() < p:
-                edges.append((u, v))
+    membership = np.arange(n) * blocks // n
+    iu, iv = np.triu_indices(n, 1)
+    p = np.where(membership[iu] == membership[iv], within, between)
+    edges = _pair_list(iu, iv, rng.random(len(iu)) < p)
     return edges, {"blocks": blocks, "within": within, "between": between}
 
 
@@ -200,11 +204,9 @@ def _gen_chunglu(spec, rng):
     raw = np.array([(i + 1.0) ** (-1.0 / (tau - 1.0)) for i in range(n)])
     w = raw * (avg / raw.mean())
     total = w.sum()
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < min(1.0, w[u] * w[v] / total):
-                edges.append((u, v))
+    iu, iv = np.triu_indices(n, 1)
+    p = np.minimum(1.0, w[iu] * w[iv] / total)
+    edges = _pair_list(iu, iv, rng.random(len(iu)) < p)
     return edges, {"avg_degree": avg, "exponent": tau, "weights": "power-law"}
 
 
@@ -248,18 +250,15 @@ def _gen_girg(spec, rng):
     weights = (1.0 - rng.random(n)) ** (-1.0 / (tau - 1.0))
     pos = rng.random((n, dim))
     total = weights.sum()
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            delta = np.abs(pos[u] - pos[v])
-            delta = np.minimum(delta, 1.0 - delta)  # torus
-            dist = float(np.max(delta))
-            if dist == 0.0:
-                p = 1.0
-            else:
-                p = min(1.0, (weights[u] * weights[v] / (total * dist**dim)) ** alpha)
-            if rng.random() < p:
-                edges.append((u, v, max(dist, 1e-12)))
+    iu, iv = np.triu_indices(n, 1)
+    delta = np.abs(pos[iu] - pos[iv])
+    dist = np.minimum(delta, 1.0 - delta).max(axis=1)  # torus
+    p = np.ones(len(iu))  # coincident points always connect
+    far = dist != 0.0
+    p[far] = np.minimum(
+        1.0, (weights[iu[far]] * weights[iv[far]] / (total * dist[far] ** dim)) ** alpha
+    )
+    edges = _pair_list(iu, iv, rng.random(len(iu)) < p, np.maximum(dist, 1e-12))
     return edges, {"tau": tau, "alpha": alpha, "dim": dim}
 
 
@@ -271,16 +270,19 @@ def _gen_hrg(spec, rng):
     theta = rng.random(n) * 2.0 * math.pi
     u = rng.random(n)
     radii = np.arccosh(1.0 + u * (math.cosh(ah * R) - 1.0)) / ah
+    # scalar libm per pair: these distances become edge weights, and numpy's
+    # vectorized transcendentals may differ from math's in the last bit
+    theta = theta.tolist()
+    cosh, sinh = [math.cosh(r) for r in radii], [math.sinh(r) for r in radii]
+    draws = iter(rng.random(n * (n - 1) // 2).tolist())
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
             dt = math.pi - abs(math.pi - abs(theta[a] - theta[b]))
-            ch = math.cosh(radii[a]) * math.cosh(radii[b]) - math.sinh(
-                radii[a]
-            ) * math.sinh(radii[b]) * math.cos(dt)
+            ch = cosh[a] * cosh[b] - sinh[a] * sinh[b] * math.cos(dt)
             d = math.acosh(max(1.0, ch))
             p = 1.0 / (1.0 + math.exp((d - R) / (2.0 * T)))
-            if rng.random() < p:
+            if next(draws) < p:
                 edges.append((a, b, max(d, 1e-12)))
     return edges, {"temperature": T, "curvature": ah, "radius": R}
 
@@ -290,24 +292,29 @@ def _gen_ergm(spec, rng):
     te, tt = spec.param("edge"), spec.param("triangle")
     steps = int(spec.param("steps"))
     init_p = spec.param("init_p")
-    adj = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < init_p:
-                adj[u, v] = adj[v, u] = True
+    # adjacency rows as Python-int bitsets: bit v of adj[u] is the edge uv
+    adj = [0] * n
+    iu, iv = np.triu_indices(n, 1)
+    for u, v in _pair_list(iu, iv, rng.random(len(iu)) < init_p):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    integers, uniform, exp = rng.integers, rng.random, math.exp
     for _ in range(steps):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
+        # two scalar draws per step: one size-2 draw reads the same stream
+        # but costs more per call
+        u = int(integers(0, n))
+        v = int(integers(0, n))
         if u == v:
             continue
-        common = int(np.count_nonzero(adj[u] & adj[v]))
-        if adj[u, v]:
+        common = (adj[u] & adj[v]).bit_count()
+        if adj[u] >> v & 1:
             delta = -te - tt * common
         else:
             delta = te + tt * common
-        if delta >= 0 or rng.random() < math.exp(delta):
-            adj[u, v] = adj[v, u] = not adj[u, v]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
+        if delta >= 0 or uniform() < exp(delta):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
     return edges, {"edge": te, "triangle": tt, "steps": steps, "init_p": init_p}
 
 

@@ -171,10 +171,6 @@ class CostCounters:
     memo_keys: int = 0
 
 
-def _level_of(obj) -> int:
-    return 0 if isinstance(obj, GroundPoint) else obj.level
-
-
 # ---------------------------------------------------------------------------
 # Naive recursion (no memoization; the timed baseline)
 

@@ -57,19 +57,7 @@ def test_interning_is_thread_safe():
         assert all(a is b for a, b in zip(first, other))
 
 
-def test_speedup_matrix_with_worker_pool():
-    serial = run_speedup_matrix(ExperimentConfig(models=("er", "ws"), m=2, threads=1))
-    pooled = run_speedup_matrix(ExperimentConfig(models=("er", "ws"), m=2, threads=4))
-    keep = ("model_a", "model_b", "m", "support")
-    assert [{k: r[k] for k in keep} for r in serial] == [
-        {k: r[k] for k in keep} for r in pooled
-    ]
-
-
-def test_worker_pool_on_geometric_and_chain_models():
-    # girg's generator and ergm's chain are the numpy-heavy ones; the pool
-    # must produce the same diagrams and rows as one thread
-    models = ("girg", "ergm")
+def _assert_pool_matches_serial(models):
     serial = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=1))
     pooled = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=4))
     keep = ("model_a", "model_b", "m", "support")
@@ -78,6 +66,15 @@ def test_worker_pool_on_geometric_and_chain_models():
     ]
     for model in models:
         assert _model_samples(model, 4, 1) == _model_samples(model, 4, 4)
+
+
+def test_speedup_matrix_with_worker_pool():
+    _assert_pool_matches_serial(("er", "ws"))
+
+
+def test_worker_pool_on_geometric_and_chain_models():
+    # girg's generator is the numpy-heavy one and ergm's chain the longest
+    _assert_pool_matches_serial(("girg", "ergm"))
 
 
 def test_units_conversion():

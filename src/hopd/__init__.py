@@ -3,7 +3,6 @@ signed-diagram aggregation, harmonic (zeta-transform) evaluation, and
 certified transport distances, with a benchmark CLI."""
 
 from .aggregation import (
-    AggregateOptions,
     ExpansionGuardExceeded,
     PairAggregate,
     bilinear_aggregate,
@@ -19,7 +18,6 @@ from .core import (
     Atom,
     CoefficientOverflow,
     Diagram,
-    DiagonalPolicy,
     GroundPoint,
     LevelMismatch,
     LinearDiagram,
@@ -54,7 +52,6 @@ from .graphgen import MODELS, ModelSpec, generate, model_spec, seed_for
 from .harmonic import (
     Character,
     CoboundaryCharacter,
-    DominanceInput,
     MissingAngle,
     dominance_sums,
     evaluate_character,

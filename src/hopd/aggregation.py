@@ -10,7 +10,6 @@ does so in blocks).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Sequence
@@ -42,23 +41,6 @@ class ExpansionGuardExceeded(RuntimeError):
     """Iterated aggregation would exceed the configured size budget."""
 
 
-@dataclass(frozen=True)
-class AggregateOptions:
-    """drop_diagonal_classes keeps the basepoint identification (angle 0 on
-    diagonal classes) by construction.
-
-    There is no overflow option: a class coefficient outside int64 raises
-    ``CoefficientOverflow`` on every route.  A clamped coefficient would no
-    longer be the product c_u * c_v, so no dominance-sum route could
-    reproduce it.
-    """
-
-    drop_diagonal_classes: bool = True
-
-
-DEFAULT_OPTIONS = AggregateOptions()
-
-
 def pair_class(u: Atom, v: Atom) -> Atom:
     """The level-(n+1) atom [(u, v)] with singleton-diagram endpoints."""
     return atom(diagram({u: 1}), diagram({v: 1}))
@@ -78,10 +60,15 @@ def pair_is_diagonal(u: Atom, v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) ->
 def bilinear_aggregate(
     G: VirtualDiagram,
     L: VirtualDiagram,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> VirtualDiagram:
-    """Sum of G(u) * L(v) * [(u, v)] over ordered pairs with u <= v."""
+    """Sum of G(u) * L(v) * [(u, v)] over ordered pairs with u <= v.
+
+    Diagonal classes are always dropped: they are the basepoint, angle 0
+    under every character.  A class coefficient outside int64 raises
+    ``CoefficientOverflow``, as on every route; a clamped one would no
+    longer be the product c_u * c_v that the dominance sums reproduce.
+    """
     if G.level != L.level:
         raise LevelMismatch("aggregation needs equal levels")
     acc: dict[Atom, int] = {}
@@ -89,7 +76,7 @@ def bilinear_aggregate(
         for v, cv in L.entries:
             if not atom_leq(u, v, spec):
                 continue
-            if options.drop_diagonal_classes and pair_is_diagonal(u, v, spec):
+            if pair_is_diagonal(u, v, spec):
                 continue
             key = pair_class(u, v)
             acc[key] = _check_i64(acc.get(key, 0) + cu * cv)
@@ -99,11 +86,10 @@ def bilinear_aggregate(
 
 def naive_self_aggregate(
     xi: VirtualDiagram,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> VirtualDiagram:
     """Literal ordered-pair loop over supp(xi)^2; the timed baseline."""
-    return bilinear_aggregate(xi, xi, options, spec)
+    return bilinear_aggregate(xi, xi, spec)
 
 
 class PairAggregate:
@@ -126,12 +112,6 @@ class PairAggregate:
     def support_size(self) -> int:
         return int(self.i.size)
 
-    def to_virtual_diagram(self) -> VirtualDiagram:
-        entries = {
-            pair_class(self.base[i], self.base[j]): int(c)
-            for i, j, c in zip(self.i, self.j, self.coeff)
-        }
-        return virtual_diagram(entries, level=self.level)
 
 
 def level1_arrays(xi: VirtualDiagram):
@@ -198,25 +178,23 @@ def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate
 
 def sum_aggregate(
     diagrams: Sequence[VirtualDiagram],
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> VirtualDiagram:
     if not diagrams:
         raise ValueError("sum_aggregate needs at least one diagram")
     total = None
     for g in diagrams:
-        part = bilinear_aggregate(g, g, options, spec)
+        part = bilinear_aggregate(g, g, spec)
         total = part if total is None else total + part
     return total
 
 
 def mean_aggregate(
     diagrams: Sequence[VirtualDiagram],
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> LinearDiagram:
     """Sum aggregate divided by the sample count, exact rational coefficients."""
-    total = sum_aggregate(diagrams, options, spec)
+    total = sum_aggregate(diagrams, spec)
     m = len(diagrams)
     return linear_diagram(
         {a: Fraction(c, m) for a, c in total.entries}, level=total.level
@@ -226,7 +204,6 @@ def mean_aggregate(
 def iterated_aggregate(
     xi: VirtualDiagram,
     s: int,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
     guard: int = 1_000_000,
 ) -> VirtualDiagram:
@@ -240,14 +217,13 @@ def iterated_aggregate(
             raise ExpansionGuardExceeded(
                 f"support {size} would expand past guard {guard}"
             )
-        current = bilinear_aggregate(current, current, options, spec)
+        current = bilinear_aggregate(current, current, spec)
     return current
 
 
 def tree_expansion_oracle(
     xi: VirtualDiagram,
     s: int,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
     guard: int = 1_000_000,
 ) -> VirtualDiagram:
@@ -276,10 +252,7 @@ def tree_expansion_oracle(
         while len(nodes) > 1 and ok:
             nxt = []
             for left, right in zip(nodes[::2], nodes[1::2]):
-                if not atom_leq(left, right, spec):
-                    ok = False
-                    break
-                if options.drop_diagonal_classes and pair_is_diagonal(left, right, spec):
+                if not atom_leq(left, right, spec) or pair_is_diagonal(left, right, spec):
                     ok = False
                     break
                 nxt.append(pair_class(left, right))
@@ -290,8 +263,6 @@ def tree_expansion_oracle(
 
 
 __all__ = [
-    "AggregateOptions",
-    "DEFAULT_OPTIONS",
     "ExpansionGuardExceeded",
     "PairAggregate",
     "bilinear_aggregate",

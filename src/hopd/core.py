@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -496,12 +496,11 @@ class PreorderSpec:
 
     diagonal_always_admissible: permissive reading of diagram comparison,
         where any unmatched atom may be sent to the diagonal.
-    matching_fallback: allow matching-oracle comparison where no coordinate
-        representation exists (levels >= 2).
+
+    Levels >= 2 always compare through the matching oracle ``diagram_leq``.
     """
 
     diagonal_always_admissible: bool = False
-    matching_fallback: bool = True
 
 
 DEFAULT_PREORDER = PreorderSpec()
@@ -526,8 +525,6 @@ def atom_leq(u: Atom, v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
         raise LevelMismatch(f"cannot compare level {u.level} with {v.level}")
     if u is v:
         return True
-    if u.level >= 2 and not spec.matching_fallback:
-        raise PreorderUnavailable(f"no comparison rule for level {u.level}")
     return endpoint_leq(v.minus, u.minus, spec) and endpoint_leq(u.plus, v.plus, spec)
 
 
@@ -604,23 +601,6 @@ def diagram_leq(G: Diagram, L: Diagram, spec: PreorderSpec = DEFAULT_PREORDER) -
 # Level-wise metrics
 
 
-@dataclass(frozen=True)
-class DiagonalPolicy:
-    """How diagonal distances are produced at levels >= 2.
-
-    mode "endpoints": approximate the diagonal set by degenerate pairs built
-    from the operand's own endpoint diagrams (documented approximation).
-    mode "scan": minimum product distance over a configured finite set.
-    mode "exact": refuse level >= 2 diagonal distances.
-    """
-
-    mode: str = "endpoints"
-    scan_sets: Mapping[int, tuple[Atom, ...]] = field(default_factory=dict)
-
-
-DEFAULT_DIAGONAL = DiagonalPolicy()
-
-
 def norm_p(values: Sequence[float], p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -660,16 +640,15 @@ def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return gap.max(axis=-1)
 
 
-def _endpoint_dist(a: Endpoint, b: Endpoint, p: float, diagonal: DiagonalPolicy) -> float:
+def _endpoint_dist(a: Endpoint, b: Endpoint, p: float) -> float:
     if isinstance(a, GroundPoint):
         return dist_ground(a, b)
     from . import wasserstein  # levels >= 2 recurse through diagram transport
 
-    return wasserstein.certified_wasserstein(a, b, p=p, diagonal=diagonal)
+    return wasserstein.certified_wasserstein(a, b, p=p)
 
 
-def d_prod(u: Atom, v: Atom, p: float,
-           diagonal: DiagonalPolicy = DEFAULT_DIAGONAL) -> float:
+def d_prod(u: Atom, v: Atom, p: float) -> float:
     """p-norm of the two endpoint distances."""
     if u.level != v.level:
         raise LevelMismatch("atom level mismatch")
@@ -679,8 +658,8 @@ def d_prod(u: Atom, v: Atom, p: float,
         return 0.0
     return norm_p(
         (
-            _endpoint_dist(u.minus, v.minus, p, diagonal),
-            _endpoint_dist(u.plus, v.plus, p, diagonal),
+            _endpoint_dist(u.minus, v.minus, p),
+            _endpoint_dist(u.plus, v.plus, p),
         ),
         p,
     )
@@ -695,33 +674,27 @@ def level1_diag_cost(u: Atom, p: float) -> float:
     return gap * (0.5 if p == INF else 2.0 ** (1.0 / p - 1.0))
 
 
-def d_diag(u: Atom, p: float, diagonal: DiagonalPolicy = DEFAULT_DIAGONAL) -> float:
-    """Distance from an atom to the diagonal of its level."""
+def d_diag(u: Atom, p: float) -> float:
+    """Distance from an atom to the diagonal of its level.
+
+    Above level 1 the diagonal is approximated by the degenerate pairs built
+    from the atom's own endpoint diagrams (a documented approximation); the
+    infimum over them collapses to the transport distance between the two
+    endpoints.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if u.level == 1:
         return level1_diag_cost(u, p)
-    if u.level in diagonal.scan_sets and diagonal.mode == "scan":
-        candidates = diagonal.scan_sets[u.level]
-        if not candidates:
-            raise ValueError("empty diagonal scan set")
-        return min(d_prod(u, a, p, diagonal) for a in candidates)
-    if diagonal.mode == "endpoints":
-        # inf over degenerate pairs built from the operand's own endpoints
-        # collapses to the transport distance between the two endpoints
-        return _endpoint_dist(u.minus, u.plus, p, diagonal)
-    raise ValueError(
-        f"no diagonal distance configured for level {u.level} (mode={diagonal.mode})"
-    )
+    return _endpoint_dist(u.minus, u.plus, p)
 
 
-def d1(u: Atom, v: Atom, p: float,
-       diagonal: DiagonalPolicy = DEFAULT_DIAGONAL) -> float:
+def d1(u: Atom, v: Atom, p: float) -> float:
     """Strengthened atom cost: direct route or through the diagonal."""
     if u is v:
         return 0.0
-    direct = d_prod(u, v, p, diagonal)
-    via = d_diag(u, p, diagonal) + d_diag(v, p, diagonal)
+    direct = d_prod(u, v, p)
+    via = d_diag(u, p) + d_diag(v, p)
     return min(direct, via)
 
 
@@ -760,10 +733,8 @@ def psi_golden(a: Atom) -> float:
 __all__ = [
     "Atom",
     "CoefficientOverflow",
-    "DEFAULT_DIAGONAL",
     "DEFAULT_PREORDER",
     "Diagram",
-    "DiagonalPolicy",
     "GroundPoint",
     "INF",
     "LevelMismatch",

@@ -10,7 +10,6 @@ never materialized.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -19,12 +18,11 @@ import numpy as np
 
 from .aggregation import (
     _ATOM,
-    AggregateOptions,
-    DEFAULT_OPTIONS,
     PairAggregate,
     level1_arrays,
     pair_class,
     pair_is_diagonal,
+    tree_expansion_oracle,
 )
 from .core import (
     Atom,
@@ -191,7 +189,6 @@ def _evaluate_on_pairs(chi, agg: PairAggregate) -> float:
 def quadratic_phase(
     xi: VirtualDiagram,
     theta,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> float:
     """Slow oracle: the double sum over preorder-compatible support pairs.
@@ -201,9 +198,7 @@ def quadratic_phase(
     total = 0.0
     for u, cu in xi.entries:
         for v, cv in xi.entries:
-            if not atom_leq(u, v, spec):
-                continue
-            if options.drop_diagonal_classes and pair_is_diagonal(u, v, spec):
+            if not atom_leq(u, v, spec) or pair_is_diagonal(u, v, spec):
                 continue
             total += float(cu * cv) * _angle_lookup(theta, pair_class(u, v))
     return wrap_angle(total)
@@ -213,49 +208,33 @@ def quadratic_phase(
 # Dominance sums (zeta transforms over coordinatewise preorders)
 
 
-@dataclass(frozen=True)
-class DominanceInput:
-    """Coordinate points with signed integer coefficients and caller ids."""
+def dominance_sums(phi, w) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive coordinatewise dominance sums of the rows of ``phi``.
 
-    points: tuple[tuple[tuple[float, ...], int, object], ...]
-
-    @staticmethod
-    def from_arrays(coords, coeffs, ids=None) -> "DominanceInput":
-        n = len(coeffs)
-        if ids is None:
-            ids = range(n)
-        pts = tuple(
-            (tuple(float(x) for x in coords[k]), int(coeffs[k]), ids[k])
-            for k in range(n)
-        )
-        return DominanceInput(pts)
-
-
-def dominance_sums(inp: DominanceInput, direction: str = "down") -> dict:
-    """Inclusive coordinatewise dominance sums.
-
-    down: Z-(v) = sum of coefficients of points <= v (v included).
-    up:   Z+(u) = sum over points >= u.
-
-    Both directions come from one ``_zeta_both`` call, exact in int64 for
-    any number of coordinates.  Every point needs the same number of
-    coordinates (``ValueError`` otherwise), and sum|w| must stay below 2^63
-    so that no partial sum can leave int64; past that, ``CoefficientOverflow``
-    is raised, as on every other evaluation route.
+    Returns int64 arrays (down, up), one entry per row, in row order:
+    down[k] = sum of w over rows <= row k (row k included) and up[k] = sum
+    over rows >= row k.  Both come from one ``_zeta_both`` call, exact in
+    int64 for any number of coordinates.  ``phi`` must be an n x r matrix
+    and ``w`` hold n integers (``ValueError`` otherwise, rows of different
+    widths included); sum|w| must stay below 2^63 so that no partial sum
+    can leave int64, and past that ``CoefficientOverflow`` is raised, as on
+    every other evaluation route.  Empty input gives two empty arrays.
     """
-    if direction not in ("down", "up"):
-        raise ValueError("direction must be 'down' or 'up'")
-    pts = inp.points
-    if not pts:
-        return {}
-    if len({len(p[0]) for p in pts}) > 1:
+    if not isinstance(phi, np.ndarray) and len(set(map(np.shape, phi))) > 1:
         raise ValueError("dominance points must all have the same number of coordinates")
-    weights = [p[1] for p in pts]
-    if sum(map(abs, weights)) > _I64_MAX:
+    phi = np.asarray(phi, dtype=np.float64)
+    n = len(w)
+    if not n and not phi.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if phi.ndim != 2 or phi.shape[0] != n:
+        raise ValueError(
+            f"dominance sums need an n x r coordinate matrix and n weights, "
+            f"got shape {phi.shape} and {n} weights"
+        )
+    # exact in Python integers, before any int64 cast
+    if sum(abs(int(c)) for c in w) > _I64_MAX:
         raise CoefficientOverflow("dominance sums may leave the 64-bit range")
-    phi = np.array([p[0] for p in pts], dtype=np.float64)
-    z = _zeta_both(phi, np.array(weights, dtype=np.int64))[direction == "up"].tolist()
-    return {pts[k][2]: z[k] for k in range(len(pts))}
+    return _zeta_both(phi, np.array(w, dtype=np.int64))
 
 
 # Up to this many points the two-column kernel's dense comparison matrix
@@ -505,43 +484,17 @@ def iterated_character_phase(
     xi: VirtualDiagram,
     s: int,
     theta,
-    options: AggregateOptions = DEFAULT_OPTIONS,
     spec: PreorderSpec = DEFAULT_PREORDER,
     guard: int = 1_000_000,
 ) -> float:
-    """Depth-s labeled-tree phase; equals the character of the iterated aggregate."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    supp = [a for a, _ in xi.entries]
-    coeffs = {a: c for a, c in xi.entries}
-    if len(supp) ** (2**s) > guard:
-        raise ValueError(f"{len(supp)}^{2 ** s} labelings exceed guard {guard}")
-    total = 0.0
-    for labeling in itertools.product(supp, repeat=2**s):
-        weight = 1
-        for leaf in labeling:
-            weight *= coeffs[leaf]
-        nodes = list(labeling)
-        ok = True
-        while len(nodes) > 1 and ok:
-            nxt = []
-            for left, right in zip(nodes[::2], nodes[1::2]):
-                if not atom_leq(left, right, spec) or (
-                    options.drop_diagonal_classes and pair_is_diagonal(left, right, spec)
-                ):
-                    ok = False
-                    break
-                nxt.append(pair_class(left, right))
-            nodes = nxt
-        if ok:
-            total += float(weight) * _angle_lookup(theta, nodes[0])
-    return wrap_angle(total)
+    """Depth-s labeled-tree phase: ``theta`` on the tree expansion of xi,
+    which equals the character of the iterated aggregate."""
+    return evaluate_character(theta, tree_expansion_oracle(xi, s, spec=spec, guard=guard))
 
 
 __all__ = [
     "Character",
     "CoboundaryCharacter",
-    "DominanceInput",
     "MissingAngle",
     "angles_close",
     "coboundary_net_multiplicities",

@@ -21,9 +21,7 @@ from scipy.sparse import coo_matrix
 
 from .core import (
     Atom,
-    DEFAULT_DIAGONAL,
     Diagram,
-    DiagonalPolicy,
     GroundPoint,
     LevelMismatch,
     LinearDiagram,
@@ -179,51 +177,41 @@ def naive_wasserstein(
     G: Diagram,
     L: Diagram,
     p: float,
-    diagonal: DiagonalPolicy = DEFAULT_DIAGONAL,
     counters: CostCounters | None = None,
 ) -> float:
     if G.level != L.level:
         raise LevelMismatch("diagram level mismatch")
     c = counters if counters is not None else CostCounters()
-    return _naive_diagram_cost(G, L, G.level, p, diagonal, c)
+    return _naive_diagram_cost(G, L, G.level, p, c)
 
 
-def _naive_diagram_cost(G, L, k, p, diagonal, c) -> float:
+def _naive_diagram_cost(G, L, k, p, c) -> float:
     c.diagram_calls += 1
     if k == 0:
         return dist_ground(G, L)
     us = G.atoms()
     vs = L.atoms()
-    off = [[_naive_atom_cost(u, v, k, p, diagonal, c) for v in vs] for u in us]
-    left = [_naive_diag_cost(u, k, p, diagonal, c) for u in us]
-    right = [_naive_diag_cost(v, k, p, diagonal, c) for v in vs]
+    off = [[_naive_atom_cost(u, v, k, p, c) for v in vs] for u in us]
+    left = [_naive_diag_cost(u, k, p, c) for u in us]
+    right = [_naive_diag_cost(v, k, p, c) for v in vs]
     c.assign_calls += 1
     return assign_p(assign_problem(off, left, right, p))
 
 
-def _naive_atom_cost(u, v, k, p, diagonal, c) -> float:
+def _naive_atom_cost(u, v, k, p, c) -> float:
     c.atom_calls += 1
     c.atom_expansions += 1
-    e = _naive_diag_cost(u, k, p, diagonal, c)
-    f = _naive_diag_cost(v, k, p, diagonal, c)
-    a = _naive_diagram_cost(u.minus, v.minus, k - 1, p, diagonal, c)
-    b = _naive_diagram_cost(u.plus, v.plus, k - 1, p, diagonal, c)
+    e = _naive_diag_cost(u, k, p, c)
+    f = _naive_diag_cost(v, k, p, c)
+    a = _naive_diagram_cost(u.minus, v.minus, k - 1, p, c)
+    b = _naive_diagram_cost(u.plus, v.plus, k - 1, p, c)
     return min(norm_p((a, b), p), e + f)
 
 
-def _naive_diag_cost(u: Atom, k, p, diagonal, c) -> float:
+def _naive_diag_cost(u: Atom, k, p, c) -> float:
     if k == 1:
         return level1_diag_cost(u, p)
-    if diagonal.mode == "scan" and k in diagonal.scan_sets:
-        best = INF
-        for cand in diagonal.scan_sets[k]:
-            a = _naive_diagram_cost(u.minus, cand.minus, k - 1, p, diagonal, c)
-            b = _naive_diagram_cost(u.plus, cand.plus, k - 1, p, diagonal, c)
-            best = min(best, norm_p((a, b), p))
-        return best
-    if diagonal.mode == "endpoints":
-        return _naive_diagram_cost(u.minus, u.plus, k - 1, p, diagonal, c)
-    raise ValueError(f"no diagonal distance for level {k} under mode {diagonal.mode!r}")
+    return _naive_diagram_cost(u.minus, u.plus, k - 1, p, c)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +219,8 @@ def _naive_diag_cost(u: Atom, k, p, diagonal, c) -> float:
 
 
 class _CertifiedRun:
-    def __init__(self, p, diagonal, counters):
+    def __init__(self, p, counters):
         self.p = p
-        self.diagonal = diagonal
         self.c = counters
         self.m_d: dict = {}
         self.m_a: dict = {}
@@ -302,23 +289,8 @@ class _CertifiedRun:
             return hit
         if k == 1:
             value = level1_diag_cost(u, self.p)
-        elif self.diagonal.mode == "scan" and k in self.diagonal.scan_sets:
-            value = min(
-                norm_p(
-                    (
-                        self.diagram_cost(u.minus, cand.minus, k - 1),
-                        self.diagram_cost(u.plus, cand.plus, k - 1),
-                    ),
-                    self.p,
-                )
-                for cand in self.diagonal.scan_sets[k]
-            )
-        elif self.diagonal.mode == "endpoints":
-            value = self.diagram_cost(u.minus, u.plus, k - 1)
         else:
-            raise ValueError(
-                f"no diagonal distance for level {k} under mode {self.diagonal.mode!r}"
-            )
+            value = self.diagram_cost(u.minus, u.plus, k - 1)
         return self._memo_put(self.m_diag, key, value)
 
     def empty_cost(self, theta, k) -> float:
@@ -338,22 +310,19 @@ def certified_wasserstein(
     G: Diagram,
     L: Diagram,
     p: float,
-    diagonal: DiagonalPolicy = DEFAULT_DIAGONAL,
     counters: CostCounters | None = None,
 ) -> float:
     """Memoized transport distance with safe pruning; equals the naive value."""
     if G.level != L.level:
         raise LevelMismatch("diagram level mismatch")
     c = counters if counters is not None else CostCounters()
-    run = _CertifiedRun(p, diagonal, c)
+    run = _CertifiedRun(p, c)
     return run.diagram_cost(G, L, G.level)
 
 
-def empty_cost(
-    theta: Diagram, p: float, diagonal: DiagonalPolicy = DEFAULT_DIAGONAL
-) -> float:
+def empty_cost(theta: Diagram, p: float) -> float:
     """p-norm of the diagonal distances of the atoms: W_p(theta, 0)."""
-    run = _CertifiedRun(p, diagonal, CostCounters())
+    run = _CertifiedRun(p, CostCounters())
     return run.empty_cost(theta, theta.level)
 
 
@@ -361,7 +330,6 @@ def group_metric(
     a: VirtualDiagram,
     b: VirtualDiagram,
     p: float = 1,
-    diagonal: DiagonalPolicy = DEFAULT_DIAGONAL,
 ) -> float:
     """Translation-invariant distance on signed diagrams (p = 1 only)."""
     if p != 1:
@@ -372,14 +340,10 @@ def group_metric(
         a.positive_part() + b.negative_part(),
         b.positive_part() + a.negative_part(),
         p=1,
-        diagonal=diagonal,
     )
 
 
-def linear_w1_norm(
-    xi: LinearDiagram | VirtualDiagram,
-    diagonal: DiagonalPolicy = DEFAULT_DIAGONAL,
-) -> float:
+def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     """Optimal-transport norm of a real-linear diagram.
 
     Min-cost transport over the support plus the basepoint, divergences
@@ -401,7 +365,7 @@ def linear_w1_norm(
     else:
         # one certified run, so endpoint transports shared by several atoms
         # are computed once
-        run = _CertifiedRun(1, diagonal, CostCounters())
+        run = _CertifiedRun(1, CostCounters())
         n, k = len(atoms), xi.level
         cost = [[0.0] * (n + 1) for _ in range(n + 1)]
         for i in range(n):

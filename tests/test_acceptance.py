@@ -120,7 +120,7 @@ def test_c01_harmonic_explicit_oracle_equality():
 
 def test_c02_dominance_sum_correctness():
     """500 random instances match the quadratic brute force exactly."""
-    from hopd.harmonic import DominanceInput, dominance_sums
+    from hopd.harmonic import dominance_sums
 
     t0 = time.time()
     rng = np.random.default_rng(77)
@@ -146,9 +146,7 @@ def test_c02_dominance_sum_correctness():
             ge &= coords[:, k][:, None] >= coords[:, k][None, :]
         down = le.T @ w
         up = ge.T @ w
-        inp = DominanceInput.from_arrays(coords, w)
-        got_down = dominance_sums(inp, "down")
-        got_up = dominance_sums(inp, "up")
+        got_down, got_up = dominance_sums(coords, w)
         assert [got_down[i] for i in range(n)] == list(down), inst
         assert [got_up[i] for i in range(n)] == list(up), inst
     elapsed = time.time() - t0

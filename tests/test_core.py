@@ -68,15 +68,6 @@ class TestAtomLeq:
         with pytest.raises(LevelMismatch):
             atom_leq(interval(0, 1), lvl2)
 
-    def test_matching_oracle_can_be_disabled(self):
-        spec = PreorderSpec(matching_fallback=False)
-        a = atom(diagram({interval(0, 1): 1}), diagram({interval(0, 2): 1}))
-        b = atom(diagram({interval(0, 1): 1}), diagram({interval(0, 3): 1}))
-        from hopd.core import PreorderUnavailable
-
-        with pytest.raises(PreorderUnavailable):
-            atom_leq(a, b, spec)
-
 
 class TestDiagramLeq:
     def test_identity(self, rng):

@@ -1,0 +1,31 @@
+"""Every exported name resolves, so a deletion cannot leave a stale export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import hopd
+
+# importing __main__ would run the CLI
+MODULES = sorted(m.name for m in pkgutil.iter_modules(hopd.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"hopd.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"hopd.{name}.__all__ names {missing}, which do not exist"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(Path(hopd.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"hopd.{node.module}")
+        exported = set(getattr(module, "__all__", ()))
+        stale = [alias.name for alias in node.names if alias.name not in exported]
+        assert not stale, f"hopd imports {stale} from hopd.{node.module}, outside its __all__"

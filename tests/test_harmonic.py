@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopd.aggregation import (
+    ExpansionGuardExceeded,
     iterated_aggregate,
     level1_arrays,
     naive_self_aggregate,
@@ -30,7 +31,6 @@ from hopd.core import (
 from hopd.harmonic import (
     Character,
     CoboundaryCharacter,
-    DominanceInput,
     MissingAngle,
     angles_close,
     coboundary_net_multiplicities,
@@ -161,6 +161,11 @@ def kernel_sums(points, direction):
     return {p[2]: int(v) for p, v in zip(points, z)}
 
 
+def api_sums(points, direction):
+    z = dominance_sums([p[0] for p in points], [p[1] for p in points])[direction == "up"]
+    return {p[2]: v for p, v in zip(points, z.tolist())}
+
+
 def assert_zeta_both_exact(phi, w):
     """_zeta_both and dominance_sums against the quadratic brute force."""
     le = np.ones((len(w), len(w)), dtype=bool)
@@ -169,21 +174,21 @@ def assert_zeta_both_exact(phi, w):
     down, up = _zeta_both(phi, w)
     assert down.tolist() == (w @ le).tolist()
     assert up.tolist() == (le @ w).tolist()
-    inp = DominanceInput.from_arrays(phi, w)
-    assert dominance_sums(inp, "down") == dict(enumerate(down.tolist()))
-    assert dominance_sums(inp, "up") == dict(enumerate(up.tolist()))
+    got_down, got_up = dominance_sums(phi, w)
+    assert got_down.tolist() == down.tolist()
+    assert got_up.tolist() == up.tolist()
 
 
 class TestDominanceSums:
     def test_single_point_reflexive(self):
-        inp = DominanceInput.from_arrays([(0.5, 0.5)], [5])
-        assert dominance_sums(inp, "down") == {0: 5}
-        assert dominance_sums(inp, "up") == {0: 5}
+        down, up = dominance_sums([(0.5, 0.5)], [5])
+        assert down.tolist() == [5]
+        assert up.tolist() == [5]
 
     def test_two_comparable_points(self):
-        inp = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2, 3])
-        assert dominance_sums(inp, "down") == {0: 2, 1: 5}
-        assert dominance_sums(inp, "up") == {0: 5, 1: 3}
+        down, up = dominance_sums([(0.0, 0.0), (1.0, 1.0)], [2, 3])
+        assert down.tolist() == [2, 5]
+        assert up.tolist() == [5, 3]
 
     def test_kernel_matches_brute_force_r2(self, rng):
         for _ in range(25):
@@ -196,11 +201,10 @@ class TestDominanceSums:
                 )
                 for k in range(n)
             ]
-            inp = DominanceInput(tuple(pts))
             for direction in ("down", "up"):
                 want = brute_dominance(pts, direction)
                 assert kernel_sums(pts, direction) == want
-                assert dominance_sums(inp, direction) == want
+                assert api_sums(pts, direction) == want
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 193, 255, 256, 257, 1000])
     def test_vector_infinite_and_duplicate_coordinates(self, rng, n):
@@ -214,11 +218,10 @@ class TestDominanceSums:
             x = -math.inf if rng.random() < 0.05 else float(rng.randrange(grid))
             y = math.inf if rng.random() < 0.2 else float(rng.randrange(grid))
             pts.append(((x, y), rng.randint(-9, 9), k))
-        inp = DominanceInput(tuple(pts))
         for direction in ("down", "up"):
             want = brute_dominance(pts, direction)
             assert kernel_sums(pts, direction) == want
-            assert dominance_sums(inp, direction) == want
+            assert api_sums(pts, direction) == want
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
     def test_zeta_both_random_dims(self, rng, r):
@@ -254,22 +257,33 @@ class TestDominanceSums:
         for coords in ([(0.0, 0.0), (1.0, 1.0)], [(0.0,), (1.0,)], [(0.0,) * 3, (1.0,) * 3]):
             for w in ([2**62, 2**62], [2**63 - 1, 1], [2**70, 0], [-(2**63), 0]):
                 with pytest.raises(CoefficientOverflow):
-                    dominance_sums(DominanceInput.from_arrays(coords, w), "down")
-        edge = DominanceInput.from_arrays([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62 - 1])
-        assert dominance_sums(edge, "down") == {0: 2**62, 1: 2**63 - 1}
+                    dominance_sums(coords, w)
+        down, _ = dominance_sums([(0.0, 0.0), (1.0, 1.0)], [2**62, 2**62 - 1])
+        assert down.tolist() == [2**62, 2**63 - 1]
 
     def test_mixed_widths_rejected(self):
         for coords in ([(0, 0, 0), (1, 1)], [(0,), (1, 1, 1)], [(0, 0), (1, 1, 1)]):
-            inp = DominanceInput.from_arrays(coords, [1, 2])
-            for direction in ("down", "up"):
-                with pytest.raises(ValueError, match="same number of coordinates"):
-                    dominance_sums(inp, direction)
+            with pytest.raises(ValueError, match="same number of coordinates"):
+                dominance_sums(coords, [1, 2])
+
+    def test_one_weight_per_row(self):
+        # extra rows are not dropped, and missing rows raise no IndexError
+        for coords, w in (
+            ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], [1, 3]),
+            ([(0.0, 0.0)], [1, 3]),
+            ([0.0, 1.0], [1, 3]),  # not 2-D
+        ):
+            with pytest.raises(ValueError):
+                dominance_sums(coords, w)
+        for phi in ([], np.empty((0, 2))):
+            down, up = dominance_sums(phi, [])
+            assert down.dtype == up.dtype == np.int64
+            assert down.size == up.size == 0
 
     def test_duplicates_mutual(self):
         pts = [((0.5, 0.5), 2, "a"), ((0.5, 0.5), 3, "b")]
-        inp = DominanceInput(tuple(pts))
-        assert dominance_sums(inp, "down") == {"a": 5, "b": 5}
-        assert dominance_sums(inp, "up") == {"a": 5, "b": 5}
+        assert api_sums(pts, "down") == {"a": 5, "b": 5}
+        assert api_sums(pts, "up") == {"a": 5, "b": 5}
 
     @given(st.integers(0, 10**6))
     def test_linearity_in_coefficients(self, seed):
@@ -280,24 +294,18 @@ class TestDominanceSums:
         ]
         w1 = [rng.randint(-5, 5) for _ in range(n)]
         w2 = [rng.randint(-5, 5) for _ in range(n)]
-        z1 = dominance_sums(DominanceInput.from_arrays(coords, w1), "down")
-        z2 = dominance_sums(DominanceInput.from_arrays(coords, w2), "down")
-        z12 = dominance_sums(
-            DominanceInput.from_arrays(coords, [a + b for a, b in zip(w1, w2)]), "down"
-        )
-        assert z12 == {k: z1[k] + z2[k] for k in z1}
+        z1 = dominance_sums(coords, w1)[0].tolist()
+        z2 = dominance_sums(coords, w2)[0].tolist()
+        z12 = dominance_sums(coords, [a + b for a, b in zip(w1, w2)])[0].tolist()
+        assert z12 == [a + b for a, b in zip(z1, z2)]
 
     def test_r1_equals_r2_with_constant_second(self, rng):
         n = 50
         xs = [rng.randrange(10) / 5.0 for _ in range(n)]
         ws = [rng.randint(-5, 5) for _ in range(n)]
-        one = dominance_sums(
-            DominanceInput.from_arrays([(x,) for x in xs], ws), "down"
-        )
-        two = dominance_sums(
-            DominanceInput.from_arrays([(x, 0.0) for x in xs], ws), "down"
-        )
-        assert one == two
+        one = dominance_sums([(x,) for x in xs], ws)[0]
+        two = dominance_sums([(x, 0.0) for x in xs], ws)[0]
+        assert one.tolist() == two.tolist()
 
 
 class TestTransformOps:
@@ -615,5 +623,11 @@ class TestIteratedPhase:
                 3, {a: random.Random(11).uniform(0, TWO_PI) for a, _ in expansion.entries}
             )
             lhs = iterated_character_phase(xi, 2, theta)
-            rhs = evaluate_character(theta, expansion)
+            rhs = evaluate_character(theta, iterated_aggregate(xi, 2))
             assert angles_close(lhs, rhs, 1e-9)
+
+    def test_guard_raises_expansion_guard_exceeded(self, rng):
+        # 5^4 labelings > 100, the same condition tree_expansion_oracle guards
+        xi = rand_virtual(rng, 5)
+        with pytest.raises(ExpansionGuardExceeded):
+            iterated_character_phase(xi, 2, Character(3, {}), guard=100)

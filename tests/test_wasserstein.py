@@ -12,7 +12,6 @@ from scipy.sparse import coo_matrix
 
 from hopd import wasserstein
 from hopd.core import (
-    DiagonalPolicy,
     atom,
     d1,
     d_diag,
@@ -242,9 +241,8 @@ class TestWassersteinRecursion:
         g = rand_level2_diagram(rng, max_atoms=2)
         counters = CostCounters()
         from hopd.wasserstein import _CertifiedRun
-        from hopd.core import DEFAULT_DIAGONAL
 
-        run = _CertifiedRun(1.0, DEFAULT_DIAGONAL, counters)
+        run = _CertifiedRun(1.0, counters)
         run.diagram_cost(g, g, g.level)
         before = counters.memo_hits
         run.diagram_cost(g, g, g.level)
@@ -297,21 +295,6 @@ class TestWassersteinRecursion:
                         if bound >= ef:
                             assert d_prod(u, v, p) >= ef - 1e-9
                         pairs_checked += 1
-
-    def test_scan_diagonal_policy(self):
-        # explicit degenerate candidates at level 2
-        base = diagram({interval(0.2, 0.6): 1})
-        candidates = (atom(base, base),)
-        policy = DiagonalPolicy(mode="scan", scan_sets={2: candidates})
-        u = atom(diagram({interval(0.1, 0.5): 1}), diagram({interval(0.3, 0.9): 1}))
-        got = d_diag(u, 1, policy)
-        assert_close(got, d_prod(u, candidates[0], 1, policy))
-
-    def test_exact_mode_refuses_level2_diagonal(self):
-        policy = DiagonalPolicy(mode="exact")
-        u = atom(diagram({interval(0.1, 0.5): 1}), diagram({interval(0.3, 0.9): 1}))
-        with pytest.raises(Exception):
-            d_diag(u, 1, policy)
 
 
 class TestEmptyCost:
@@ -500,14 +483,13 @@ class TestComplexityProfile:
     def test_memo_key_bound(self, rng):
         # distinct memo keys stay within a small constant of N * |V|^2
         from hopd.wasserstein import _CertifiedRun
-        from hopd.core import DEFAULT_DIAGONAL
 
         worst = 0.0
         for _ in range(10):
             g = rand_level2_diagram(rng, max_atoms=3)
             l = rand_level2_diagram(rng, max_atoms=3)
             counters = CostCounters()
-            run = _CertifiedRun(1.0, DEFAULT_DIAGONAL, counters)
+            run = _CertifiedRun(1.0, counters)
             run.diagram_cost(g, l, 2)
             prof = complexity_profile(list(g.support()) + list(l.support()))
             bound = max(1, prof.max_depth) * max(1, prof.total_vertices) ** 2

@@ -61,11 +61,9 @@ from .harmonic import (
 )
 from .serialize import from_text, to_text
 from .wasserstein import (
-    AssignProblem,
     ComplexityProfile,
     CostCounters,
     assign_p,
-    assign_problem,
     certified_wasserstein,
     complexity_profile,
     empty_cost,

@@ -46,17 +46,6 @@ def pair_class(u: Atom, v: Atom) -> Atom:
     return atom(diagram({u: 1}), diagram({v: 1}))
 
 
-def pair_is_diagonal(u: Atom, v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
-    """Whether the class [(u, v)] collapses to the basepoint.
-
-    Distinct but preorder-equivalent atoms give a degenerate pair; a pair of
-    an atom with itself is a genuine self-containment class and is kept.
-    """
-    if u is v:
-        return False
-    return atom_leq(u, v, spec) and atom_leq(v, u, spec)
-
-
 def bilinear_aggregate(
     G: VirtualDiagram,
     L: VirtualDiagram,
@@ -74,9 +63,8 @@ def bilinear_aggregate(
     acc: dict[Atom, int] = {}
     for u, cu in G.entries:
         for v, cv in L.entries:
-            if not atom_leq(u, v, spec):
-                continue
-            if pair_is_diagonal(u, v, spec):
+            # a pair of distinct equivalent atoms is a diagonal class
+            if not atom_leq(u, v, spec) or (u is not v and atom_leq(v, u, spec)):
                 continue
             key = pair_class(u, v)
             acc[key] = _check_i64(acc.get(key, 0) + cu * cv)
@@ -252,7 +240,9 @@ def tree_expansion_oracle(
         while len(nodes) > 1 and ok:
             nxt = []
             for left, right in zip(nodes[::2], nodes[1::2]):
-                if not atom_leq(left, right, spec) or pair_is_diagonal(left, right, spec):
+                if not atom_leq(left, right, spec) or (
+                    left is not right and atom_leq(right, left, spec)
+                ):
                     ok = False
                     break
                 nxt.append(pair_class(left, right))
@@ -271,7 +261,6 @@ __all__ = [
     "mean_aggregate",
     "naive_self_aggregate",
     "pair_class",
-    "pair_is_diagonal",
     "self_aggregate_pairs",
     "sum_aggregate",
     "tree_expansion_oracle",

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import (
-    PairAggregate,
     level1_arrays,
     naive_self_aggregate,
     self_aggregate_pairs,

@@ -21,7 +21,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -246,22 +245,81 @@ def interval(birth: float, death: float) -> Atom:
     return atom(ground(birth), ground(death))
 
 
-class Diagram:
-    """Finite multiset of same-level atoms with positive multiplicities."""
+class _EntryMap:
+    """A level and its entries: (atom, coefficient) pairs with nonzero
+    coefficients, sorted by the atoms' structural ``sort_key``.  Compared by
+    value: equal type, level and entries."""
 
-    __slots__ = ("level", "entries", "uid", "sort_key")
+    __slots__ = ("level", "entries")
 
-    def __init__(self, level, entries, uid):
+    def __init__(self, level, entries):
         self.level = level
         self.entries = entries
+
+    def support(self):
+        return [a for a, _ in self.entries]
+
+    def coefficient(self, a: Atom):
+        for b, c in self.entries:
+            if b is a:
+                return c
+        return 0
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.level == other.level
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.level, self.entries))
+
+    def __repr__(self):
+        inner = ", ".join(f"{a!r}*{c}" for a, c in self.entries)
+        return f"{type(self).__name__}(level={self.level}, {{{inner}}})"
+
+
+def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple]:
+    """The level and sorted entries of the accumulated map ``acc``.
+
+    Zero coefficients are deleted from ``acc`` unchecked.  The others must
+    share one level (``LevelMismatch``) and, under ``validate``, none may be
+    a basepoint atom (``ValueError``); an empty map needs ``level``.
+    """
+    zeros = []
+    for a, c in acc.items():
+        if not c:
+            zeros.append(a)
+            continue
+        if level is None:
+            level = a.level
+        elif a.level != level:
+            raise LevelMismatch("mixed atom levels")
+        if validate and is_basepoint_pair(a.minus, a.plus):
+            raise ValueError(f"diagonal atom {a!r} cannot be stored")
+    if level is None:
+        raise ValueError("empty diagram needs an explicit level")
+    for a in zeros:
+        del acc[a]
+    return level, tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+
+
+class Diagram(_EntryMap):
+    """Finite multiset of same-level atoms with positive multiplicities."""
+
+    __slots__ = ("uid", "sort_key")
+    # interned: equal diagrams are one object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, level, entries, uid):
+        super().__init__(level, entries)
         self.uid = uid
         self.sort_key = tuple((a.sort_key, m) for a, m in entries)
 
     def __len__(self):
         return sum(m for _, m in self.entries)
-
-    def support(self):
-        return [a for a, _ in self.entries]
 
     def atoms(self):
         """Atoms listed with multiplicity."""
@@ -269,12 +327,6 @@ class Diagram:
         for a, m in self.entries:
             out.extend([a] * m)
         return out
-
-    def multiplicity(self, a: Atom) -> int:
-        for b, m in self.entries:
-            if b is a:
-                return m
-        return 0
 
     def __add__(self, other: "Diagram") -> "Diagram":
         if self.level != other.level:
@@ -286,10 +338,6 @@ class Diagram:
 
     def to_virtual(self) -> "VirtualDiagram":
         return VirtualDiagram(self.level, self.entries)
-
-    def __repr__(self):
-        inner = ", ".join(f"{a!r}*{m}" for a, m in self.entries)
-        return f"Diagram(level={self.level}, {{{inner}}})"
 
 
 def is_basepoint_pair(minus: Endpoint, plus: Endpoint) -> bool:
@@ -317,18 +365,8 @@ def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
     for a, m in entries:
         if m < 0:
             raise ValueError("diagram multiplicities must be positive")
-        if m:
-            acc[a] = acc.get(a, 0) + m
-    for a in acc:
-        if level is None:
-            level = a.level
-        elif a.level != level:
-            raise LevelMismatch("mixed atom levels in diagram")
-        if validate and is_basepoint_pair(a.minus, a.plus):
-            raise ValueError(f"diagonal atom {a!r} cannot be stored in a diagram")
-    if level is None:
-        raise ValueError("empty diagram needs an explicit level")
-    items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+        acc[a] = acc.get(a, 0) + m
+    level, items = _canonical(acc, level, validate)
     key = ("d", level, tuple((a.uid, m) for a, m in items))
     return _intern(key, Diagram, level, items)
 
@@ -337,40 +375,20 @@ def empty_diagram(level: int) -> Diagram:
     return diagram({}, level=level)
 
 
-class VirtualDiagram:
+class VirtualDiagram(_EntryMap):
     """Signed diagram: finite map from atoms to nonzero 64-bit multiplicities."""
 
-    __slots__ = ("level", "entries", "_cache")
+    __slots__ = ("_cache",)
 
     def __init__(self, level: int, entries: tuple[tuple[Atom, int], ...]):
-        self.level = level
-        self.entries = entries
+        super().__init__(level, entries)
         self._cache: dict = {}
-
-    def support(self):
-        return [a for a, _ in self.entries]
 
     def support_size(self) -> int:
         return len(self.entries)
 
-    def coefficient(self, a: Atom) -> int:
-        for b, c in self.entries:
-            if b is a:
-                return c
-        return 0
-
     def as_dict(self) -> dict[Atom, int]:
         return dict(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualDiagram)
-            and self.level == other.level
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.entries))
 
     def __add__(self, other: "VirtualDiagram") -> "VirtualDiagram":
         if self.level != other.level:
@@ -390,8 +408,6 @@ class VirtualDiagram:
     def __rmul__(self, k: int) -> "VirtualDiagram":
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return virtual_diagram({}, level=self.level)
         return virtual_diagram(
             {a: k * c for a, c in self.entries}, level=self.level, validate=False
         )
@@ -402,10 +418,6 @@ class VirtualDiagram:
     def negative_part(self) -> Diagram:
         return diagram({a: -c for a, c in self.entries if c < 0}, level=self.level)
 
-    def __repr__(self):
-        inner = ", ".join(f"{a!r}*{c}" for a, c in self.entries)
-        return f"VirtualDiagram(level={self.level}, {{{inner}}})"
-
 
 def virtual_diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
                     level: int | None = None, *, validate: bool = True) -> VirtualDiagram:
@@ -413,77 +425,27 @@ def virtual_diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
         entries = entries.items()
     acc: dict[Atom, int] = {}
     for a, c in entries:
-        if c:
-            acc[a] = _check_i64(acc.get(a, 0) + c)
-    for a in acc:
-        if level is None:
-            level = a.level
-        elif a.level != level:
-            raise LevelMismatch("mixed atom levels")
-        if validate and is_basepoint_pair(a.minus, a.plus):
-            raise ValueError(f"diagonal atom {a!r} cannot be stored")
-    if level is None:
-        raise ValueError("empty virtual diagram needs an explicit level")
-    items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
-    return VirtualDiagram(level, items)
+        acc[a] = _check_i64(acc.get(a, 0) + c)
+    return VirtualDiagram(*_canonical(acc, level, validate))
 
 
-class LinearDiagram:
+class LinearDiagram(_EntryMap):
     """Real-linear diagram: finite map from atoms to nonzero coefficients.
 
     Coefficients are exact ``Fraction`` values by default (means of integer
     diagrams stay exact); floats are accepted for downstream numeric use.
     """
 
-    __slots__ = ("level", "entries")
-
-    def __init__(self, level: int, entries):
-        self.level = level
-        self.entries = entries
-
-    def support(self):
-        return [a for a, _ in self.entries]
-
-    def coefficient(self, a: Atom):
-        for b, c in self.entries:
-            if b is a:
-                return c
-        return 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearDiagram)
-            and self.level == other.level
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.entries))
-
-    def __repr__(self):
-        inner = ", ".join(f"{a!r}*{c}" for a, c in self.entries)
-        return f"LinearDiagram(level={self.level}, {{{inner}}})"
+    __slots__ = ()
 
 
-def linear_diagram(entries, level=None, *, epsilon=0) -> LinearDiagram:
+def linear_diagram(entries, level=None) -> LinearDiagram:
     if isinstance(entries, Mapping):
         entries = entries.items()
     acc: dict[Atom, object] = {}
     for a, c in entries:
         acc[a] = acc.get(a, 0) + c
-    out = {}
-    for a, c in acc.items():
-        if c == 0 or abs(c) <= epsilon:
-            continue
-        if level is None:
-            level = a.level
-        elif a.level != level:
-            raise LevelMismatch("mixed atom levels")
-        out[a] = c
-    if level is None:
-        raise ValueError("empty linear diagram needs an explicit level")
-    items = tuple(sorted(out.items(), key=lambda kv: kv[0].sort_key))
-    return LinearDiagram(level, items)
+    return LinearDiagram(*_canonical(acc, level, False))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .aggregation import (
     PairAggregate,
     level1_arrays,
     pair_class,
-    pair_is_diagonal,
     tree_expansion_oracle,
 )
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
     CoefficientOverflow,
     DEFAULT_PREORDER,
     LevelMismatch,
-    LinearDiagram,
     PreorderSpec,
     PreorderUnavailable,
     VirtualDiagram,
@@ -198,7 +196,7 @@ def quadratic_phase(
     total = 0.0
     for u, cu in xi.entries:
         for v, cv in xi.entries:
-            if not atom_leq(u, v, spec) or pair_is_diagonal(u, v, spec):
+            if not atom_leq(u, v, spec) or (u is not v and atom_leq(v, u, spec)):
                 continue
             total += float(cu * cv) * _angle_lookup(theta, pair_class(u, v))
     return wrap_angle(total)

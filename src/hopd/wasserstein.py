@@ -36,50 +36,37 @@ from .core import (
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class AssignProblem:
-    """Off-diagonal cost matrix plus left/right diagonal opt-out costs."""
+def assign_p(off, left, right, p) -> float:
+    """Exact minimum partial-matching cost in p-norm aggregation.
 
-    off: tuple[tuple[float, ...], ...]
-    left: tuple[float, ...]
-    right: tuple[float, ...]
-    p: float
-
-    def __post_init__(self):
-        m, l = len(self.left), len(self.right)
-        if len(self.off) != m or any(len(row) != l for row in self.off):
-            raise ValueError("inconsistent dimensions")
-        flat = [c for row in self.off for c in row] + list(self.left) + list(self.right)
-        if any(math.isnan(c) or c < 0 for c in flat):
-            raise ValueError("costs must be nonnegative")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-
-
-def assign_problem(off, left, right, p) -> AssignProblem:
-    return AssignProblem(
-        tuple(tuple(float(c) for c in row) for row in off),
-        tuple(float(c) for c in left),
-        tuple(float(c) for c in right),
-        float(p),
-    )
-
-
-def assign_p(prob: AssignProblem) -> float:
-    """Exact minimum partial-matching cost in p-norm aggregation."""
-    m, l = len(prob.left), len(prob.right)
-    if m == 0 and l == 0:
-        return 0.0
+    ``off`` holds the m rows of l off-diagonal costs (no rows when m = 0);
+    ``left`` and ``right`` are the diagonal opt-out costs of the m left and
+    l right atoms.  Raises ``ValueError`` on inconsistent dimensions, a NaN
+    or negative cost, or p < 1.
+    """
+    m, l = len(left), len(right)
+    try:
+        off = np.asarray(off, dtype=float)
+    except ValueError:  # ragged rows
+        raise ValueError("inconsistent dimensions") from None
+    if len(off) != m or (m and off.shape != (m, l)):
+        raise ValueError("inconsistent dimensions")
     # rows: m left atoms then l diagonal slots; cols: l right atoms then m
     # slots; an atom opts out only to its own slot, slot-to-slot is free
     costs = np.full((m + l, m + l), INF)
-    costs[:m, :l] = np.reshape(prob.off, (m, l))
-    costs[range(m), range(l, l + m)] = prob.left
-    costs[range(m, m + l), range(l)] = prob.right
+    costs[:m, :l] = off.reshape(m, l)
+    costs[range(m), range(l, l + m)] = left
+    costs[range(m, m + l), range(l)] = right
     costs[m:, l:] = 0.0
-    if prob.p == INF:
+    if not (costs >= 0).all():  # a NaN fails the comparison too
+        raise ValueError("costs must be nonnegative")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if m == 0 and l == 0:
+        return 0.0
+    if p == INF:
         return _assign_inf(costs)
-    A = costs**prob.p
+    A = costs**p
     try:
         rows, cols = linear_sum_assignment(A)
     except ValueError:
@@ -87,7 +74,7 @@ def assign_p(prob: AssignProblem) -> float:
     total = float(A[rows, cols].sum())
     if math.isinf(total):
         return INF
-    return total ** (1.0 / prob.p)
+    return total ** (1.0 / p)
 
 
 def _assign_inf(costs: np.ndarray) -> float:
@@ -195,7 +182,7 @@ def _naive_diagram_cost(G, L, k, p, c) -> float:
     left = [_naive_diag_cost(u, k, p, c) for u in us]
     right = [_naive_diag_cost(v, k, p, c) for v in vs]
     c.assign_calls += 1
-    return assign_p(assign_problem(off, left, right, p))
+    return assign_p(off, left, right, p)
 
 
 def _naive_atom_cost(u, v, k, p, c) -> float:
@@ -252,7 +239,7 @@ class _CertifiedRun:
         right = [self.diagonal_cost(v, k) for v in vs]
         off = [[self.atom_cost(u, v, k) for v in vs] for u in us]
         self.c.assign_calls += 1
-        value = assign_p(assign_problem(off, left, right, self.p))
+        value = assign_p(off, left, right, self.p)
         return self._memo_put(self.m_d, key, value)
 
     def atom_cost(self, u, v, k) -> float:
@@ -504,11 +491,9 @@ def complexity_profile(xi) -> ComplexityProfile:
 
 
 __all__ = [
-    "AssignProblem",
     "ComplexityProfile",
     "CostCounters",
     "assign_p",
-    "assign_problem",
     "certified_wasserstein",
     "complexity_profile",
     "empty_cost",

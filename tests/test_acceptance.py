@@ -26,7 +26,6 @@ from hopd.aggregation import (
 )
 from hopd.bench import (
     ExperimentConfig,
-    load_psi,
     loglog_slope,
     run_runtime_scaling,
     scaling_summary,
@@ -59,7 +58,6 @@ from hopd.harmonic import (
 from hopd.wasserstein import (
     CostCounters,
     assign_p,
-    assign_problem,
     certified_wasserstein,
     complexity_profile,
     naive_wasserstein,
@@ -263,7 +261,7 @@ def test_c06_assign_exactness():
         left = [rng.uniform(0, 3) for _ in range(m)]
         right = [rng.uniform(0, 3) for _ in range(l)]
         for p in (1, 2, INF):
-            got = assign_p(assign_problem(off, left, right, p))
+            got = assign_p(off, left, right, p)
             want = _assign_enumeration(off, left, right, p)
             assert abs(got - want) <= 1e-12, (m, l, p)
             count += 1

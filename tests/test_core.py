@@ -30,6 +30,7 @@ from hopd.core import (
     CoefficientOverflow,
     LevelMismatch,
 )
+from hopd.serialize import from_text
 
 from conftest import assert_close, rand_interval, rand_level2_diagram
 
@@ -269,12 +270,16 @@ class TestCanonicalization:
         d_rev = virtual_diagram({a: 1 for a in reversed(atoms)})
         assert d_fwd.entries == d_rev.entries
 
-    def test_linear_epsilon_pruning(self):
-        from hopd.core import linear_diagram
-
-        a, b = interval(0, 1), interval(0, 2)
-        xi = linear_diagram({a: 0.5, b: 1e-12}, epsilon=1e-9)
-        assert xi.support() == [a]
+    def test_cancelled_coefficients_dropped(self):
+        # coefficients that cancel leave no entry: one atom listed twice, from
+        # a constructor and from text, and a scalar multiple by zero
+        a = interval(0, 1)
+        empty = virtual_diagram({}, level=1)
+        xi = virtual_diagram([(a, 2), (a, -2)], level=1)
+        assert xi == empty and xi.support_size() == 0
+        text = "(v 1 (a (p 0.0) (p 1.0))*2 (a (p 0.0) (p 1.0))*-2)"
+        assert from_text(text) == empty
+        assert 0 * virtual_diagram({a: 3}) == empty
 
     def test_virtual_zero_coefficients_removed(self):
         a, b = interval(0, 1), interval(0, 2)

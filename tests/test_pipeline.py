@@ -1,10 +1,7 @@
 """End-to-end pipeline checks: golden value, concurrency, CLI odds and ends."""
 
-import os
 import threading
 from pathlib import Path
-
-import pytest
 
 from hopd.aggregation import mean_aggregate
 from hopd.bench import ExperimentConfig, _model_samples, convert_units, run_speedup_matrix

@@ -26,7 +26,6 @@ from hopd.wasserstein import (
     _level1_cost_matrix,
     CostCounters,
     assign_p,
-    assign_problem,
     certified_wasserstein,
     complexity_profile,
     empty_cost,
@@ -65,10 +64,10 @@ def assign_oracle(off, left, right, p):
 class TestAssign:
     def test_empty(self):
         for p in (1, 2, INF):
-            assert assign_p(assign_problem([], [], [], p)) == 0.0
+            assert assign_p([], [], [], p) == 0.0
 
     def test_forced_unmatched(self):
-        assert_close(assign_p(assign_problem([[]], [0.4], [], 1)), 0.4)
+        assert_close(assign_p([[]], [0.4], [], 1), 0.4)
 
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_matches_enumeration(self, rng, p):
@@ -77,24 +76,29 @@ class TestAssign:
             off = [[rng.uniform(0, 2) for _ in range(l)] for _ in range(m)]
             left = [rng.uniform(0, 2) for _ in range(m)]
             right = [rng.uniform(0, 2) for _ in range(l)]
-            got = assign_p(assign_problem(off, left, right, p))
+            got = assign_p(off, left, right, p)
             assert_close(got, assign_oracle(off, left, right, p), 1e-12)
 
     def test_infinite_costs_forbid_matches(self):
-        prob = assign_problem([[INF]], [0.3], [0.2], 1)
-        assert_close(assign_p(prob), 0.5)
-        prob = assign_problem([[0.1]], [INF], [INF], 1)
-        assert_close(assign_p(prob), 0.1)
-        prob = assign_problem([[INF]], [INF], [0.2], 1)
-        assert assign_p(prob) == INF
+        assert_close(assign_p([[INF]], [0.3], [0.2], 1), 0.5)
+        assert_close(assign_p([[0.1]], [INF], [INF], 1), 0.1)
+        assert assign_p([[INF]], [INF], [0.2], 1) == INF
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            assign_problem([[-1.0]], [0.0], [0.0], 1)
+            assign_p([[-1.0]], [0.0], [0.0], 1)
         with pytest.raises(ValueError):
-            assign_problem([[1.0]], [0.0], [0.0], 0.5)
+            assign_p([[1.0]], [0.0], [0.0], 0.5)
         with pytest.raises(ValueError):
-            assign_problem([[1.0, 2.0]], [0.0], [0.0], 1)
+            assign_p([[1.0, 2.0]], [0.0], [0.0], 1)
+
+    def test_rejects_nan_and_ragged_costs(self):
+        with pytest.raises(ValueError):
+            assign_p([[1.0]], [float("nan")], [0.0], 1)
+        with pytest.raises(ValueError):
+            assign_p([[1.0, 2.0], [1.0]], [0.0, 0.0], [0.0, 0.0], 1)
+        with pytest.raises(ValueError):
+            assign_p([[1.0]], [], [], 1)
 
     @given(st.integers(0, 10**6))
     def test_monotone_in_costs(self, seed):
@@ -104,20 +108,19 @@ class TestAssign:
         left = [rng.uniform(0, 1) for _ in range(m)]
         right = [rng.uniform(0, 1) for _ in range(l)]
         p = rng.choice([1, 2, INF])
-        base = assign_p(assign_problem(off, left, right, p))
+        base = assign_p(off, left, right, p)
         bumped = [row[:] for row in off]
         i, j = rng.randrange(m), rng.randrange(l)
         bumped[i][j] += rng.uniform(0, 1)
-        assert assign_p(assign_problem(bumped, left, right, p)) >= base - 1e-12
+        assert assign_p(bumped, left, right, p) >= base - 1e-12
         left2 = left[:]
         left2[i] += rng.uniform(0, 1)
-        assert assign_p(assign_problem(off, left2, right, p)) >= base - 1e-12
+        assert assign_p(off, left2, right, p) >= base - 1e-12
 
     def test_inf_threshold_smallest_feasible(self):
         # two feasible thresholds; the smaller must win
         off = [[0.5, 0.9], [0.9, 0.5]]
-        prob = assign_problem(off, [2.0, 2.0], [2.0, 2.0], INF)
-        assert_close(assign_p(prob), 0.5)
+        assert_close(assign_p(off, [2.0, 2.0], [2.0, 2.0], INF), 0.5)
 
     def test_inf_large_problem_needs_no_recursion(self):
         # 1200-node matching graph: deeper than Python's recursion limit
@@ -126,8 +129,7 @@ class TestAssign:
         idx = np.arange(k)
         off[idx, idx] = 1.0
         off[idx[:-1], idx[:-1] + 1] = 0.5
-        prob = assign_problem(off.tolist(), [9.0] * k, [9.0] * k, INF)
-        assert assign_p(prob) == 1.0
+        assert assign_p(off.tolist(), [9.0] * k, [9.0] * k, INF) == 1.0
 
 
 def transshipment_oracle(divergence, cost):
@@ -223,7 +225,7 @@ class TestWassersteinRecursion:
                 right = [d_diag(v, p) for v in vs]
                 expected = assign_oracle(off, left, right, p) if len(us) <= 3 and len(
                     vs
-                ) <= 3 else assign_p(assign_problem(off, left, right, p))
+                ) <= 3 else assign_p(off, left, right, p)
                 assert_close(naive_wasserstein(g, l, p), expected)
 
     @pytest.mark.parametrize("p", [1, 2, INF])

@@ -10,9 +10,10 @@ does so in blocks).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .core import (
     PreorderSpec,
     VirtualDiagram,
     _I64_MAX,
-    _check_i64,
     atom,
     atom_leq,
     diagram,
@@ -60,16 +60,15 @@ def bilinear_aggregate(
     """
     if G.level != L.level:
         raise LevelMismatch("aggregation needs equal levels")
-    acc: dict[Atom, int] = {}
-    for u, cu in G.entries:
-        for v, cv in L.entries:
-            # a pair of distinct equivalent atoms is a diagonal class
-            if not atom_leq(u, v, spec) or (u is not v and atom_leq(v, u, spec)):
-                continue
-            key = pair_class(u, v)
-            acc[key] = _check_i64(acc.get(key, 0) + cu * cv)
+    classes = (
+        (pair_class(u, v), cu * cv)
+        for u, cu in G.entries
+        for v, cv in L.entries
+        # a pair of distinct equivalent atoms is a diagonal class
+        if atom_leq(u, v, spec) and (u is v or not atom_leq(v, u, spec))
+    )
     # every kept class was screened by the pair loop; skip re-validation
-    return virtual_diagram(acc, level=G.level + 1, validate=False)
+    return virtual_diagram(classes, level=G.level + 1, validate=False)
 
 
 def naive_self_aggregate(
@@ -114,14 +113,14 @@ def level1_arrays(xi: VirtualDiagram):
     ``ValueError``.  The cache lives on this instance only, so a copy pays
     its own warm-up.
     """
-    cached = xi._cache.get("phi")
+    cached = getattr(xi, "_arrays", None)
     if cached is None:
         if xi.level != 1:
             raise LevelMismatch("coordinate arrays exist at level 1 only")
         n = len(xi.entries)
         uid = np.fromiter(map(_UID, map(_ATOM, xi.entries)), dtype=np.int64, count=n)
         coeff = np.fromiter(map(_COEFF, xi.entries), dtype=np.int64, count=n)
-        cached = xi._cache["phi"] = (level1_gather(uid), coeff)
+        cached = xi._arrays = (level1_gather(uid), coeff)
     return cached
 
 
@@ -164,17 +163,34 @@ def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate
     return PairAggregate(xi.level + 1, base, i, j, coeff[i] * coeff[j])
 
 
+def _sum_of(parts: Iterable[VirtualDiagram]) -> VirtualDiagram:
+    """``parts[0] + parts[1] + ...`` (the same int64 and level checks) in one
+    accumulation and one sort, each part read once as it arrives."""
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
+        raise ValueError("an aggregate sum needs at least one diagram")
+
+    def entries():
+        for part in itertools.chain((first,), parts):
+            if part.level != first.level:
+                raise LevelMismatch("level mismatch")
+            yield from part.entries
+
+    return virtual_diagram(entries(), level=first.level, validate=False)
+
+
+def _mean_of(parts: Iterable[VirtualDiagram], m: int) -> LinearDiagram:
+    """``_sum_of(parts) / m``; its entries are sorted and nonzero already."""
+    total = _sum_of(parts)
+    return LinearDiagram(total.level, tuple((a, Fraction(c, m)) for a, c in total.entries))
+
+
 def sum_aggregate(
     diagrams: Sequence[VirtualDiagram],
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> VirtualDiagram:
-    if not diagrams:
-        raise ValueError("sum_aggregate needs at least one diagram")
-    total = None
-    for g in diagrams:
-        part = bilinear_aggregate(g, g, spec)
-        total = part if total is None else total + part
-    return total
+    return _sum_of(bilinear_aggregate(g, g, spec) for g in diagrams)
 
 
 def mean_aggregate(
@@ -182,11 +198,7 @@ def mean_aggregate(
     spec: PreorderSpec = DEFAULT_PREORDER,
 ) -> LinearDiagram:
     """Sum aggregate divided by the sample count, exact rational coefficients."""
-    total = sum_aggregate(diagrams, spec)
-    m = len(diagrams)
-    return linear_diagram(
-        {a: Fraction(c, m) for a, c in total.entries}, level=total.level
-    )
+    return _mean_of((bilinear_aggregate(g, g, spec) for g in diagrams), len(diagrams))
 
 
 def iterated_aggregate(
@@ -223,33 +235,28 @@ def tree_expansion_oracle(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    supp = [a for a, _ in xi.entries]
-    coeffs = {a: c for a, c in xi.entries}
-    leaves = 2**s
-    if len(supp) ** leaves > guard:
-        raise ExpansionGuardExceeded(
-            f"{len(supp)}^{leaves} labelings exceed guard {guard}"
-        )
-    acc: dict[Atom, int] = {}
-    for labeling in itertools.product(supp, repeat=leaves):
-        weight = 1
-        for leaf in labeling:
-            weight *= coeffs[leaf]
-        nodes = list(labeling)
-        ok = True
-        while len(nodes) > 1 and ok:
-            nxt = []
-            for left, right in zip(nodes[::2], nodes[1::2]):
-                if not atom_leq(left, right, spec) or (
-                    left is not right and atom_leq(right, left, spec)
-                ):
-                    ok = False
-                    break
-                nxt.append(pair_class(left, right))
-            nodes = nxt
-        if ok:
-            acc[nodes[0]] = _check_i64(acc.get(nodes[0], 0) + weight)
-    return virtual_diagram(acc, level=xi.level + s, validate=False)
+    n, leaves = xi.support_size(), 2**s
+    if n**leaves > guard:
+        raise ExpansionGuardExceeded(f"{n}^{leaves} labelings exceed guard {guard}")
+
+    def classes():
+        for labeling in itertools.product(xi.entries, repeat=leaves):
+            nodes = [a for a, _ in labeling]
+            ok = True
+            while len(nodes) > 1 and ok:
+                nxt = []
+                for left, right in zip(nodes[::2], nodes[1::2]):
+                    if not atom_leq(left, right, spec) or (
+                        left is not right and atom_leq(right, left, spec)
+                    ):
+                        ok = False
+                        break
+                    nxt.append(pair_class(left, right))
+                nodes = nxt
+            if ok:
+                yield nodes[0], math.prod(c for _, c in labeling)
+
+    return virtual_diagram(classes(), level=xi.level + s, validate=False)
 
 
 __all__ = [
@@ -258,6 +265,8 @@ __all__ = [
     "bilinear_aggregate",
     "iterated_aggregate",
     "level1_arrays",
+    # re-exported: the traced benchmark times aggregation.linear_diagram
+    "linear_diagram",
     "mean_aggregate",
     "naive_self_aggregate",
     "pair_class",

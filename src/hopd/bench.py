@@ -15,17 +15,17 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .aggregation import (
+    _mean_of,
     level1_arrays,
     naive_self_aggregate,
     self_aggregate_pairs,
 )
-from .core import VirtualDiagram, interval, linear_diagram, virtual_diagram
+from .core import VirtualDiagram, interval, virtual_diagram
 from .filtration import build_clique_filtration, persistence_h1
 from .graphgen import MODELS, generate, model_index, model_spec, seed_for
 from .harmonic import (
@@ -162,13 +162,6 @@ def timed_naive(xs, engine: str):
     parts = [self_aggregate_pairs(x) for x in xs]
     t1 = _now()
     return t1 - t0, parts
-
-
-def _mean_of(parts, m):
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return linear_diagram({a: Fraction(c, m) for a, c in total.entries}, level=total.level)
 
 
 def timed_harmonic(xs, psi: CoboundaryCharacter):

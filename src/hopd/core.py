@@ -18,6 +18,7 @@ level-1 atom also writes its coordinate row to a process-wide columnar store
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -331,10 +332,7 @@ class Diagram(_EntryMap):
     def __add__(self, other: "Diagram") -> "Diagram":
         if self.level != other.level:
             raise LevelMismatch("diagram level mismatch")
-        acc = {a: m for a, m in self.entries}
-        for a, m in other.entries:
-            acc[a] = acc.get(a, 0) + m
-        return diagram(acc, level=self.level)
+        return diagram(self.entries + other.entries, level=self.level)
 
     def to_virtual(self) -> "VirtualDiagram":
         return VirtualDiagram(self.level, self.entries)
@@ -378,29 +376,22 @@ def empty_diagram(level: int) -> Diagram:
 class VirtualDiagram(_EntryMap):
     """Signed diagram: finite map from atoms to nonzero 64-bit multiplicities."""
 
-    __slots__ = ("_cache",)
-
-    def __init__(self, level: int, entries: tuple[tuple[Atom, int], ...]):
-        super().__init__(level, entries)
-        self._cache: dict = {}
+    __slots__ = ("_arrays",)  # set only by aggregation.level1_arrays, its cache
 
     def support_size(self) -> int:
         return len(self.entries)
 
-    def as_dict(self) -> dict[Atom, int]:
-        return dict(self.entries)
-
+    # sums and differences create no new atom, so the operands' validation stands
     def __add__(self, other: "VirtualDiagram") -> "VirtualDiagram":
         if self.level != other.level:
             raise LevelMismatch("level mismatch")
-        acc = {a: c for a, c in self.entries}
-        for a, c in other.entries:
-            acc[a] = acc.get(a, 0) + c
-        # the operands were validated and a sum creates no new atom
-        return virtual_diagram(acc, level=self.level, validate=False)
+        return virtual_diagram(self.entries + other.entries, level=self.level, validate=False)
 
     def __sub__(self, other: "VirtualDiagram") -> "VirtualDiagram":
-        return self + (-other)
+        if self.level != other.level:
+            raise LevelMismatch("level mismatch")
+        entries = itertools.chain(self.entries, ((a, -c) for a, c in other.entries))
+        return virtual_diagram(entries, level=self.level, validate=False)
 
     def __neg__(self) -> "VirtualDiagram":
         return VirtualDiagram(self.level, tuple((a, -c) for a, c in self.entries))
@@ -409,14 +400,14 @@ class VirtualDiagram(_EntryMap):
         if not isinstance(k, int):
             return NotImplemented
         return virtual_diagram(
-            {a: k * c for a, c in self.entries}, level=self.level, validate=False
+            ((a, k * c) for a, c in self.entries), level=self.level, validate=False
         )
 
     def positive_part(self) -> Diagram:
-        return diagram({a: c for a, c in self.entries if c > 0}, level=self.level)
+        return diagram(((a, c) for a, c in self.entries if c > 0), level=self.level)
 
     def negative_part(self) -> Diagram:
-        return diagram({a: -c for a, c in self.entries if c < 0}, level=self.level)
+        return diagram(((a, -c) for a, c in self.entries if c < 0), level=self.level)
 
 
 def virtual_diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],

@@ -22,12 +22,15 @@ from hopd.bench import synth_level1
 from hopd.core import (
     INF,
     CoefficientOverflow,
+    LevelMismatch,
+    LinearDiagram,
     VirtualDiagram,
     atom,
     atom_coords,
     atom_leq,
     ground,
     interval,
+    linear_diagram,
     virtual_diagram,
 )
 
@@ -111,7 +114,7 @@ class TestBilinear:
             g = rand_virtual(rng, rng.randint(1, 50), grid=12)
             l = rand_virtual(rng, rng.randint(1, 50), grid=12)
             agg = bilinear_aggregate(g, l)
-            assert agg.as_dict() == brute_force_aggregate(g, l)
+            assert dict(agg.entries) == brute_force_aggregate(g, l)
 
     def test_support_bound(self, rng):
         xi = rand_virtual(rng, 20, grid=6)
@@ -161,6 +164,13 @@ class TestVectorKernel:
         )
         with pytest.raises(ValueError):
             level1_arrays(mixed)
+
+    def test_level1_arrays_cached_per_instance(self, rng):
+        xi = rand_virtual(rng, 5)
+        first = level1_arrays(xi)
+        assert level1_arrays(xi) is first
+        # a copy built from the same entries pays its own warm-up
+        assert level1_arrays(VirtualDiagram(xi.level, xi.entries)) is not first
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_level1_arrays_match_atom_coords(self, rng, dim):
@@ -228,7 +238,37 @@ class TestSumAndMean:
         xi = rand_virtual(rng, 4, grid=8)
         mean = mean_aggregate([xi])
         total = naive_self_aggregate(xi)
-        assert {a: int(c) for a, c in mean.entries} == total.as_dict()
+        assert {a: int(c) for a, c in mean.entries} == dict(total.entries)
+
+    @pytest.mark.parametrize("aggregate", [sum_aggregate, mean_aggregate])
+    def test_running_total_overflow(self, aggregate):
+        # each part holds 2**62 on the class (a, a); the sum of two is 2**63
+        xi = virtual_diagram({interval(0.1, 0.9): 2**31})
+        with pytest.raises(CoefficientOverflow):
+            aggregate([xi, xi])
+
+    @pytest.mark.parametrize("aggregate", [sum_aggregate, mean_aggregate])
+    def test_mixed_levels_rejected(self, aggregate):
+        a = interval(0.1, 0.9)
+        one, two = virtual_diagram({a: 1}), virtual_diagram({pair_class(a, a): 1})
+        empty1, empty2 = virtual_diagram({}, level=1), virtual_diagram({}, level=2)
+        for xs in ([one, two], [two, one], [one, empty2], [empty1, two], [empty1, empty2]):
+            with pytest.raises(LevelMismatch):
+                aggregate(xs)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_mean_matches_term_by_term(self, rng, m):
+        xs = [rand_virtual(rng, rng.randint(1, 8), grid=6) for _ in range(m)]
+        total = naive_self_aggregate(xs[0])
+        for x in xs[1:]:
+            total = total + naive_self_aggregate(x)
+        expected = linear_diagram(
+            {a: Fraction(c, m) for a, c in total.entries}, level=total.level
+        )
+        mean = mean_aggregate(xs)
+        assert type(mean) is LinearDiagram
+        # equal entries tuples: the same coefficients in the same order
+        assert mean.level == expected.level and mean.entries == expected.entries
 
     def test_mean_divides_exactly(self):
         a, b = interval(0.1, 0.9), interval(0.2, 0.7)

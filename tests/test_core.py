@@ -286,6 +286,16 @@ class TestCanonicalization:
         xi = virtual_diagram({a: 2, b: 3}) - virtual_diagram({a: 2})
         assert xi.support() == [b]
 
+    def test_difference_of_levels_rejected(self):
+        a = interval(0, 1)
+        for x, y in [
+            (virtual_diagram({a: 1}), virtual_diagram({}, level=2)),
+            (virtual_diagram({}, level=2), virtual_diagram({a: 1})),
+            (virtual_diagram({}, level=1), virtual_diagram({}, level=2)),
+        ]:
+            with pytest.raises(LevelMismatch):
+                _ = x - y
+
     def test_overflow_detected(self):
         big = 2**62
         xi = virtual_diagram({interval(0, 1): big})

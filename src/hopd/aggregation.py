@@ -28,9 +28,9 @@ from .core import (
     _I64_MAX,
     atom,
     atom_leq,
-    diagram,
     level1_gather,
     linear_diagram,
+    singleton_diagram,
     virtual_diagram,
 )
 
@@ -43,7 +43,7 @@ class ExpansionGuardExceeded(RuntimeError):
 
 def pair_class(u: Atom, v: Atom) -> Atom:
     """The level-(n+1) atom [(u, v)] with singleton-diagram endpoints."""
-    return atom(diagram({u: 1}), diagram({v: 1}))
+    return atom(singleton_diagram(u), singleton_diagram(v))
 
 
 def bilinear_aggregate(
@@ -107,8 +107,9 @@ def level1_arrays(xi: VirtualDiagram):
 
     The warm-up reads the intern ids and the coefficients in two C-level
     passes over ``entries``, then gathers the coordinate rows from the
-    columnar store that ``core.atom`` fills at intern time
-    (``core.level1_gather``); it allocates no per-atom Python object.  Rows
+    columnar store that ``core.atom`` queues rows for at intern time
+    (``core.level1_gather``, which first writes the rows of atoms interned
+    since the last gather); it allocates no per-atom Python object.  Rows
     of mixed width (ground points of different dimensions) raise
     ``ValueError``.  The cache lives on this instance only, so a copy pays
     its own warm-up.

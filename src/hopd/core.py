@@ -10,9 +10,12 @@ allow rational/real coefficients.
 All values are interned: structurally equal objects are the same Python
 object, carry a dense integer ``uid``, and are immutable.  Intern ids are
 stable within a run only; canonical ordering of diagram entries uses a
-structural sort key so serialization is bit-stable across runs.  Interning a
-level-1 atom also writes its coordinate row to a process-wide columnar store
-(``level1_gather``), so coordinate matrices are gathered, not walked.
+structural sort key so serialization is bit-stable across runs.  A hit in
+the intern table is one dict lookup; a miss takes ``_INTERN_LOCK`` once.
+Interning a level-1 atom also queues its coordinate row for a process-wide
+columnar store; ``level1_gather`` writes the queued rows into the columns
+in one vectorized step before it reads, so coordinate matrices are
+gathered, not walked.
 """
 
 from __future__ import annotations
@@ -56,20 +59,16 @@ def _check_i64(value: int) -> int:
     return value
 
 
-def _intern(key, build, *args):
-    """The interned object for ``key``; on a miss ``build(*args, uid)``
-    makes it under ``_INTERN_LOCK`` with the next intern id."""
+def _add(key, obj):
+    """Under ``_INTERN_LOCK``: publish ``obj``, built with the next intern
+    id, under ``key``, unless another thread published ``key`` first; the
+    interned object either way.  One hash of ``key``; a build that lost the
+    race is dropped and does not consume its id."""
     global _NEXT_UID
-    obj = _INTERN.get(key)
-    if obj is not None:
-        return obj
-    with _INTERN_LOCK:
-        obj = _INTERN.get(key)
-        if obj is None:
-            obj = build(*args, _NEXT_UID)
-            _NEXT_UID += 1
-            _INTERN[key] = obj
-    return obj
+    got = _INTERN.setdefault(key, obj)
+    if got is obj:
+        _NEXT_UID += 1
+    return got
 
 
 def intern_table_size() -> int:
@@ -86,35 +85,56 @@ class _Level1Store:
     for every id that is not a level-1 atom's.  Keying slots by the intern
     id adds no attribute and no Python object to the atom.
 
-    Slots are appended only under ``_INTERN_LOCK``, before the atom is
-    published in the intern table.  A full column is replaced by a
-    zero-filled copy twice its size, never resized in place, so a reader
-    holding an older column still finds the slots of every atom it can see.
+    ``append`` only queues a new atom's id and endpoint coordinates, with
+    plain list appends under ``_INTERN_LOCK``; its row is pending until
+    ``flush`` writes the queue into the columns in one vectorized step.
+    ``level1_gather`` flushes under the same lock before it reads, and so
+    does ``append`` once 2048 rows are queued, while their tuples are still
+    in cache and so that the queue stays small.  A full column is replaced
+    by a zero-filled copy twice its size, never resized in place, so a
+    reader holding an older column still finds the slots of every atom
+    flushed before it took the column.
     """
 
-    __slots__ = ("first", "dim", "coords", "slots")
+    __slots__ = ("first", "dim", "coords", "slots", "uids", "minus", "plus")
 
     def __init__(self):
         self.first = np.zeros(4096, dtype=np.int32)  # ids also number other objects
         self.dim = np.zeros(1024, dtype=np.int32)
         self.coords = np.zeros(2048)
         self.slots = 1  # the sentinel
+        self.uids: list[int] = []  # pending rows: ids and endpoint coordinates
+        self.minus: list[tuple] = []
+        self.plus: list[tuple] = []
 
     def append(self, uid: int, minus: tuple, plus: tuple) -> None:
-        s, d = self.slots, len(minus)
-        if uid >= self.first.size:
-            self.first = _grown(self.first, uid + 1)
-        if s + d > self.dim.size:
-            self.dim = _grown(self.dim, s + d)
-            self.coords = _grown(self.coords, 2 * (s + d))
-        coords, i = self.coords, 2 * s
-        for b, e in zip(minus, plus):
-            coords[i] = -b
-            coords[i + 1] = e
-            i += 2
-        self.dim[s] = d
-        self.first[uid] = s
-        self.slots = s + d
+        self.uids.append(uid)
+        self.minus.append(minus)
+        self.plus.append(plus)
+        if len(self.uids) >= 2048:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the pending rows into the columns; under ``_INTERN_LOCK``."""
+        n = len(self.uids)
+        if not n:
+            return
+        dims = np.fromiter(map(len, self.minus), dtype=np.int32, count=n)
+        s = self.slots
+        end = s + int(dims.sum())
+        if self.uids[-1] >= self.first.size:  # ids are queued in increasing order
+            self.first = _grown(self.first, self.uids[-1] + 1)
+        if end > self.dim.size:
+            self.dim = _grown(self.dim, end)
+            self.coords = _grown(self.coords, 2 * end)
+        starts = np.cumsum(dims) - dims + s
+        flat, lo, hi = itertools.chain.from_iterable, 2 * s, 2 * end
+        self.coords[lo:hi:2] = -np.fromiter(flat(self.minus), dtype=float, count=end - s)
+        self.coords[lo + 1 : hi : 2] = np.fromiter(flat(self.plus), dtype=float, count=end - s)
+        self.dim[starts] = dims
+        self.first[self.uids] = starts
+        self.slots = end
+        self.uids, self.minus, self.plus = [], [], []
 
 
 def _grown(col: np.ndarray, need: int) -> np.ndarray:
@@ -130,15 +150,18 @@ _ONE_WIDTH = "coordinate rows need level-1 atoms over ground points of one dimen
 def level1_gather(uids: np.ndarray) -> np.ndarray:
     """Coordinate matrix (-births, deaths) of the level-1 atoms with intern
     ids ``uids``, one row each, in that order; a gather from the store that
-    ``atom`` fills at intern time.
+    ``atom`` queues rows for at intern time.  Rows still pending are
+    written into the columns first, under ``_INTERN_LOCK``.
 
     Raises ``ValueError`` unless all of them are level-1 atoms over ground
     points of one dimension.
     """
-    store = _LEVEL1
-    first, dim, coords = store.first, store.dim, store.coords
     if not uids.size:
         return np.empty((0, 2))
+    store = _LEVEL1
+    with _INTERN_LOCK:
+        store.flush()
+        first, dim, coords = store.first, store.dim, store.coords
     try:
         slots = first[uids]
     except IndexError:  # an id past every level-1 atom's
@@ -168,17 +191,9 @@ class GroundPoint:
         return f"GroundPoint{self.coords}"
 
 
-def ground(*coords: float) -> GroundPoint:
-    # a lone coordinate takes one float(): tuple(map(float, ...)) costs about
-    # 0.3 us more, twice per new level-1 atom (ground_variants in
-    # BENCH_warmup.json)
-    cs = (float(coords[0]),) if len(coords) == 1 else tuple(map(float, coords))
-    key = ("p", cs)
-    # only valid points are interned (a NaN key never compares equal), so a
-    # hit needs no validation
-    point = _INTERN.get(key)
-    if point is not None:
-        return point
+def _check_coords(cs: tuple) -> None:
+    """A ground point's coordinates: at least one, no NaN, no -inf, and
+    +inf only in the last."""
     if not cs:
         raise ValueError("ground point needs at least one coordinate")
     for c in cs:
@@ -188,7 +203,21 @@ def ground(*coords: float) -> GroundPoint:
             raise ValueError("-inf coordinate not permitted")
     if INF in cs[:-1]:
         raise ValueError("+inf permitted only in the last coordinate")
-    return _intern(key, GroundPoint, cs)
+
+
+def ground(*coords: float) -> GroundPoint:
+    # a lone coordinate takes one float(): tuple(map(float, ...)) costs about
+    # 0.3 us more (ground_variants in BENCH_warmup.json)
+    cs = (float(coords[0]),) if len(coords) == 1 else tuple(map(float, coords))
+    key = ("p", cs)
+    # only valid points are interned (a NaN key never compares equal), so a
+    # hit needs no validation
+    point = _INTERN.get(key)
+    if point is None:
+        _check_coords(cs)
+        with _INTERN_LOCK:
+            point = _add(key, GroundPoint(cs, _NEXT_UID))
+    return point
 
 
 class Atom:
@@ -218,32 +247,60 @@ def _fmt_endpoint(e):
 Endpoint = Union[GroundPoint, "Diagram"]
 
 
+_ENDPOINTS = "endpoints must both be ground points or both diagrams"
+
+
 def atom(minus: Endpoint, plus: Endpoint) -> Atom:
+    # an intern id names one object and only checked pairs are interned, so
+    # a hit needs no checks
+    try:
+        key = ("a", minus.uid, plus.uid)
+    except AttributeError:
+        raise LevelMismatch(_ENDPOINTS) from None
+    a = _INTERN.get(key)
+    if a is not None:
+        return a
     if isinstance(minus, GroundPoint) and isinstance(plus, GroundPoint):
         if len(minus.coords) != len(plus.coords):
             raise LevelMismatch("endpoint dimension mismatch")
-        level = 1
-    elif isinstance(minus, Diagram) and isinstance(plus, Diagram):
+        with _INTERN_LOCK:
+            return _add_level1(key, minus, plus)
+    if isinstance(minus, Diagram) and isinstance(plus, Diagram):
         if minus.level != plus.level:
             raise LevelMismatch("endpoint level mismatch")
-        level = minus.level + 1
-    else:
-        raise LevelMismatch("endpoints must both be ground points or both diagrams")
-    key = ("a", minus.uid, plus.uid)
-    if level == 1:
-        return _intern(key, _level1_atom, minus, plus)
-    return _intern(key, Atom, level, minus, plus)
+        with _INTERN_LOCK:
+            return _add(key, Atom(minus.level + 1, minus, plus, _NEXT_UID))
+    raise LevelMismatch(_ENDPOINTS)
 
 
-def _level1_atom(minus: GroundPoint, plus: GroundPoint, uid: int) -> Atom:
-    """Built under ``_INTERN_LOCK``: the row is written before the atom is seen."""
-    _LEVEL1.append(uid, minus.coords, plus.coords)
-    return Atom(1, minus, plus, uid)
+def _add_level1(key, minus: GroundPoint, plus: GroundPoint) -> Atom:
+    """``_add`` of a level-1 atom; a new one's row is queued in the same lock."""
+    uid = _NEXT_UID
+    a = _add(key, Atom(1, minus, plus, uid))
+    if a.uid == uid:
+        _LEVEL1.append(uid, minus.coords, plus.coords)
+    return a
 
 
 def interval(birth: float, death: float) -> Atom:
-    """Level-1 atom over a one-dimensional ground space."""
-    return atom(ground(birth), ground(death))
+    """Level-1 atom over a one-dimensional ground space: ``atom(ground(birth),
+    ground(death))``, interning whatever of the three is new in one lock."""
+    bkey, dkey = ("p", (float(birth),)), ("p", (float(death),))
+    minus, plus = _INTERN.get(bkey), _INTERN.get(dkey)
+    if minus is not None and plus is not None:
+        a = _INTERN.get(("a", minus.uid, plus.uid))
+        if a is not None:
+            return a
+    if minus is None:
+        _check_coords(bkey[1])
+    if plus is None:
+        _check_coords(dkey[1])
+    with _INTERN_LOCK:
+        if minus is None:
+            minus = _add(bkey, GroundPoint(bkey[1], _NEXT_UID))
+        if plus is None:
+            plus = _add(dkey, GroundPoint(dkey[1], _NEXT_UID))
+        return _add_level1(("a", minus.uid, plus.uid), minus, plus)
 
 
 class _EntryMap:
@@ -366,7 +423,17 @@ def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
         acc[a] = acc.get(a, 0) + m
     level, items = _canonical(acc, level, validate)
     key = ("d", level, tuple((a.uid, m) for a, m in items))
-    return _intern(key, Diagram, level, items)
+    d = _INTERN.get(key)
+    if d is None:
+        with _INTERN_LOCK:
+            d = _add(key, Diagram(level, items, _NEXT_UID))
+    return d
+
+
+def singleton_diagram(a: Atom) -> Diagram:
+    """``diagram({a: 1})``; when it is interned already, one lookup."""
+    d = _INTERN.get(("d", a.level, ((a.uid, 1),)))
+    return diagram({a: 1}) if d is None else d
 
 
 def empty_diagram(level: int) -> Diagram:
@@ -718,5 +785,6 @@ __all__ = [
     "psi_golden",
     "psi_golden_array",
     "right_diagonal_admissible",
+    "singleton_diagram",
     "virtual_diagram",
 ]

@@ -12,6 +12,7 @@ restriction, no bitsets) is kept alongside as an independent oracle.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -105,9 +106,9 @@ def build_clique_filtration(g: WeightedGraph, normalize: bool = True) -> Filtrat
 
 
 def _check_sorted(f: Filtration):
-    for a, b in zip(f.simplices, f.simplices[1:]):
-        if (a[0], a[1], a[2]) > (b[0], b[1], b[2]):
-            raise ValueError("filtration is not sorted")
+    s = f.simplices  # (value, dim, vertices) tuples, compared whole
+    if any(map(operator.gt, s, s[1:])):
+        raise ValueError("filtration is not sorted")
 
 
 class _UnionFind:

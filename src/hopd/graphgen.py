@@ -221,9 +221,10 @@ def _gen_ksw(spec, rng):
     if n != spec.n:
         raise ValueError("grid size must match vertex count")
     coords = _grid_coords(rows, cols)
-
-    def dist(a, b):
-        return abs(coords[a][0] - coords[b][0]) + abs(coords[a][1] - coords[b][1])
+    grid = np.array(coords)
+    hops = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)  # Manhattan, exact
+    # d ** -alpha once per distance d >= 1, computed as Python's float pow does
+    power = np.array([0.0] + [d ** (-alpha) for d in range(1, rows + cols - 1)])
 
     edges = {}
     for u in range(n):
@@ -233,13 +234,16 @@ def _gen_ksw(spec, rng):
         if r + 1 < rows:
             edges[(u, u + cols)] = 1.0
     for u in range(n):
-        others = [v for v in range(n) if v != u]
-        weights = np.array([dist(u, v) ** (-alpha) for v in others])
+        weights = power[np.delete(hops[u], u)]  # over the others v != u, in order
         weights /= weights.sum()
+        # the draw rng.choice(n - 1, p=weights) makes, without re-validating
+        # p every time
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
         for _ in range(q):
-            v = others[int(rng.choice(len(others), p=weights))]
-            key = (min(u, v), max(u, v))
-            edges.setdefault(key, float(dist(u, v)))
+            k = int(cdf.searchsorted(rng.random(), side="right"))
+            v = k + (k >= u)
+            edges.setdefault((min(u, v), max(u, v)), float(hops[u, v]))
     out = sorted((u, v, w) for (u, v), w in edges.items())
     return out, {"rows": rows, "cols": cols, "long_range": q, "alpha": alpha}
 

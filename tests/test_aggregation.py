@@ -28,9 +28,12 @@ from hopd.core import (
     atom,
     atom_coords,
     atom_leq,
+    diagram,
     ground,
+    intern_table_size,
     interval,
     linear_diagram,
+    singleton_diagram,
     virtual_diagram,
 )
 
@@ -277,6 +280,55 @@ class TestSumAndMean:
         for _, c in mean.entries:
             assert isinstance(c, Fraction)
         assert mean.coefficient(pair_class(b, a)) == 1
+
+
+class TestPairClassInterning:
+    """The literal loop's classes, interned without rebuilding their endpoints."""
+
+    def test_identical_whether_or_not_endpoints_were_interned(self):
+        u, v, w = interval(5000.25, 5001.5), interval(5000.125, 5001.75), interval(5000.0625, 5001.875)
+        before = intern_table_size()
+        cls = pair_class(u, v)  # both singleton endpoints are new
+        assert intern_table_size() == before + 3
+        assert pair_class(u, v) is cls and intern_table_size() == before + 3
+        assert cls.level == 2
+        assert cls.minus is diagram({u: 1}) is singleton_diagram(u)
+        assert cls.plus is diagram({v: 1}) is singleton_diagram(v)
+        dw = diagram({w: 1})  # interned before its class
+        assert pair_class(u, w) is atom(diagram({u: 1}), dw)
+        assert pair_class(w, w).minus is pair_class(w, w).plus is dw
+        lvl2 = singleton_diagram(cls)
+        assert lvl2.level == 2 and lvl2.entries == ((cls, 1),)
+        with pytest.raises(ValueError):
+            singleton_diagram(interval(5002.0, 5002.0))  # diagonal: never stored
+
+    def test_mean_grows_intern_table_by_its_classes_and_their_endpoints(self):
+        rng = random.Random(15)
+        xs = []
+        for _ in range(3):
+            entries = {}
+            for _ in range(12):
+                b = 6000 + rng.randrange(6) / 6
+                entries[interval(b, b + (1 + rng.randrange(6)) / 6)] = rng.choice((-2, -1, 1, 3))
+            xs.append(virtual_diagram(entries, level=1))
+        kept = {
+            (u, v)
+            for x in xs
+            for u, _ in x.entries
+            for v, _ in x.entries
+            if atom_leq(u, v) and (u is v or not atom_leq(v, u))
+        }
+        endpoints = {a for pair in kept for a in pair}
+        before = intern_table_size()
+        mean = mean_aggregate(xs)
+        # one level-2 atom per kept pair and one singleton diagram per endpoint
+        assert intern_table_size() - before == len(kept) + len(endpoints)
+        mean_aggregate(xs)
+        assert intern_table_size() - before == len(kept) + len(endpoints)
+        for cls, _ in mean.entries:
+            ((u, mu),) = cls.minus.entries
+            ((v, mv),) = cls.plus.entries
+            assert mu == mv == 1 and (u, v) in kept and cls is pair_class(u, v)
 
 
 class TestIterated:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hopd import core
 from hopd.core import (
+    INF,
     Atom,
     PreorderSpec,
     atom,
@@ -33,9 +34,6 @@ from hopd.core import (
 from hopd.serialize import from_text
 
 from conftest import assert_close, rand_interval, rand_level2_diagram
-
-INF = math.inf
-
 
 class TestAtomLeq:
     def test_containment_example(self):
@@ -68,6 +66,60 @@ class TestAtomLeq:
         lvl2 = atom(diagram({interval(0, 1): 1}), diagram({interval(0, 2): 1}))
         with pytest.raises(LevelMismatch):
             atom_leq(interval(0, 1), lvl2)
+
+
+class TestAtomLookupFirst:
+    """``atom`` looks the intern table up before it checks its endpoints."""
+
+    def test_non_endpoints_raise_level_mismatch(self):
+        a = interval(0, 1)
+        g, d, v = ground(0.0), diagram({a: 1}), virtual_diagram({a: 1})
+        lvl1 = diagram({interval(0, 2): 1}, level=1)
+        lvl2 = diagram({atom(d, lvl1): 1})
+        cases = [
+            (1.0, 2.0),
+            (None, g),
+            (g, None),
+            (g, d),
+            (d, g),
+            (a, a),  # atoms carry ids but are no endpoints
+            (g, a),
+            (v, v),
+            ("0", "1"),
+            (g, ground(0.0, 1.0)),  # ground dimensions differ
+            (d, lvl2),  # diagram levels differ
+        ]
+        before = core.intern_table_size()
+        for minus, plus in cases:
+            with pytest.raises(LevelMismatch):
+                atom(minus, plus)
+        assert core.intern_table_size() == before
+
+    def test_hit_is_the_checked_atom(self):
+        g0, g1 = ground(0.0), ground(1.0)
+        a = atom(g0, g1)
+        assert atom(g0, g1) is a is interval(0.0, 1.0)
+        d0, d1_ = diagram({a: 1}), diagram({interval(0, 2): 1})
+        assert atom(d0, d1_) is atom(d0, d1_)
+        assert atom(d0, d1_).level == 2
+
+    def test_interval_interns_as_atom_of_grounds(self):
+        # new birth, new death and the atom take consecutive ids, in that
+        # order, as atom(ground(birth), ground(death)) gives them
+        b, d = 3001.0625, 3002.1875
+        start = core.intern_table_size()
+        a = interval(b, d)
+        assert core.intern_table_size() == start + 3
+        assert (ground(b).uid, ground(d).uid) == (a.uid - 2, a.uid - 1)
+        assert a is atom(ground(b), ground(d))
+        # a degenerate interval interns its one point once
+        e = interval(3003.5, 3003.5)
+        assert e.minus is e.plus is ground(3003.5)
+        assert core.intern_table_size() == start + 5
+        for bad in [(math.nan, 1.0), (0.0, math.nan), (-INF, 1.0)]:
+            with pytest.raises(ValueError):
+                interval(*bad)
+        assert interval(0.5, INF).plus is ground(INF)
 
 
 class TestDiagramLeq:
@@ -416,3 +468,26 @@ class TestLevel1Store:
         firsts = store.first[[a.uid for a in atoms]]
         assert len(set(firsts.tolist())) == len(atoms)
         assert store.slots == 1 + sum(len(a.minus.coords) for a in atoms)
+
+    def test_gather_sees_rows_interned_since_the_last_gather(self):
+        # rows are pending between gathers; each gather must write them
+        # first.  1-d and 2-d rows share one queue, -0.0 keeps its sign bit
+        # and +inf deaths pass through
+        rng = random.Random(11)
+        seen1, seen2 = [], []
+        for k, count in enumerate([1, 3, 2500, 7]):  # 2500 crosses a batch flush
+            base = 4000.0 + 10 * k
+            new1 = [interval(base + rng.random(), base + 5 + rng.random()) for _ in range(count)]
+            new1.append(interval(base + 0.5, INF))
+            new2 = [
+                atom(ground(-0.0, base + 1.25), ground(base + 2.5, INF)),
+                atom(ground(base + rng.random(), -0.0), ground(base + 3.0, base + 4.0)),
+            ]
+            assert len(core._LEVEL1.uids) > 0  # queued, not yet written
+            seen1 += new1
+            seen2 += new2
+            for made in (seen1, seen2, new1, new2):
+                phi = level1_gather(np.array([a.uid for a in made]))
+                want = np.array([atom_coords(a) for a in made])
+                assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
+        assert math.copysign(1.0, atom_coords(seen2[0])[0]) == 1.0  # -(-0.0)

@@ -212,3 +212,23 @@ class TestDeterminism:
         )
         with pytest.raises(ValueError):
             persistence_h1(bad)
+
+    @pytest.mark.parametrize(
+        "simplices",
+        [
+            # out of order by value, by dimension, and by vertices alone
+            ((0.5, 1, (0, 1)), (0.0, 0, (0,)), (0.0, 0, (1,))),
+            ((0.0, 0, (0,)), (0.0, 1, (0, 1)), (0.0, 0, (1,))),
+            ((0.0, 0, (0,)), (0.0, 0, (2,)), (0.0, 0, (1,))),
+        ],
+        ids=["value", "dim", "vertices"],
+    )
+    @pytest.mark.parametrize("persistence", [persistence_h0, persistence_h1])
+    def test_unsorted_filtration_rejected_by_h0_and_h1(self, simplices, persistence):
+        from hopd.filtration import Filtration
+
+        bad = Filtration(simplices=simplices, n_vertices=3, normalized=False, max_value=0.5)
+        with pytest.raises(ValueError, match="not sorted"):
+            persistence(bad)
+        # the same simplices in order are accepted
+        persistence(Filtration(tuple(sorted(simplices)), 3, False, 0.5))

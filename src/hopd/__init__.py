@@ -21,7 +21,6 @@ from .core import (
     GroundPoint,
     LevelMismatch,
     LinearDiagram,
-    PreorderSpec,
     PreorderUnavailable,
     VirtualDiagram,
     atom,

@@ -20,10 +20,8 @@ import numpy as np
 from .core import (
     Atom,
     CoefficientOverflow,
-    DEFAULT_PREORDER,
     LevelMismatch,
     LinearDiagram,
-    PreorderSpec,
     VirtualDiagram,
     _I64_MAX,
     atom,
@@ -35,6 +33,8 @@ from .core import (
 )
 
 _ATOM, _COEFF, _UID = itemgetter(0), itemgetter(1), attrgetter("uid")
+# rows of the self-aggregate mask that ``self_aggregate_pairs`` builds at a time
+_PAIR_BLOCK = 1024
 
 
 class ExpansionGuardExceeded(RuntimeError):
@@ -46,11 +46,7 @@ def pair_class(u: Atom, v: Atom) -> Atom:
     return atom(singleton_diagram(u), singleton_diagram(v))
 
 
-def bilinear_aggregate(
-    G: VirtualDiagram,
-    L: VirtualDiagram,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-) -> VirtualDiagram:
+def bilinear_aggregate(G: VirtualDiagram, L: VirtualDiagram) -> VirtualDiagram:
     """Sum of G(u) * L(v) * [(u, v)] over ordered pairs with u <= v.
 
     Diagonal classes are always dropped: they are the basepoint, angle 0
@@ -65,18 +61,15 @@ def bilinear_aggregate(
         for u, cu in G.entries
         for v, cv in L.entries
         # a pair of distinct equivalent atoms is a diagonal class
-        if atom_leq(u, v, spec) and (u is v or not atom_leq(v, u, spec))
+        if atom_leq(u, v) and (u is v or not atom_leq(v, u))
     )
     # every kept class was screened by the pair loop; skip re-validation
     return virtual_diagram(classes, level=G.level + 1, validate=False)
 
 
-def naive_self_aggregate(
-    xi: VirtualDiagram,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-) -> VirtualDiagram:
+def naive_self_aggregate(xi: VirtualDiagram) -> VirtualDiagram:
     """Literal ordered-pair loop over supp(xi)^2; the timed baseline."""
-    return bilinear_aggregate(xi, xi, spec)
+    return bilinear_aggregate(xi, xi)
 
 
 class PairAggregate:
@@ -125,20 +118,18 @@ def level1_arrays(xi: VirtualDiagram):
     return cached
 
 
-def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate:
+def self_aggregate_pairs(xi: VirtualDiagram) -> PairAggregate:
     """Vectorized ordered-pair enumeration of the self-aggregate (level 1).
 
     Identical output to ``naive_self_aggregate``: every ordered pair is
-    visited and tested against the coordinate preorder, ``block`` rows at a
-    time, so the cost stays quadratic in the support.  Each block's boolean
-    mask is read back as flat indices split by ``divmod``, which lists the
-    same pairs in the same row-major order as a 2-D ``np.nonzero`` at a
-    fraction of its cost on sparse masks.  Distinct interned atoms have
+    visited and tested against the coordinate preorder, ``_PAIR_BLOCK`` rows
+    at a time, so the cost stays quadratic in the support.  Each block's
+    boolean mask is read back as flat indices split by ``divmod``, which
+    lists the same pairs in the same row-major order as a 2-D ``np.nonzero``
+    at a fraction of its cost on sparse masks.  Distinct interned atoms have
     distinct coordinates, so no class is diagonal and no two pairs share a
-    class.  Raises ``ValueError`` unless ``block`` is a positive integer.
+    class.
     """
-    if not isinstance(block, (int, np.integer)) or block < 1:
-        raise ValueError(f"block must be a positive integer, got {block!r}")
     phi, coeff = level1_arrays(xi)
     n, r = phi.shape
     cmax = int(np.abs(coeff).max()) if n else 0
@@ -147,10 +138,10 @@ def self_aggregate_pairs(xi: VirtualDiagram, block: int = 1024) -> PairAggregate
     base = [a for a, _ in xi.entries]
     # empty seeds keep the concatenation defined when n = 0
     ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    buf = np.empty((min(block, n), n), dtype=bool)
+    buf = np.empty((min(_PAIR_BLOCK, n), n), dtype=bool)
     tmp = np.empty_like(buf)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
+    for lo in range(0, n, _PAIR_BLOCK):
+        hi = min(n, lo + _PAIR_BLOCK)
         k = hi - lo
         mask = np.less_equal(phi[lo:hi, 0, None], phi[:, 0], out=buf[:k])
         for col in range(1, r):
@@ -187,27 +178,16 @@ def _mean_of(parts: Iterable[VirtualDiagram], m: int) -> LinearDiagram:
     return LinearDiagram(total.level, tuple((a, Fraction(c, m)) for a, c in total.entries))
 
 
-def sum_aggregate(
-    diagrams: Sequence[VirtualDiagram],
-    spec: PreorderSpec = DEFAULT_PREORDER,
-) -> VirtualDiagram:
-    return _sum_of(bilinear_aggregate(g, g, spec) for g in diagrams)
+def sum_aggregate(diagrams: Sequence[VirtualDiagram]) -> VirtualDiagram:
+    return _sum_of(bilinear_aggregate(g, g) for g in diagrams)
 
 
-def mean_aggregate(
-    diagrams: Sequence[VirtualDiagram],
-    spec: PreorderSpec = DEFAULT_PREORDER,
-) -> LinearDiagram:
+def mean_aggregate(diagrams: Sequence[VirtualDiagram]) -> LinearDiagram:
     """Sum aggregate divided by the sample count, exact rational coefficients."""
-    return _mean_of((bilinear_aggregate(g, g, spec) for g in diagrams), len(diagrams))
+    return _mean_of((bilinear_aggregate(g, g) for g in diagrams), len(diagrams))
 
 
-def iterated_aggregate(
-    xi: VirtualDiagram,
-    s: int,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-    guard: int = 1_000_000,
-) -> VirtualDiagram:
+def iterated_aggregate(xi: VirtualDiagram, s: int, guard: int = 1_000_000) -> VirtualDiagram:
     """s-fold self-aggregation Xi_s; support squares at each step (guarded)."""
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -218,16 +198,11 @@ def iterated_aggregate(
             raise ExpansionGuardExceeded(
                 f"support {size} would expand past guard {guard}"
             )
-        current = bilinear_aggregate(current, current, spec)
+        current = bilinear_aggregate(current, current)
     return current
 
 
-def tree_expansion_oracle(
-    xi: VirtualDiagram,
-    s: int,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-    guard: int = 1_000_000,
-) -> VirtualDiagram:
+def tree_expansion_oracle(xi: VirtualDiagram, s: int, guard: int = 1_000_000) -> VirtualDiagram:
     """Direct sum over all leaf labelings of the depth-s binary tree.
 
     Independent of ``iterated_aggregate``: builds each nested class from its
@@ -247,9 +222,7 @@ def tree_expansion_oracle(
             while len(nodes) > 1 and ok:
                 nxt = []
                 for left, right in zip(nodes[::2], nodes[1::2]):
-                    if not atom_leq(left, right, spec) or (
-                        left is not right and atom_leq(right, left, spec)
-                    ):
+                    if not atom_leq(left, right) or (left is not right and atom_leq(right, left)):
                         ok = False
                         break
                     nxt.append(pair_class(left, right))

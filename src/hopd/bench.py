@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.engine not in ("vectorized", "loop"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.psi != "golden" and not self.psi.startswith("file:"):
+            raise ValueError(f"unknown psi spec {self.psi!r}")
         lo, hi = self.n_range
         if lo < 0 or hi < lo:
             raise ValueError("bad index range")
@@ -384,9 +386,9 @@ def convert_units(ns: int, units: str) -> float:
     return ns / UNIT_DIVISORS[units]
 
 
-def scaling_svg(summary: list[dict], width: int = 640, height: int = 420) -> str:
-    """Minimal log-log line chart of median runtimes vs support."""
-    pad = 50
+def scaling_svg(summary: list[dict]) -> str:
+    """Minimal log-log line chart of median runtimes vs support, 640 x 420."""
+    width, height, pad = 640, 420, 50
     xs = [math.log10(r["support"]) for r in summary]
     series = {
         "naive": [math.log10(max(r["naive_median"], 1)) for r in summary],

@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -408,8 +407,7 @@ def is_basepoint_pair(minus: Endpoint, plus: Endpoint) -> bool:
     if isinstance(minus, GroundPoint):
         # distinct interned ground points always differ in coordinates
         return False
-    spec = DEFAULT_PREORDER
-    return diagram_leq(minus, plus, spec) and diagram_leq(plus, minus, spec)
+    return diagram_leq(minus, plus) and diagram_leq(plus, minus)
 
 
 def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
@@ -510,22 +508,6 @@ def linear_diagram(entries, level=None) -> LinearDiagram:
 # Preorders
 
 
-@dataclass(frozen=True)
-class PreorderSpec:
-    """Comparison rules across levels.
-
-    diagonal_always_admissible: permissive reading of diagram comparison,
-        where any unmatched atom may be sent to the diagonal.
-
-    Levels >= 2 always compare through the matching oracle ``diagram_leq``.
-    """
-
-    diagonal_always_admissible: bool = False
-
-
-DEFAULT_PREORDER = PreorderSpec()
-
-
 def ground_leq(p: GroundPoint, q: GroundPoint) -> bool:
     a, b = p.coords, q.coords
     if len(a) == 1:
@@ -533,19 +515,19 @@ def ground_leq(p: GroundPoint, q: GroundPoint) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def endpoint_leq(a: Endpoint, b: Endpoint, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def endpoint_leq(a: Endpoint, b: Endpoint) -> bool:
     if isinstance(a, GroundPoint):
         return ground_leq(a, b)
-    return diagram_leq(a, b, spec)
+    return diagram_leq(a, b)
 
 
-def atom_leq(u: Atom, v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def atom_leq(u: Atom, v: Atom) -> bool:
     """Containment preorder on atoms: reversed on minus, forward on plus."""
     if u.level != v.level:
         raise LevelMismatch(f"cannot compare level {u.level} with {v.level}")
     if u is v:
         return True
-    return endpoint_leq(v.minus, u.minus, spec) and endpoint_leq(u.plus, v.plus, spec)
+    return endpoint_leq(v.minus, u.minus) and endpoint_leq(u.plus, v.plus)
 
 
 def atom_coords(u: Atom):
@@ -555,23 +537,19 @@ def atom_coords(u: Atom):
     return tuple(-c for c in u.minus.coords) + u.plus.coords
 
 
-def is_diagonal(u: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def is_diagonal(u: Atom) -> bool:
     """Both preorder directions hold between the endpoints."""
-    return endpoint_leq(u.minus, u.plus, spec) and endpoint_leq(u.plus, u.minus, spec)
+    return endpoint_leq(u.minus, u.plus) and endpoint_leq(u.plus, u.minus)
 
 
-def left_diagonal_admissible(u: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def left_diagonal_admissible(u: Atom) -> bool:
     """A diagonal witness eta with u <= eta exists iff plus <= minus."""
-    if spec.diagonal_always_admissible:
-        return True
-    return endpoint_leq(u.plus, u.minus, spec)
+    return endpoint_leq(u.plus, u.minus)
 
 
-def right_diagonal_admissible(v: Atom, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def right_diagonal_admissible(v: Atom) -> bool:
     """A diagonal witness eta with eta <= v exists iff minus <= plus."""
-    if spec.diagonal_always_admissible:
-        return True
-    return endpoint_leq(v.minus, v.plus, spec)
+    return endpoint_leq(v.minus, v.plus)
 
 
 def _perfect_matching(adj: np.ndarray) -> bool:
@@ -584,7 +562,7 @@ def _perfect_matching(adj: np.ndarray) -> bool:
     return bool(adj[rows, cols].all())
 
 
-def diagram_leq(G: Diagram, L: Diagram, spec: PreorderSpec = DEFAULT_PREORDER) -> bool:
+def diagram_leq(G: Diagram, L: Diagram) -> bool:
     """Matching-oracle preorder on diagrams.
 
     True iff some matching pairs G-atoms with L-atoms so that every matched
@@ -605,14 +583,14 @@ def diagram_leq(G: Diagram, L: Diagram, spec: PreorderSpec = DEFAULT_PREORDER) -
     # rows: m atoms of G then n diagonal slots; cols: n atoms of L then m slots
     adj = np.zeros((size, size), dtype=bool)
     for i, u in enumerate(left):
-        row = [atom_leq(u, v, spec) for v in right]
-        diag = left_diagonal_admissible(u, spec)
+        row = [atom_leq(u, v) for v in right]
+        diag = left_diagonal_admissible(u)
         if not (diag or any(row)):
             return False  # u has no neighbour, so no matching covers it
         adj[i, :n] = row
         adj[i, n + i] = diag
     for j, v in enumerate(right):
-        adj[m + j, j] = right_diagonal_admissible(v, spec)
+        adj[m + j, j] = right_diagonal_admissible(v)
     adj[m:, n:] = True
     return _perfect_matching(adj)
 
@@ -753,13 +731,11 @@ def psi_golden(a: Atom) -> float:
 __all__ = [
     "Atom",
     "CoefficientOverflow",
-    "DEFAULT_PREORDER",
     "Diagram",
     "GroundPoint",
     "INF",
     "LevelMismatch",
     "LinearDiagram",
-    "PreorderSpec",
     "PreorderUnavailable",
     "VirtualDiagram",
     "atom",

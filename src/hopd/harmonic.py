@@ -26,9 +26,7 @@ from .aggregation import (
 from .core import (
     Atom,
     CoefficientOverflow,
-    DEFAULT_PREORDER,
     LevelMismatch,
-    PreorderSpec,
     PreorderUnavailable,
     VirtualDiagram,
     _I64_MAX,
@@ -47,7 +45,10 @@ class MissingAngle(KeyError):
 
 
 def wrap_angle(x: float) -> float:
-    return float(x) % TWO_PI
+    """``x`` reduced into [0, 2*pi).  A tiny negative ``x`` whose remainder
+    rounds up to 2*pi itself gives 0."""
+    r = float(x) % TWO_PI
+    return 0.0 if r == TWO_PI else r
 
 
 def angles_close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -184,11 +185,7 @@ def _evaluate_on_pairs(chi, agg: PairAggregate) -> float:
     return wrap_angle(total)
 
 
-def quadratic_phase(
-    xi: VirtualDiagram,
-    theta,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-) -> float:
+def quadratic_phase(xi: VirtualDiagram, theta) -> float:
     """Slow oracle: the double sum over preorder-compatible support pairs.
 
     Equals ``evaluate_character(theta, naive_self_aggregate(xi))`` exactly.
@@ -196,7 +193,7 @@ def quadratic_phase(
     total = 0.0
     for u, cu in xi.entries:
         for v, cv in xi.entries:
-            if not atom_leq(u, v, spec) or (u is not v and atom_leq(v, u, spec)):
+            if not atom_leq(u, v) or (u is not v and atom_leq(v, u)):
                 continue
             total += float(cu * cv) * _angle_lookup(theta, pair_class(u, v))
     return wrap_angle(total)
@@ -213,10 +210,11 @@ def dominance_sums(phi, w) -> tuple[np.ndarray, np.ndarray]:
     down[k] = sum of w over rows <= row k (row k included) and up[k] = sum
     over rows >= row k.  Both come from one ``_zeta_both`` call, exact in
     int64 for any number of coordinates.  ``phi`` must be an n x r matrix
-    and ``w`` hold n integers (``ValueError`` otherwise, rows of different
-    widths included); sum|w| must stay below 2^63 so that no partial sum
-    can leave int64, and past that ``CoefficientOverflow`` is raised, as on
-    every other evaluation route.  Empty input gives two empty arrays.
+    and ``w`` hold n finite integers (``ValueError`` otherwise, rows of
+    different widths and fractional, NaN or infinite weights included);
+    sum|w| must stay below 2^63 so that no partial sum can leave int64, and
+    past that ``CoefficientOverflow`` is raised, as on every other
+    evaluation route.  Empty input gives two empty arrays.
     """
     if not isinstance(phi, np.ndarray) and len(set(map(np.shape, phi))) > 1:
         raise ValueError("dominance points must all have the same number of coordinates")
@@ -230,9 +228,21 @@ def dominance_sums(phi, w) -> tuple[np.ndarray, np.ndarray]:
             f"got shape {phi.shape} and {n} weights"
         )
     # exact in Python integers, before any int64 cast
-    if sum(abs(int(c)) for c in w) > _I64_MAX:
+    ints = list(map(_integer_weight, w))
+    if sum(map(abs, ints)) > _I64_MAX:
         raise CoefficientOverflow("dominance sums may leave the 64-bit range")
-    return _zeta_both(phi, np.array(w, dtype=np.int64))
+    return _zeta_both(phi, np.array(ints, dtype=np.int64))
+
+
+def _integer_weight(c) -> int:
+    """``c`` as a Python int; ``ValueError`` unless it is a finite integer."""
+    try:
+        k = int(c)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
+        k = None
+    if k is None or k != c:
+        raise ValueError(f"dominance weights must be finite integers, got {c!r}")
+    return k
 
 
 # Up to this many points the two-column kernel's dense comparison matrix
@@ -478,16 +488,10 @@ def harmonic_eval(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     return wrap_angle(harmonic_eval_raw(xi, psi))
 
 
-def iterated_character_phase(
-    xi: VirtualDiagram,
-    s: int,
-    theta,
-    spec: PreorderSpec = DEFAULT_PREORDER,
-    guard: int = 1_000_000,
-) -> float:
+def iterated_character_phase(xi: VirtualDiagram, s: int, theta, guard: int = 1_000_000) -> float:
     """Depth-s labeled-tree phase: ``theta`` on the tree expansion of xi,
     which equals the character of the iterated aggregate."""
-    return evaluate_character(theta, tree_expansion_oracle(xi, s, spec=spec, guard=guard))
+    return evaluate_character(theta, tree_expansion_oracle(xi, s, guard=guard))
 
 
 __all__ = [

@@ -313,14 +313,9 @@ def empty_cost(theta: Diagram, p: float) -> float:
     return run.empty_cost(theta, theta.level)
 
 
-def group_metric(
-    a: VirtualDiagram,
-    b: VirtualDiagram,
-    p: float = 1,
-) -> float:
-    """Translation-invariant distance on signed diagrams (p = 1 only)."""
-    if p != 1:
-        raise ValueError("the group metric exists for p = 1 only")
+def group_metric(a: VirtualDiagram, b: VirtualDiagram) -> float:
+    """Translation-invariant distance on signed diagrams: the p = 1 transport
+    distance between a+ + b- and b+ + a-, the only p for which it exists."""
     if a.level != b.level:
         raise LevelMismatch("level mismatch")
     return certified_wasserstein(

@@ -31,7 +31,7 @@ from hopd.bench import (
     scaling_summary,
     synth_level1,
 )
-from hopd.core import atom_leq, interval, virtual_diagram
+from hopd.core import atom, atom_leq, diagram, empty_diagram, interval, virtual_diagram
 from hopd.envelopes import (
     average_ratio,
     bell_number,
@@ -63,7 +63,7 @@ from hopd.wasserstein import (
     naive_wasserstein,
 )
 
-from conftest import rand_level2_diagram, rand_virtual
+from conftest import rand_interval, rand_level2_diagram, rand_virtual
 
 INF = math.inf
 TOL = 1e-9
@@ -303,25 +303,30 @@ def test_c07_aggregation_algebra():
         ) + bilinear_aggregate(zeta, eta)
         _check_structural_bound(bilinear_aggregate(xi, zeta))
         checks += 1
-    for _ in range(75):  # diagonal annihilation under the permissive preorder
-        from hopd.core import PreorderSpec, atom, diagram
-
-        spec = PreorderSpec(diagonal_always_admissible=True)
-        pool = [
-            atom(
-                diagram({rand_virtual(rng, 1, grid=6).support()[0]: 1}),
-                diagram({rand_virtual(rng, 1, grid=6).support()[0]: 1}),
-            )
+    dropped = 0
+    for _ in range(75):  # diagonal annihilation on level-3 pools
+        # u = (P, Z) with P = {(A, A)}: every such P is equivalent to every
+        # other, since a self-pair atom may go to the diagonal on either
+        # side; Z = {(empty, {c})} drawn from two, so pairs of the pool are
+        # equivalent (same Z), comparable one way (nested c) or neither
+        zs = [
+            diagram({atom(empty_diagram(1), diagram({rand_interval(rng, 6): 1})): 1})
             for _ in range(2)
         ]
-        entries = {a: rng.choice([-2, -1, 1, 2]) for a in pool}
-        xi2 = virtual_diagram(entries, level=2)
-        agg = bilinear_aggregate(xi2, xi2, spec=spec)
-        for u, cu in xi2.entries:
-            for v, cv in xi2.entries:
-                if u is not v and atom_leq(u, v, spec) and atom_leq(v, u, spec):
+        pool = set()
+        for _ in range(3):
+            a = diagram({rand_interval(rng, 6): 1})
+            pool.add(atom(diagram({atom(a, a): 1}), rng.choice(zs)))
+        xi3 = virtual_diagram({u: rng.choice([-2, -1, 1, 2]) for u in pool}, level=3)
+        agg = bilinear_aggregate(xi3, xi3)
+        for u, cu in xi3.entries:
+            assert agg.coefficient(pair_class(u, u)) == cu * cu
+            for v, _ in xi3.entries:
+                if u is not v and atom_leq(u, v) and atom_leq(v, u):
                     assert agg.coefficient(pair_class(u, v)) == 0
+                    dropped += 1
         checks += 1
+    assert dropped > 0
     for _ in range(75):  # iterated aggregation vs the binary-tree expansion
         xi = rand_virtual(rng, rng.randint(1, 3), grid=5, coeff_range=(-4, 4))
         for s in (1, 2):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopd import aggregation
 from hopd.aggregation import (
     ExpansionGuardExceeded,
     bilinear_aggregate,
@@ -29,6 +30,8 @@ from hopd.core import (
     atom_coords,
     atom_leq,
     diagram,
+    diagram_leq,
+    empty_diagram,
     ground,
     intern_table_size,
     interval,
@@ -153,9 +156,10 @@ class TestVectorKernel:
             pairs = self_aggregate_pairs(xi)
             assert pairs_as_virtual(pairs) == loop
 
-    def test_handles_block_boundaries(self, rng):
+    def test_handles_block_boundaries(self, rng, monkeypatch):
+        monkeypatch.setattr(aggregation, "_PAIR_BLOCK", 64)
         xi = rand_virtual(rng, 300)
-        pairs = self_aggregate_pairs(xi, block=64)
+        pairs = self_aggregate_pairs(xi)
         assert pairs_as_virtual(pairs) == naive_self_aggregate(xi)
 
     def test_empty_and_mixed_ground_dimensions(self):
@@ -195,21 +199,16 @@ class TestVectorKernel:
 
     @pytest.mark.parametrize("family", ["grid", "narrow", "plane"])
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1023, 1024, 1025, 2049])
-    def test_arrays_match_dense_nonzero(self, family, n):
+    def test_arrays_match_dense_nonzero(self, family, n, monkeypatch):
         # the pairs, in order, not only the set that pairs_as_virtual sorts
         xi = pinned_diagram(family, n)
         i, j, coeff = dense_pairs(xi)
         for block in (64, 1024):
-            pairs = self_aggregate_pairs(xi, block=block)
+            monkeypatch.setattr(aggregation, "_PAIR_BLOCK", block)
+            pairs = self_aggregate_pairs(xi)
             for got, want in ((pairs.i, i), (pairs.j, j), (pairs.coeff, coeff)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (family, n, block)
-
-    @pytest.mark.parametrize("block", [0, -3, 2.5, None])
-    def test_bad_block_rejected(self, rng, block):
-        for xi in (virtual_diagram({}, level=1), rand_virtual(rng, 5)):
-            with pytest.raises(ValueError, match="block"):
-                self_aggregate_pairs(xi, block=block)
 
 
 class TestSumAndMean:
@@ -366,21 +365,21 @@ class TestIterated:
 
 
 class TestDiagonalClasses:
-    def test_equivalent_distinct_pairs_dropped_at_level2(self):
-        # under the permissive diagram preorder, distinct level-1 diagrams can
-        # be equivalent; their pair class collapses to the basepoint
-        from hopd.core import PreorderSpec, atom, diagram
-
-        spec = PreorderSpec(diagonal_always_admissible=True)
-        d_a = diagram({interval(0.1, 0.2): 1})
-        d_b = diagram({interval(0.6, 0.7): 1})
-        u = atom(d_a, d_a)
-        v = atom(d_b, d_b)
-        xi = virtual_diagram({u: 1, v: 1})
-        agg = bilinear_aggregate(xi, xi, spec=spec)
-        # all four ordered pairs are comparable both ways under the
-        # permissive reading; only the two self-pairs survive
-        assert agg.support_size() == 2
+    def test_equivalent_distinct_pairs_dropped_at_level4(self):
+        # a self-pair atom (A, A) may go to the diagonal on either side, so
+        # P = {(A, A)} and Q = {(B, B)} are distinct equivalent level-2
+        # diagrams; paired with the same Z they give distinct equivalent
+        # level-3 atoms u and v, whose cross classes are diagonal
+        a, b = diagram({interval(0.1, 0.2): 1}), diagram({interval(0.6, 0.7): 1})
+        p, q = diagram({atom(a, a): 1}), diagram({atom(b, b): 1})
+        z = diagram({atom(empty_diagram(1), diagram({interval(0.1, 0.5): 1})): 1})
+        assert p is not q and diagram_leq(p, q) and diagram_leq(q, p)
+        u, v = atom(p, z), atom(q, z)
+        assert u is not v and atom_leq(u, v) and atom_leq(v, u)
+        xi = virtual_diagram({u: 2, v: -3})
+        agg = bilinear_aggregate(xi, xi)
+        assert agg.level == 4
+        assert dict(agg.entries) == {pair_class(u, u): 4, pair_class(v, v): 9}
 
     def test_self_pairs_are_kept(self, rng):
         xi = rand_virtual(rng, 5, grid=8)

@@ -39,6 +39,8 @@ class TestConfig:
             ExperimentConfig(units="hours")
         with pytest.raises(ValueError):
             ExperimentConfig(n_range=(5, 2))
+        with pytest.raises(ValueError):
+            ExperimentConfig(psi="magic")
 
 
 class TestSynth:
@@ -202,6 +204,11 @@ class TestCli:
 
     def test_bad_model_exits_2(self):
         assert cli_main(["speedup", "--models", "nonsense", "--m", "1"]) == 2
+
+    def test_unknown_psi_exits_2(self, capsys):
+        for command in ("speedup", "scaling"):
+            assert cli_main([command, "--psi", "bogus", "--m", "1"]) == 2
+            assert "unknown psi spec 'bogus'" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

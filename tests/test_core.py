@@ -12,7 +12,6 @@ from hopd import core
 from hopd.core import (
     INF,
     Atom,
-    PreorderSpec,
     atom,
     atom_coords,
     atom_leq,
@@ -135,8 +134,11 @@ class TestDiagramLeq:
         l = diagram({interval(0.1, 0.9): 1})
         assert diagram_leq(g, l)
         assert not diagram_leq(l, g)
+        # a proper interval has a diagonal witness below it, never above it
+        assert diagram_leq(empty_diagram(1), g)
+        assert not diagram_leq(diagram({interval(0.5, 0.6): 2}, level=1), empty_diagram(1))
 
-    def _brute_force(self, g, l, spec):
+    def _brute_force(self, g, l):
         # enumerate all injective partial matchings of G-atoms into L-atoms
         from hopd.core import (
             left_diagonal_admissible,
@@ -149,17 +151,17 @@ class TestDiagramLeq:
             for rows in itertools.combinations(range(len(gs)), k):
                 for cols in itertools.permutations(range(len(ls)), k):
                     if not all(
-                        atom_leq(gs[i], ls[j], spec) for i, j in zip(rows, cols)
+                        atom_leq(gs[i], ls[j]) for i, j in zip(rows, cols)
                     ):
                         continue
                     if not all(
-                        left_diagonal_admissible(gs[i], spec)
+                        left_diagonal_admissible(gs[i])
                         for i in range(len(gs))
                         if i not in rows
                     ):
                         continue
                     if not all(
-                        right_diagonal_admissible(ls[j], spec)
+                        right_diagonal_admissible(ls[j])
                         for j in range(len(ls))
                         if j not in cols
                     ):
@@ -167,21 +169,13 @@ class TestDiagramLeq:
                     return True
         return False
 
-    @pytest.mark.parametrize("permissive", [False, True])
-    def test_matches_exhaustive_matching_enumeration(self, rng, permissive):
+    def test_matches_exhaustive_matching_enumeration(self, rng):
         from conftest import rand_level1_diagram
 
-        spec = PreorderSpec(diagonal_always_admissible=permissive)
         for _ in range(40):
             g = rand_level1_diagram(rng, max_atoms=3)
             l = rand_level1_diagram(rng, max_atoms=3)
-            assert diagram_leq(g, l, spec) == self._brute_force(g, l, spec)
-
-    def test_permissive_reading_accepts_unmatched(self):
-        g = diagram({interval(0.5, 0.6): 2}, level=1)
-        l = empty_diagram(1)
-        assert not diagram_leq(g, l)
-        assert diagram_leq(g, l, PreorderSpec(diagonal_always_admissible=True))
+            assert diagram_leq(g, l) == self._brute_force(g, l)
 
 
 class TestIsDiagonal:

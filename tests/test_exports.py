@@ -1,7 +1,9 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every defaulted parameter of an exported function is pinned."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -46,3 +48,45 @@ def test_module_imports_are_used(name):
     exported = set(getattr(importlib.import_module(f"hopd.{name}"), "__all__", ()))
     unused = sorted(n for n in imported if n not in used and n not in exported)
     assert not unused, f"hopd.{name} imports {unused} and never uses them"
+
+
+# Every defaulted parameter of an exported function, as "module.function(name)".
+# A default is a knob: a new one fails here until it is added on purpose.
+PINNED_DEFAULTS = {
+    "aggregation.iterated_aggregate(guard)",
+    "aggregation.linear_diagram(level)",
+    "aggregation.tree_expansion_oracle(guard)",
+    "core.diagram(level)",
+    "core.diagram(validate)",
+    "core.linear_diagram(level)",
+    "core.virtual_diagram(level)",
+    "core.virtual_diagram(validate)",
+    "filtration.build_clique_filtration(normalize)",
+    "filtration.persistence_h0(essential)",
+    "filtration.persistence_h0(cap_delta)",
+    "filtration.persistence_h1(essential)",
+    "filtration.persistence_h1(cap_delta)",
+    "filtration.persistence_oracle(essential)",
+    "filtration.persistence_oracle(cap_delta)",
+    "graphgen.model_spec(n)",
+    "harmonic.angles_close(tol)",
+    "harmonic.iterated_character_phase(guard)",
+    "wasserstein.certified_wasserstein(counters)",
+    "wasserstein.naive_wasserstein(counters)",
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"hopd.{name}")
+        for export in getattr(module, "__all__", ()):
+            obj = getattr(module, export)
+            if not inspect.isfunction(obj):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.default is not inspect.Parameter.empty:
+                    found.add(f"{name}.{export}({param.name})")
+    assert found == PINNED_DEFAULTS, (
+        f"new: {sorted(found - PINNED_DEFAULTS)}, gone: {sorted(PINNED_DEFAULTS - found)}"
+    )

@@ -96,6 +96,15 @@ class TestEvaluateCharacter:
         bwd = evaluate_character(chi, -agg)
         assert angles_close(wrap_angle(fwd + bwd), 0.0)
 
+    def test_tiny_negative_phase_wraps_below_two_pi(self):
+        from hopd.aggregation import pair_class
+
+        # -1e-17 % 2*pi rounds up to 2*pi itself
+        assert wrap_angle(-1e-17) == 0.0
+        cls = pair_class(interval(0, 1), interval(0, 1))
+        phase = evaluate_character(Character(2, {cls: 1e-17}), virtual_diagram({cls: -1}))
+        assert 0.0 <= phase < TWO_PI
+
     def test_missing_angle_raises(self):
         from hopd.aggregation import pair_class
 
@@ -265,6 +274,14 @@ class TestDominanceSums:
         for coords in ([(0, 0, 0), (1, 1)], [(0,), (1, 1, 1)], [(0, 0), (1, 1, 1)]):
             with pytest.raises(ValueError, match="same number of coordinates"):
                 dominance_sums(coords, [1, 2])
+
+    def test_weights_that_are_not_integers_rejected(self):
+        # fractional weights were truncated, NaN and inf raised raw errors
+        for w in ([1.5, 2.7], [math.nan, 1], [math.inf, 1], [1, -math.inf], [None, 1]):
+            with pytest.raises(ValueError, match="finite integers"):
+                dominance_sums([[0, 0], [1, 1]], w)
+        down, up = dominance_sums([[0, 0], [1, 1]], [2.0, np.int32(3)])
+        assert down.tolist() == [2, 5] and up.tolist() == [5, 3]
 
     def test_one_weight_per_row(self):
         # extra rows are not dropped, and missing rows raise no IndexError

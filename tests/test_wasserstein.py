@@ -338,13 +338,6 @@ class TestGroupMetric:
             c = rand_virtual(rng, rng.randint(1, 2), grid=8, coeff_range=(-2, 2))
             assert_close(group_metric(a + c, b + c), group_metric(a, b), 1e-9)
 
-    def test_p_not_one_rejected(self, rng):
-        from conftest import rand_virtual
-
-        xi = rand_virtual(rng, 2)
-        with pytest.raises(ValueError):
-            group_metric(xi, xi, p=2)
-
 
 class TestLinearNorm:
     def test_zero(self):

@@ -25,7 +25,7 @@ from .aggregation import (
     naive_self_aggregate,
     self_aggregate_pairs,
 )
-from .core import VirtualDiagram, interval, virtual_diagram
+from .core import Atom, VirtualDiagram, interval, virtual_diagram
 from .filtration import build_clique_filtration, persistence_h1
 from .graphgen import MODELS, generate, model_index, model_spec, seed_for
 from .harmonic import (
@@ -94,19 +94,30 @@ class ExperimentConfig:
 
 
 def load_psi(spec: str) -> CoboundaryCharacter:
-    """"golden" for the coordinate hash, or "file:PATH" with `angle <atom>` lines."""
+    """"golden" for the coordinate hash, or "file:PATH" with `angle <atom>`
+    lines of level-1 atoms.  ``OSError`` when the file cannot be read,
+    ``ValueError`` on any other fault of the spec or the file."""
     if spec == "golden":
         return CoboundaryCharacter(1)
-    if spec.startswith("file:"):
-        table = {}
-        for line in Path(spec[5:]).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    if not spec.startswith("file:"):
+        raise ValueError(f"unknown psi spec {spec!r}")
+    path, table = spec[5:], {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"psi file {path}, line {number}"
+        try:
             angle, atom_text = line.split(maxsplit=1)
-            table[from_text(atom_text)] = float(angle)
-        return CoboundaryCharacter(1, table)
-    raise ValueError(f"unknown psi spec {spec!r}")
+            a, value = from_text(atom_text), float(angle)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{where}: expected '<float> <atom>' ({exc})") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: angle {angle!r} is not finite")
+        if not isinstance(a, Atom) or a.level != 1:
+            raise ValueError(f"{where}: {atom_text!r} is not a level-1 atom")
+        table[a] = value
+    return CoboundaryCharacter(1, table)
 
 
 # ---------------------------------------------------------------------------

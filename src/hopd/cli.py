@@ -104,7 +104,7 @@ def _default_threads() -> int:
 def _config_from_args(args) -> ExperimentConfig:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             models=models,
             m=args.m,
             repeats=args.repeats,
@@ -118,8 +118,10 @@ def _config_from_args(args) -> ExperimentConfig:
             family=getattr(args, "family", "uniform"),
             engine=getattr(args, "engine", "vectorized"),
         )
-    except ValueError as exc:
+        bench.load_psi(cfg.psi)  # a bad psi file is found before any graph is made
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _emit(cfg: ExperimentConfig, rows, columns, stem: str) -> None:

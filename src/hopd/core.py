@@ -12,10 +12,9 @@ object, carry a dense integer ``uid``, and are immutable.  Intern ids are
 stable within a run only; canonical ordering of diagram entries uses a
 structural sort key so serialization is bit-stable across runs.  A hit in
 the intern table is one dict lookup; a miss takes ``_INTERN_LOCK`` once.
-Interning a level-1 atom also queues its coordinate row for a process-wide
-columnar store; ``level1_gather`` writes the queued rows into the columns
-in one vectorized step before it reads, so coordinate matrices are
-gathered, not walked.
+A level-1 atom carries its coordinate row (-births, deaths) as float64
+bytes in ``Atom.row``, packed before the atom is published, so a diagram's
+coordinate matrix is one join of its atoms' rows.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 import threading
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -74,106 +74,6 @@ def intern_table_size() -> int:
     return len(_INTERN)
 
 
-class _Level1Store:
-    """Coordinates of every interned level-1 atom, in columns.
-
-    An atom over d-dimensional ground points takes d consecutive slots; slot
-    s + i holds (-birth_i, death_i) at ``coords[2(s + i)]`` and the next
-    float.  Its first slot s is ``first[uid]`` for its intern id u, and
-    ``dim[s]`` = d.  Slot 0 is a sentinel with dim 0, which ``first`` gives
-    for every id that is not a level-1 atom's.  Keying slots by the intern
-    id adds no attribute and no Python object to the atom.
-
-    ``append`` only queues a new atom's id and endpoint coordinates, with
-    plain list appends under ``_INTERN_LOCK``; its row is pending until
-    ``flush`` writes the queue into the columns in one vectorized step.
-    ``level1_gather`` flushes under the same lock before it reads, and so
-    does ``append`` once 2048 rows are queued, while their tuples are still
-    in cache and so that the queue stays small.  A full column is replaced
-    by a zero-filled copy twice its size, never resized in place, so a
-    reader holding an older column still finds the slots of every atom
-    flushed before it took the column.
-    """
-
-    __slots__ = ("first", "dim", "coords", "slots", "uids", "minus", "plus")
-
-    def __init__(self):
-        self.first = np.zeros(4096, dtype=np.int32)  # ids also number other objects
-        self.dim = np.zeros(1024, dtype=np.int32)
-        self.coords = np.zeros(2048)
-        self.slots = 1  # the sentinel
-        self.uids: list[int] = []  # pending rows: ids and endpoint coordinates
-        self.minus: list[tuple] = []
-        self.plus: list[tuple] = []
-
-    def append(self, uid: int, minus: tuple, plus: tuple) -> None:
-        self.uids.append(uid)
-        self.minus.append(minus)
-        self.plus.append(plus)
-        if len(self.uids) >= 2048:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write the pending rows into the columns; under ``_INTERN_LOCK``."""
-        n = len(self.uids)
-        if not n:
-            return
-        dims = np.fromiter(map(len, self.minus), dtype=np.int32, count=n)
-        s = self.slots
-        end = s + int(dims.sum())
-        if self.uids[-1] >= self.first.size:  # ids are queued in increasing order
-            self.first = _grown(self.first, self.uids[-1] + 1)
-        if end > self.dim.size:
-            self.dim = _grown(self.dim, end)
-            self.coords = _grown(self.coords, 2 * end)
-        starts = np.cumsum(dims) - dims + s
-        flat, lo, hi = itertools.chain.from_iterable, 2 * s, 2 * end
-        self.coords[lo:hi:2] = -np.fromiter(flat(self.minus), dtype=float, count=end - s)
-        self.coords[lo + 1 : hi : 2] = np.fromiter(flat(self.plus), dtype=float, count=end - s)
-        self.dim[starts] = dims
-        self.first[self.uids] = starts
-        self.slots = end
-        self.uids, self.minus, self.plus = [], [], []
-
-
-def _grown(col: np.ndarray, need: int) -> np.ndarray:
-    out = np.zeros(max(need, 2 * col.size), dtype=col.dtype)
-    out[: col.size] = col
-    return out
-
-
-_LEVEL1 = _Level1Store()
-_ONE_WIDTH = "coordinate rows need level-1 atoms over ground points of one dimension"
-
-
-def level1_gather(uids: np.ndarray) -> np.ndarray:
-    """Coordinate matrix (-births, deaths) of the level-1 atoms with intern
-    ids ``uids``, one row each, in that order; a gather from the store that
-    ``atom`` queues rows for at intern time.  Rows still pending are
-    written into the columns first, under ``_INTERN_LOCK``.
-
-    Raises ``ValueError`` unless all of them are level-1 atoms over ground
-    points of one dimension.
-    """
-    if not uids.size:
-        return np.empty((0, 2))
-    store = _LEVEL1
-    with _INTERN_LOCK:
-        store.flush()
-        first, dim, coords = store.first, store.dim, store.coords
-    try:
-        slots = first[uids]
-    except IndexError:  # an id past every level-1 atom's
-        raise ValueError(_ONE_WIDTH) from None
-    dims = dim[slots]
-    d = int(dims[0])
-    if not d or np.any(dims != d):
-        raise ValueError(_ONE_WIDTH)
-    # (n, d, 2) slot pairs -> rows of d minus columns then d plus columns
-    pairs = coords.reshape(-1, 2)[slots[:, None] + np.arange(d)]
-    return pairs.transpose(0, 2, 1).reshape(uids.size, 2 * d)
-
-
 class GroundPoint:
     """A point of the ground space: a tuple of filtration coordinates."""
 
@@ -220,16 +120,21 @@ def ground(*coords: float) -> GroundPoint:
 
 
 class Atom:
-    """Level-n interval: an ordered (minus, plus) pair of level-(n-1) objects."""
+    """Level-n interval: an ordered (minus, plus) pair of level-(n-1) objects.
 
-    __slots__ = ("level", "minus", "plus", "uid", "sort_key")
+    ``row`` is a level-1 atom's coordinate row, the float64 bytes of its
+    ``atom_coords``; above level 1 it is None.
+    """
 
-    def __init__(self, level, minus, plus, uid):
+    __slots__ = ("level", "minus", "plus", "uid", "sort_key", "row")
+
+    def __init__(self, level, minus, plus, uid, row):
         self.level = level
         self.minus = minus
         self.plus = plus
         self.uid = uid
         self.sort_key = (minus.sort_key, plus.sort_key)
+        self.row = row
 
     def __repr__(self):
         if self.level == 1:
@@ -247,6 +152,8 @@ Endpoint = Union[GroundPoint, "Diagram"]
 
 
 _ENDPOINTS = "endpoints must both be ground points or both diagrams"
+# ``interval``'s row: a precompiled pack takes about half the time of struct.pack
+_PACK_1D = struct.Struct("2d").pack
 
 
 def atom(minus: Endpoint, plus: Endpoint) -> Atom:
@@ -262,23 +169,16 @@ def atom(minus: Endpoint, plus: Endpoint) -> Atom:
     if isinstance(minus, GroundPoint) and isinstance(plus, GroundPoint):
         if len(minus.coords) != len(plus.coords):
             raise LevelMismatch("endpoint dimension mismatch")
+        cs = minus.coords
+        row = struct.pack(f"{2 * len(cs)}d", *[-c for c in cs], *plus.coords)
         with _INTERN_LOCK:
-            return _add_level1(key, minus, plus)
+            return _add(key, Atom(1, minus, plus, _NEXT_UID, row))
     if isinstance(minus, Diagram) and isinstance(plus, Diagram):
         if minus.level != plus.level:
             raise LevelMismatch("endpoint level mismatch")
         with _INTERN_LOCK:
-            return _add(key, Atom(minus.level + 1, minus, plus, _NEXT_UID))
+            return _add(key, Atom(minus.level + 1, minus, plus, _NEXT_UID, None))
     raise LevelMismatch(_ENDPOINTS)
-
-
-def _add_level1(key, minus: GroundPoint, plus: GroundPoint) -> Atom:
-    """``_add`` of a level-1 atom; a new one's row is queued in the same lock."""
-    uid = _NEXT_UID
-    a = _add(key, Atom(1, minus, plus, uid))
-    if a.uid == uid:
-        _LEVEL1.append(uid, minus.coords, plus.coords)
-    return a
 
 
 def interval(birth: float, death: float) -> Atom:
@@ -299,7 +199,9 @@ def interval(birth: float, death: float) -> Atom:
             minus = _add(bkey, GroundPoint(bkey[1], _NEXT_UID))
         if plus is None:
             plus = _add(dkey, GroundPoint(dkey[1], _NEXT_UID))
-        return _add_level1(("a", minus.uid, plus.uid), minus, plus)
+        # packed from the interned points: ground(-0.0) may be ground(0.0)
+        row = _PACK_1D(-minus.coords[0], plus.coords[0])
+        return _add(("a", minus.uid, plus.uid), Atom(1, minus, plus, _NEXT_UID, row))
 
 
 class _EntryMap:
@@ -755,7 +657,6 @@ __all__ = [
     "is_diagonal",
     "left_diagonal_admissible",
     "level1_diag_cost",
-    "level1_gather",
     "linear_diagram",
     "norm_p",
     "psi_golden",

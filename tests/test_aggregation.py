@@ -39,6 +39,7 @@ from hopd.core import (
     singleton_diagram,
     virtual_diagram,
 )
+from hopd.harmonic import CoboundaryCharacter, harmonic_eval_raw
 
 from conftest import rand_virtual
 
@@ -165,12 +166,13 @@ class TestVectorKernel:
     def test_empty_and_mixed_ground_dimensions(self):
         empty = virtual_diagram({}, level=1)
         assert pairs_as_virtual(self_aggregate_pairs(empty)) == naive_self_aggregate(empty)
-        # rows of different widths must not be reshaped into a wrong matrix
-        mixed = virtual_diagram(
-            {interval(0.1, 0.5): 1, atom(ground(0.0, 0.0), ground(1.0, 1.0)): 1}
-        )
-        with pytest.raises(ValueError):
-            level1_arrays(mixed)
+        # rows of different widths must not be reshaped into a wrong matrix,
+        # even when their total would fill one: 16 + 32 + 48 bytes = 3 x 32
+        two = {interval(0.1, 0.5): 1, atom(ground(0.0, 0.0), ground(1.0, 1.0)): 1}
+        three = {**two, atom(ground(0.2, 0.2, 0.2), ground(1.0, 1.0, 1.0)): 1}
+        for mixed in (two, three):
+            with pytest.raises(ValueError):
+                level1_arrays(virtual_diagram(mixed))
 
     def test_level1_arrays_cached_per_instance(self, rng):
         xi = rand_virtual(rng, 5)
@@ -179,9 +181,22 @@ class TestVectorKernel:
         # a copy built from the same entries pays its own warm-up
         assert level1_arrays(VirtualDiagram(xi.level, xi.entries)) is not first
 
+    def test_level1_arrays_cache_is_read_only(self, rng):
+        # a write through the cached arrays would change every later phase
+        xi = rand_virtual(rng, 50)
+        psi = CoboundaryCharacter(1)
+        phase = harmonic_eval_raw(xi, psi)
+        phi, coeff = level1_arrays(xi)
+        with pytest.raises(ValueError):
+            coeff[0] += 5
+        with pytest.raises(ValueError):
+            phi[0, 0] = 0.0
+        assert harmonic_eval_raw(xi, psi) == phase
+        assert harmonic_eval_raw(VirtualDiagram(xi.level, xi.entries), psi) == phase
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_level1_arrays_match_atom_coords(self, rng, dim):
-        # the gathered rows, bit for bit, including -0.0 and +inf
+        # the joined rows, bit for bit, including -0.0 and +inf
         for _ in range(5):
             entries = {}
             for _ in range(rng.randint(1, 300)):

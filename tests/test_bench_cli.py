@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hopd import bench
 from hopd.bench import (
     ExperimentConfig,
     SCALING_COLUMNS,
@@ -209,6 +210,38 @@ class TestCli:
         for command in ("speedup", "scaling"):
             assert cli_main([command, "--psi", "bogus", "--m", "1"]) == 2
             assert "unknown psi spec 'bogus'" in capsys.readouterr().err
+
+    @staticmethod
+    def psi_file_error(monkeypatch, capsys, path) -> str:
+        """The config error of ``speedup`` on ``--psi file:path``, which
+        must come before any graph is generated."""
+        monkeypatch.setattr(bench, "generate", pytest.fail)
+        code = cli_main(["speedup", "--psi", f"file:{path}", "--m", "1", "--models", "er,ws"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        return err
+
+    def test_missing_psi_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        err = self.psi_file_error(monkeypatch, capsys, tmp_path / "missing.txt")
+        assert "No such file" in err
+
+    def test_malformed_psi_line_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "psi.txt"
+        for text in ("1.25\n", "x (a (p 0.1) (p 0.9))\n", "1.25 (a (p 0.1)\n"):
+            path.write_text("# angle atom\n" + text)
+            err = self.psi_file_error(monkeypatch, capsys, path)
+            assert "line 2: expected '<float> <atom>'" in err
+        for angle in ("nan", "inf"):
+            path.write_text(f"{angle} (a (p 0.1) (p 0.9))\n")
+            assert "is not finite" in self.psi_file_error(monkeypatch, capsys, path)
+
+    def test_psi_entry_not_level1_atom_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "psi.txt"
+        for text in ("(p 0.5)", "(d 1 (a (p 0.1) (p 0.9))*1)", "(a (d 1) (d 1))"):
+            path.write_text(f"1.25 {text}\n")
+            err = self.psi_file_error(monkeypatch, capsys, path)
+            assert "is not a level-1 atom" in err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

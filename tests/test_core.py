@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from hopd import core
 from hopd.core import (
     INF,
-    Atom,
     atom,
     atom_coords,
     atom_leq,
@@ -25,11 +24,11 @@ from hopd.core import (
     ground,
     interval,
     is_diagonal,
-    level1_gather,
     virtual_diagram,
     CoefficientOverflow,
     LevelMismatch,
 )
+from hopd.aggregation import level1_arrays
 from hopd.serialize import from_text
 
 from conftest import assert_close, rand_interval, rand_level2_diagram
@@ -407,81 +406,67 @@ class TestGroundSpace:
         assert dist_ground(ground(0.0, 0.0), ground(0.3, 0.1)) == pytest.approx(0.3)
 
 
-class TestLevel1Store:
-    """The columnar coordinates that interning writes for level-1 atoms."""
+def coords_bytes(a):
+    return np.array(atom_coords(a)).tobytes()
 
-    @staticmethod
-    def level1_atoms():
-        return [a for a in list(core._INTERN.values()) if isinstance(a, Atom) and a.level == 1]
 
-    def test_gather_matches_atom_coords(self):
-        atoms = [interval(0.0, 1.0), interval(-0.0, 2.0), interval(0.5, INF)]
-        phi = level1_gather(np.array([a.uid for a in atoms]))
-        want = np.array([atom_coords(a) for a in atoms])
-        assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
-        assert level1_gather(np.empty(0, dtype=np.int64)).shape == (0, 2)
+class TestLevel1Rows:
+    """The coordinate row that a level-1 atom carries from its interning."""
 
-    def test_gather_rejects_other_ids(self):
-        # a ground point and a level-2 atom have no coordinate row
+    def test_rows_match_atom_coords(self):
+        # bit for bit, on 1-, 2- and 3-d ground, -0.0 births and +inf deaths
+        # interval(-0.0, d) finds ground(0.0): its row must negate that
+        by_dim = [
+            [interval(0.0, 1.0625), interval(-0.0, 2.0625), interval(0.5, INF)],
+            [atom(ground(-0.0, 1.25), ground(2.5, INF)), atom(ground(0.5, -0.0), ground(3.0, 4.0))],
+            [
+                atom(ground(-0.0, 0.0, 0.5), ground(1.0, 2.0, INF)),
+                atom(ground(0.1, 0.2, 0.3), ground(1.0, 1.0, 1.0)),
+            ],
+        ]
+        for atoms in by_dim:
+            for a in atoms:
+                assert a.row == coords_bytes(a)
+            xi = virtual_diagram({a: 1 for a in atoms}, level=1)
+            phi = level1_arrays(xi)[0]
+            want = np.array([atom_coords(a) for a, _ in xi.entries])
+            assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
+
+    def test_no_row_above_level1(self):
         lvl2 = atom(diagram({interval(0, 1): 1}), diagram({interval(0, 2): 1}))
-        for other in (ground(0.125).uid, lvl2.uid, core._LEVEL1.first.size + 7):
-            with pytest.raises(ValueError):
-                level1_gather(np.array([interval(0, 1).uid, other]))
+        assert lvl2.row is None
+        with pytest.raises(LevelMismatch):
+            level1_arrays(virtual_diagram({lvl2: 1}))
 
     def test_concurrent_interning(self):
-        # 4 threads intern overlapping intervals at once; every atom must
-        # find its own row, and the store must hold one row per atom
+        # 4 threads intern overlapping intervals at once, half of them
+        # spelling a ground coordinate -0.0, which interns as an equal
+        # 0.0 key; every atom must be interned once and carry the row of
+        # the ground points it was interned with
         rng = random.Random(4)
         grid = [(rng.uniform(10, 11), rng.uniform(12, 13)) for _ in range(3000)]
         start = threading.Barrier(4)
         orders = [random.Random(seed).sample(grid, 2000) for seed in range(4)]
+        zeros = [0.0, -0.0, 0.0, -0.0]
 
-        def build(order):
+        def build(order, zero):
             start.wait(timeout=30)
             out = [interval(b, d) for b, d in order]
-            out += [atom(ground(b, d), ground(d, b + 5.0)) for b, d in order[:500]]
+            out += [atom(ground(b, zero), ground(d, b + 5.0)) for b, d in order[:500]]
             return out
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the interning threads finely
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                built = [a for part in pool.map(build, orders, timeout=60) for a in part]
+                built = [a for part in pool.map(build, orders, zeros, timeout=60) for a in part]
         finally:
             sys.setswitchinterval(switch)
         flat = {bd for order in orders for bd in order}
         plane = {bd for order in orders for bd in order[:500]}
         assert len(set(built)) == len(flat) + len(plane)
+        assert all(a.row == coords_bytes(a) for a in built)
         for width in (2, 4):
             made = [a for a in set(built) if len(atom_coords(a)) == width]
-            phi = level1_gather(np.array([a.uid for a in made]))
-            assert np.array_equal(phi, np.array([atom_coords(a) for a in made]))
-        # every level-1 atom ever interned owns its own slots, and nothing more
-        atoms = self.level1_atoms()
-        store = core._LEVEL1
-        firsts = store.first[[a.uid for a in atoms]]
-        assert len(set(firsts.tolist())) == len(atoms)
-        assert store.slots == 1 + sum(len(a.minus.coords) for a in atoms)
-
-    def test_gather_sees_rows_interned_since_the_last_gather(self):
-        # rows are pending between gathers; each gather must write them
-        # first.  1-d and 2-d rows share one queue, -0.0 keeps its sign bit
-        # and +inf deaths pass through
-        rng = random.Random(11)
-        seen1, seen2 = [], []
-        for k, count in enumerate([1, 3, 2500, 7]):  # 2500 crosses a batch flush
-            base = 4000.0 + 10 * k
-            new1 = [interval(base + rng.random(), base + 5 + rng.random()) for _ in range(count)]
-            new1.append(interval(base + 0.5, INF))
-            new2 = [
-                atom(ground(-0.0, base + 1.25), ground(base + 2.5, INF)),
-                atom(ground(base + rng.random(), -0.0), ground(base + 3.0, base + 4.0)),
-            ]
-            assert len(core._LEVEL1.uids) > 0  # queued, not yet written
-            seen1 += new1
-            seen2 += new2
-            for made in (seen1, seen2, new1, new2):
-                phi = level1_gather(np.array([a.uid for a in made]))
-                want = np.array([atom_coords(a) for a in made])
-                assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
-        assert math.copysign(1.0, atom_coords(seen2[0])[0]) == 1.0  # -(-0.0)
+            phi = level1_arrays(virtual_diagram({a: 1 for a in made}, level=1))[0]
+            assert phi.shape == (len(made), width)

@@ -50,6 +50,53 @@ def test_module_imports_are_used(name):
     assert not unused, f"hopd.{name} imports {unused} and never uses them"
 
 
+def _defined(node) -> list[str]:
+    """Names that a top-level statement defines: a function, a class or
+    the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced(node) -> set[str]:
+    """Names that a top-level statement reads, as a name, an attribute or an import."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_private_names_are_used():
+    """Every module-level private function, class and assignment is
+    referenced by another top-level statement of the package, so a
+    deletion cannot leave a dead private helper behind."""
+    statements = [
+        (path.stem, node)
+        for path in sorted(Path(hopd.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    references = [_referenced(node) for _, node in statements]
+    dead = [
+        f"{module}.{name}"
+        for k, (module, node) in enumerate(statements)
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for j, refs in enumerate(references) if j != k)
+    ]
+    assert not dead, f"private names defined and never used: {dead}"
+
+
 # Every defaulted parameter of an exported function, as "module.function(name)".
 # A default is a knob: a new one fails here until it is added on purpose.
 PINNED_DEFAULTS = {

@@ -380,7 +380,7 @@ class TestHarmonicEval:
     @pytest.mark.parametrize("n", [0, 1, 193, 10_000])
     def test_golden_potential_from_gathered_ids(self, n):
         # the potential harmonic_eval_raw reads off the rows that
-        # level1_arrays gathers by intern id is psi_golden exactly, on +inf
+        # level1_arrays joins from the atoms is psi_golden exactly, on +inf
         # deaths and 2-D ground points, and so is the raw phase built on it
         gen = np.random.default_rng(n)
         psi = CoboundaryCharacter(1)

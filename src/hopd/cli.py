@@ -1,127 +1,67 @@
 """Command-line entry point for the benchmark harness.
 
-Subcommands: speedup, scaling, wbench, envelope, demo.  A key=value config
-file can preload any flag default; explicit flags win.  HOPD_THREADS sets
-the default worker count for the untimed generation phase.  Exit codes:
-0 success, 2 configuration error, 1 runtime error.
+Subcommands: speedup, scaling, wbench, envelope, demo.  Each experiment
+command takes only the flags that its runner reads (``_COMMANDS``), and an
+unset flag takes its ``ExperimentConfig`` default.  ``--config FILE``
+presets flags (docs/formats.md).  Exit codes: 0 success, 2 configuration
+or usage error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 from pathlib import Path
 
 from . import bench
 from .bench import ExperimentConfig
 from .envelopes import GuardExceeded, envelope_average, envelope_worst
-from .graphgen import MODELS
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _parse_models(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
         return int(lo), int(hi)
-    except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}, expected LO:HI") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI") from None
 
 
 def _read_config_file(path: str) -> dict:
+    """The ``key=value`` lines of a config file, keyed by the flag each names."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     table = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"bad config line {line!r}")
         key, value = line.split("=", 1)
-        table[key.strip().replace("-", "_")] = value.strip()
+        table["--" + key.strip().replace("_", "-")] = value.strip()
     return table
 
 
-def _build_parser(defaults: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopd",
-        description="higher-order persistence diagram benchmarks",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--models", default=defaults.get("models", ",".join(MODELS)))
-        p.add_argument("--m", type=int, default=int(defaults.get("m", 30)))
-        p.add_argument("--repeats", type=int, default=int(defaults.get("repeats", 30)))
-        p.add_argument("--n-range", default=defaults.get("n_range", "0:30"))
-        p.add_argument("--seed", type=int, default=int(defaults.get("seed", 20260502)))
-        p.add_argument("--out", default=defaults.get("out"))
-        p.add_argument(
-            "--units", choices=("ns", "ms", "min"), default=defaults.get("units", "ns")
-        )
-        p.add_argument("--threads", type=int, default=int(defaults.get("threads", _default_threads())))
-        p.add_argument("--psi", default=defaults.get("psi", "golden"))
-        p.add_argument(
-            "--format", choices=("csv", "jsonl"), default=defaults.get("format", "csv")
-        )
-
-    p_speedup = sub.add_parser("speedup", help="model-pair aggregation speedup matrix")
-    common(p_speedup)
-
-    p_scaling = sub.add_parser("scaling", help="runtime scaling over the support ladder")
-    common(p_scaling)
-    p_scaling.add_argument(
-        "--family", choices=("uniform", "narrow"), default=defaults.get("family", "uniform")
-    )
-    p_scaling.add_argument(
-        "--engine", choices=("vectorized", "loop"), default=defaults.get("engine", "vectorized")
-    )
-
-    p_wbench = sub.add_parser("wbench", help="naive vs certified transport timing")
-    common(p_wbench)
-
-    p_env = sub.add_parser("envelope", help="complexity envelope calculator")
-    p_env.add_argument("--c", type=int, required=True)
-    p_env.add_argument("--n", type=int, required=True)
-    p_env.add_argument("--r", type=int, default=2)
-    p_env.add_argument("--average", choices=("naive", "certified"))
-
-    p_demo = sub.add_parser("demo", help="end-to-end single aggregate")
-    common(p_demo)
-    return parser
-
-
-def _default_threads() -> int:
+def _run_experiment(handler, **given) -> int:
+    """``handler`` on the config of the flags that were set, typed or
+    preset; every other field keeps its ``ExperimentConfig`` default."""
     try:
-        return max(1, int(os.environ.get("HOPD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    try:
-        cfg = ExperimentConfig(
-            models=models,
-            m=args.m,
-            repeats=args.repeats,
-            n_range=_parse_range(args.n_range),
-            seed=args.seed,
-            out=args.out,
-            units=args.units,
-            threads=args.threads,
-            psi=args.psi,
-            fmt=args.format,
-            family=getattr(args, "family", "uniform"),
-            engine=getattr(args, "engine", "vectorized"),
-        )
+        cfg = ExperimentConfig(**given)
         bench.load_psi(cfg.psi)  # a bad psi file is found before any graph is made
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return handler(cfg)
 
 
 def _emit(cfg: ExperimentConfig, rows, columns, stem: str) -> None:
@@ -134,6 +74,7 @@ def _emit(cfg: ExperimentConfig, rows, columns, stem: str) -> None:
 
 
 def _cmd_speedup(cfg: ExperimentConfig) -> int:
+    """model-pair aggregation speedup matrix"""
     rows = bench.run_speedup_matrix(cfg)
     _emit(cfg, rows, bench.SPEEDUP_COLUMNS, "speedup")
     for row in rows:
@@ -147,6 +88,7 @@ def _cmd_speedup(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_scaling(cfg: ExperimentConfig) -> int:
+    """runtime scaling over the support ladder"""
     rows = bench.run_runtime_scaling(cfg)
     _emit(cfg, rows, bench.SCALING_COLUMNS, "scaling")
     summary = bench.scaling_summary(rows)
@@ -163,13 +105,15 @@ def _cmd_scaling(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_wbench(cfg: ExperimentConfig) -> int:
+    """naive vs certified transport timing"""
     rows = bench.run_wbench(cfg)
     _emit(cfg, rows, bench.WBENCH_COLUMNS, "wbench")
     return 0
 
 
-def _cmd_envelope(args) -> int:
-    bounds = envelope_worst(args.c, args.n, args.r)
+def _cmd_envelope(c: int, n: int, r: int, average: str | None) -> int:
+    """complexity envelope calculator"""
+    bounds = envelope_worst(c, n, r)
     for key in (
         "naive_aggregation",
         "harmonic_evaluation",
@@ -178,18 +122,21 @@ def _cmd_envelope(args) -> int:
     ):
         print(f"{key} = {bounds[key]}")
     print(f"ratio = {bounds['ratio']}")
-    if args.average:
-        value = envelope_average(args.c, args.n, args.average)
-        print(f"average_{args.average} = {value} (~{float(value):.6g})")
+    if average:
+        value = envelope_average(c, n, average)
+        print(f"average_{average} = {value} (~{float(value):.6g})")
     return 0
 
 
 def _cmd_demo(cfg: ExperimentConfig) -> int:
+    """end-to-end single aggregate"""
     from .aggregation import mean_aggregate
     from .filtration import build_clique_filtration, persistence_h1
     from .graphgen import generate, model_index, model_spec, seed_for
     from .serialize import to_text
 
+    if len(cfg.models) != 1:
+        raise ConfigError(f"demo takes one model, got {len(cfg.models)}")
     model = cfg.models[0]
     spec = model_spec(model)
     diagrams = []
@@ -213,31 +160,70 @@ def _cmd_demo(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# How each experiment flag's text is read, and the ExperimentConfig field
+# it sets when that is not its own name.
+_FLAGS = {
+    "--models": {"type": _parse_models},
+    "--m": {"type": int},
+    "--repeats": {"type": int},
+    "--n-range": {"type": _parse_range},
+    "--seed": {"type": int},
+    "--out": {},
+    "--units": {},
+    "--threads": {"type": int},
+    "--psi": {},
+    "--format": {"dest": "fmt", "metavar": "FORMAT"},
+    "--family": {},
+    "--engine": {},
+}
+
+# Each experiment command's handler and the flags that its runner reads.
+_COMMANDS = {
+    "speedup": (_cmd_speedup, "--models --m --threads --psi --units --out --format"),
+    "scaling": (_cmd_scaling, "--n-range --repeats --seed --family --engine --psi --out --format"),
+    "wbench": (_cmd_wbench, "--repeats --seed --out --format"),
+    "demo": (_cmd_demo, "--models --m --out"),
+}
+
+
+def _build_parser(presets: dict) -> argparse.ArgumentParser:
+    """The parser; ``presets`` (flag -> text) become the string defaults of
+    the flags they name, so they parse like typed text."""
+    unknown = sorted(set(presets) - set(_FLAGS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0][2:]!r}")
+    parser = argparse.ArgumentParser(
+        prog="hopd",
+        description="higher-order persistence diagram benchmarks",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(required=True)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(
+            name, help=handler.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS
+        )
+        for flag in flags.split():
+            p.add_argument(flag, default=presets.get(flag, argparse.SUPPRESS), **_FLAGS[flag])
+        p.set_defaults(run=functools.partial(_run_experiment, handler))
+
+    p_env = sub.add_parser("envelope", help=_cmd_envelope.__doc__, allow_abbrev=False)
+    p_env.add_argument("--c", type=int, required=True)
+    p_env.add_argument("--n", type=int, required=True)
+    p_env.add_argument("--r", type=int, default=2)
+    p_env.add_argument("--average", choices=("naive", "certified"))
+    p_env.set_defaults(run=_cmd_envelope)
+    return parser
+
+
 def cli_main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     try:
-        defaults = _read_config_file(known.config) if known.config else {}
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(defaults)
-    args = parser.parse_args(rest)
-    try:
-        if args.command == "envelope":
-            return _cmd_envelope(args)
-        cfg = _config_from_args(args)
-        if args.command == "speedup":
-            return _cmd_speedup(cfg)
-        if args.command == "scaling":
-            return _cmd_scaling(cfg)
-        if args.command == "wbench":
-            return _cmd_wbench(cfg)
-        if args.command == "demo":
-            return _cmd_demo(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        parser = _build_parser(_read_config_file(known.config) if known.config else {})
+        given = vars(parser.parse_args(rest))
+        run = given.pop("run")
+        return run(**given)
     except (ConfigError, GuardExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -90,6 +90,17 @@ class GroundPoint:
         return f"GroundPoint{self.coords}"
 
 
+def _add_point(key) -> GroundPoint:
+    """Under ``_INTERN_LOCK``: ``_add`` the point of a missed ``key``, storing
+    a -0.0, which the key cannot tell from 0.0, as 0.0; only then is the key
+    rebuilt, so the table and the point share one coordinate tuple."""
+    cs = key[1]
+    if 0.0 in cs:
+        cs = tuple(c + 0.0 for c in cs)
+        key = ("p", cs)
+    return _add(key, GroundPoint(cs, _NEXT_UID))
+
+
 def _check_coords(cs: tuple) -> None:
     """A ground point's coordinates: at least one, no NaN, no -inf, and
     +inf only in the last."""
@@ -115,7 +126,7 @@ def ground(*coords: float) -> GroundPoint:
     if point is None:
         _check_coords(cs)
         with _INTERN_LOCK:
-            point = _add(key, GroundPoint(cs, _NEXT_UID))
+            point = _add_point(key)
     return point
 
 
@@ -196,10 +207,10 @@ def interval(birth: float, death: float) -> Atom:
         _check_coords(dkey[1])
     with _INTERN_LOCK:
         if minus is None:
-            minus = _add(bkey, GroundPoint(bkey[1], _NEXT_UID))
+            minus = _add_point(bkey)
         if plus is None:
-            plus = _add(dkey, GroundPoint(dkey[1], _NEXT_UID))
-        # packed from the interned points: ground(-0.0) may be ground(0.0)
+            plus = _add_point(dkey)
+        # packed from the interned points: a -0.0 birth was stored as 0.0
         row = _PACK_1D(-minus.coords[0], plus.coords[0])
         return _add(("a", minus.uid, plus.uid), Atom(1, minus, plus, _NEXT_UID, row))
 

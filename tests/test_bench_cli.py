@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from hopd.bench import (
     support_for_index,
     synth_level1,
 )
-from hopd.cli import cli_main
+from hopd.cli import _build_parser, cli_main
 from hopd.harmonic import CoboundaryCharacter
 
 GOLDEN_SPEEDUP_HEADER = "model_a,model_b,m,support,t_naive_ns,t_harmonic_ns,speedup"
@@ -208,7 +209,7 @@ class TestCli:
 
     def test_unknown_psi_exits_2(self, capsys):
         for command in ("speedup", "scaling"):
-            assert cli_main([command, "--psi", "bogus", "--m", "1"]) == 2
+            assert cli_main([command, "--psi", "bogus"]) == 2
             assert "unknown psi spec 'bogus'" in capsys.readouterr().err
 
     @staticmethod
@@ -247,6 +248,84 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             cli_main(["speedup", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a flag that the command never reads
+            ["speedup", "--models", "er", "--m", "1", "--seed", "1"],
+            ["scaling", "--n-range", "0:0", "--repeats", "1", "--m", "1"],
+            ["wbench", "--repeats", "1", "--models", "er"],
+            ["demo", "--models", "er", "--m", "1", "--psi", "golden"],
+            # an abbreviated flag
+            ["speedup", "--mod", "er", "--m", "1"],
+            ["scaling", "--n-r", "0:1", "--repeats", "1"],
+            ["wbench", "--rep", "1"],
+            ["demo", "--mod", "er", "--m", "1"],
+            ["envelope", "--c", "1", "--n", "2", "--ave", "naive"],
+        ],
+    )
+    def test_flag_not_taken_exits_2(self, argv):
+        # each would run in a second if the flag were accepted
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        # a new flag fails here until it is added on purpose
+        parser = _build_parser({})
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert found == {
+            "speedup": {"--models", "--m", "--threads", "--psi", "--units", "--out", "--format"},
+            "scaling": {
+                "--n-range", "--repeats", "--seed", "--family", "--engine", "--psi", "--out",
+                "--format",
+            },
+            "wbench": {"--repeats", "--seed", "--out", "--format"},
+            "demo": {"--models", "--m", "--out"},
+            "envelope": {"--c", "--n", "--r", "--average"},
+        }
+
+    def test_demo_takes_one_model(self, capsys):
+        assert cli_main(["demo", "--models", "ws,er", "--m", "1"]) == 2
+        assert "demo takes one model, got 2" in capsys.readouterr().err
+
+    def test_bad_units_is_a_config_error(self, capsys):
+        assert cli_main(["speedup", "--models", "er", "--m", "1", "--units", "hours"]) == 2
+        assert "config error: unknown units 'hours'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, argv", [("m=abc\n", ["demo", "--models", "er"]), ("n_range=5\n", ["scaling"])]
+    )
+    def test_config_value_that_does_not_parse_exits_2(self, tmp_path, text, argv):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            cli_main(["--config", str(cfg_file)] + argv)
+        assert err.value.code == 2
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("bogus=1\n")
+        assert cli_main(["--config", str(cfg_file), "demo", "--models", "er", "--m", "1"]) == 2
+        assert "config error: unknown config key 'bogus'" in capsys.readouterr().err
+
+    def test_config_key_of_another_command_is_ignored(self, tmp_path):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("family=narrow\nmodels=er\nm=1\n")
+        code = cli_main(["--config", str(cfg_file), "speedup", "--out", str(tmp_path)])
+        assert code == 0
+
+    def test_explicit_flag_overrides_config(self, tmp_path):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("models=er\nm=abc\n")
+        code = cli_main(["--config", str(cfg_file), "speedup", "--m", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "speedup.csv").read_text().splitlines()[1].split(",")[2] == "2"
 
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg_file = tmp_path / "bench.cfg"

@@ -80,12 +80,6 @@ def test_units_conversion():
     assert convert_units(7, "ns") == 7
 
 
-def test_hopd_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOPD_THREADS", "3")
-    code = cli_main(["demo", "--models", "er", "--m", "1", "--out", str(tmp_path)])
-    assert code == 0
-
-
 def test_wbench_cli(tmp_path):
     code = cli_main(["wbench", "--repeats", "3", "--out", str(tmp_path)])
     assert code == 0

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,34 @@ def test_parse_errors():
         from_text("(p 1.0) trailing")
     with pytest.raises(ValueError):
         from_text("(d 1 (a (p 0) (p 1))")
+
+
+# Text of a 1-d and a 2-d atom with a 0.0 coordinate, in a fresh process
+# that first interns the same points spelled `argv[1]` (0.0 or -0.0).
+_ZERO_SNIPPET = """
+import sys
+from hopd.core import atom, ground, interval
+from hopd.serialize import to_text
+z = float(sys.argv[1])
+interval(z, 1.0)
+atom(ground(z, 1.0), ground(2.0, z))
+print(to_text(interval(0.0, 2.0)), to_text(atom(ground(0.0, 1.0), ground(2.0, 0.0))))
+"""
+
+
+def _zero_text_in_fresh_process(zero: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", _ZERO_SNIPPET, zero],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+
+
+def test_negative_zero_interned_first_serializes_as_zero():
+    # ground keys compare -0.0 == 0.0, so the text must not depend on
+    # which zero was interned first
+    text = _zero_text_in_fresh_process("-0.0")
+    assert text == _zero_text_in_fresh_process("0.0")
+    assert "-0.0" not in text

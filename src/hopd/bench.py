@@ -73,6 +73,8 @@ class ExperimentConfig:
     engine: str = "vectorized"
 
     def __post_init__(self):
+        if not self.models:
+            raise ValueError("no models given")
         for m in self.models:
             if m not in MODELS:
                 raise ValueError(f"unknown model {m!r}")

@@ -513,7 +513,7 @@ def diagram_leq(G: Diagram, L: Diagram) -> bool:
 
 
 def norm_p(values: Sequence[float], p: float) -> float:
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError("p must be >= 1")
     vals = [float(v) for v in values]
     if not vals:
@@ -544,11 +544,9 @@ def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`dist_ground` over the last axis of broadcast coordinate arrays: the
     largest coordinate gap, where equal coordinates give 0 and +inf against
     a finite value gives inf.  A NaN pad is skipped, as `zip` would."""
-    inf_x, inf_y = np.isinf(x), np.isinf(y)
-    gap = np.abs(np.where(inf_x, 0.0, x) - np.where(inf_y, 0.0, y))  # no inf - inf
-    gap = np.where(inf_x | inf_y, INF, gap)
-    gap = np.where((x == y) | np.isnan(x) | np.isnan(y), 0.0, gap)
-    return gap.max(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, skipped as a pad
+        gap = np.abs(x - y)
+    return np.fmax.reduce(gap, axis=-1, initial=0.0)
 
 
 def _endpoint_dist(a: Endpoint, b: Endpoint, p: float) -> float:
@@ -563,7 +561,7 @@ def d_prod(u: Atom, v: Atom, p: float) -> float:
     """p-norm of the two endpoint distances."""
     if u.level != v.level:
         raise LevelMismatch("atom level mismatch")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if u is v:
         return 0.0
@@ -576,13 +574,19 @@ def d_prod(u: Atom, v: Atom, p: float) -> float:
     )
 
 
+def _diag_scale(p: float) -> float:
+    """2^(1/p - 1), read as 1/2 at p = inf: a level-1 atom's diagonal
+    distance per unit of birth-death gap."""
+    return 0.5 if p == INF else 2.0 ** (1.0 / p - 1.0)
+
+
 def level1_diag_cost(u: Atom, p: float) -> float:
     """Closed-form diagonal distance of a level-1 atom: |d - b| * 2^(1/p - 1),
     with 2^(1/p - 1) read as 1/2 at p = inf."""
     gap = dist_ground(u.minus, u.plus)
     if gap == 0.0:
         return 0.0
-    return gap * (0.5 if p == INF else 2.0 ** (1.0 / p - 1.0))
+    return gap * _diag_scale(p)
 
 
 def d_diag(u: Atom, p: float) -> float:
@@ -593,7 +597,7 @@ def d_diag(u: Atom, p: float) -> float:
     infimum over them collapses to the transport distance between the two
     endpoints.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if u.level == 1:
         return level1_diag_cost(u, p)

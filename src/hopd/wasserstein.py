@@ -2,10 +2,14 @@
 
 The assignment operator prices a partial matching where unmatched atoms pay
 their diagonal cost.  The naive recursion re-derives every endpoint
-comparison (the timed baseline); the certified variant shares memo tables
-across the recursion and skips a product expansion whenever a reverse-
-triangle lower bound already certifies the diagonal route.  Both compute the
-same distances exactly.
+comparison one scalar atom cost at a time (the timed baseline).  The
+certified variant shares memo tables across the recursion, skips a product
+expansion whenever a reverse-triangle lower bound already certifies the
+diagonal route, and prices each level-1 sub-transport as one numpy block:
+every off-diagonal cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) and
+both diagonal vectors e, f at once, then one assignment.  Both compute the
+same distances: exactly at p in {1, inf}, and to within rounding at other p,
+where numpy's powers may differ from Python's in the last place.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .core import (
     LevelMismatch,
     LinearDiagram,
     VirtualDiagram,
+    _diag_scale,
     _dist_ground_array,
     _perfect_matching,
     dist_ground,
@@ -42,7 +47,7 @@ def assign_p(off, left, right, p) -> float:
     ``off`` holds the m rows of l off-diagonal costs (no rows when m = 0);
     ``left`` and ``right`` are the diagonal opt-out costs of the m left and
     l right atoms.  Raises ``ValueError`` on inconsistent dimensions, a NaN
-    or negative cost, or p < 1.
+    or negative cost, or a p that is not >= 1 (NaN included).
     """
     m, l = len(left), len(right)
     try:
@@ -60,8 +65,7 @@ def assign_p(off, left, right, p) -> float:
     costs[m:, l:] = 0.0
     if not (costs >= 0).all():  # a NaN fails the comparison too
         raise ValueError("costs must be nonnegative")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if m == 0 and l == 0:
         return 0.0
     if p == INF:
@@ -75,6 +79,12 @@ def assign_p(off, left, right, p) -> float:
     if math.isinf(total):
         return INF
     return total ** (1.0 / p)
+
+
+def _check_p(p) -> None:
+    """The transport exponent must be >= 1 (inf included); NaN fails too."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
 
 
 def _assign_inf(costs: np.ndarray) -> float:
@@ -145,7 +155,11 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
 
 @dataclass
 class CostCounters:
-    """Always-on instrumentation; every field is O(1) per event."""
+    """Always-on instrumentation; every field is O(1) per event.
+
+    A certified level-1 block counts each priced cell as one atom call and
+    one expansion, as the naive recursion counts each scalar atom cost.
+    """
 
     diagram_calls: int = 0
     atom_calls: int = 0
@@ -168,6 +182,7 @@ def naive_wasserstein(
 ) -> float:
     if G.level != L.level:
         raise LevelMismatch("diagram level mismatch")
+    _check_p(p)
     c = counters if counters is not None else CostCounters()
     return _naive_diagram_cost(G, L, G.level, p, c)
 
@@ -213,6 +228,7 @@ class _CertifiedRun:
         self.m_a: dict = {}
         self.m_diag: dict = {}
         self.m_0: dict = {}
+        self.m_1: dict = {}
 
     def _memo_get(self, table, key):
         val = table.get(key)
@@ -233,16 +249,25 @@ class _CertifiedRun:
         self.c.diagram_calls += 1
         if k == 0:
             return self._memo_put(self.m_d, key, dist_ground(G, L))
-        us = G.atoms()
-        vs = L.atoms()
-        left = [self.diagonal_cost(u, k) for u in us]
-        right = [self.diagonal_cost(v, k) for v in vs]
-        off = [[self.atom_cost(u, v, k) for v in vs] for u in us]
+        if k == 1:
+            side_u, side_v = self.level1_side(G), self.level1_side(L)
+            left, right = side_u[2], side_v[2]
+            off = _level1_off(side_u, side_v, self.p)
+            self.c.atom_calls += off.size
+            self.c.atom_expansions += off.size
+        else:
+            us = G.atoms()
+            vs = L.atoms()
+            left = [self.diagonal_cost(u, k) for u in us]
+            right = [self.diagonal_cost(v, k) for v in vs]
+            off = [[self.atom_cost(u, v, k) for v in vs] for u in us]
         self.c.assign_calls += 1
         value = assign_p(off, left, right, self.p)
         return self._memo_put(self.m_d, key, value)
 
     def atom_cost(self, u, v, k) -> float:
+        """Strengthened cost of two level-k atoms, k >= 2 (level-1 costs
+        are priced in blocks by `diagram_cost`)."""
         key = (u.uid, v.uid, k)
         hit = self._memo_get(self.m_a, key)
         if hit is not None:
@@ -250,19 +275,18 @@ class _CertifiedRun:
         self.c.atom_calls += 1
         e = self.diagonal_cost(u, k)
         f = self.diagonal_cost(v, k)
-        if k >= 2:
-            # reverse-triangle lower bound on the product route from
-            # transport-to-empty costs of the endpoint diagrams
-            b = norm_p(
-                (
-                    abs(self.empty_cost(u.minus, k - 1) - self.empty_cost(v.minus, k - 1)),
-                    abs(self.empty_cost(u.plus, k - 1) - self.empty_cost(v.plus, k - 1)),
-                ),
-                self.p,
-            )
-            if b >= e + f:
-                self.c.prunes += 1
-                return self._memo_put(self.m_a, key, e + f)
+        # reverse-triangle lower bound on the product route from
+        # transport-to-empty costs of the endpoint diagrams
+        b = norm_p(
+            (
+                abs(self.empty_cost(u.minus, k - 1) - self.empty_cost(v.minus, k - 1)),
+                abs(self.empty_cost(u.plus, k - 1) - self.empty_cost(v.plus, k - 1)),
+            ),
+            self.p,
+        )
+        if b >= e + f:
+            self.c.prunes += 1
+            return self._memo_put(self.m_a, key, e + f)
         self.c.atom_expansions += 1
         a1 = self.diagram_cost(u.minus, v.minus, k - 1)
         a2 = self.diagram_cost(u.plus, v.plus, k - 1)
@@ -270,15 +294,21 @@ class _CertifiedRun:
         return self._memo_put(self.m_a, key, value)
 
     def diagonal_cost(self, u: Atom, k) -> float:
+        """Diagonal cost of a level-k atom, k >= 2: the transport between
+        its endpoint diagrams."""
         key = (u.uid, k)
         hit = self._memo_get(self.m_diag, key)
         if hit is not None:
             return hit
-        if k == 1:
-            value = level1_diag_cost(u, self.p)
-        else:
-            value = self.diagram_cost(u.minus, u.plus, k - 1)
+        value = self.diagram_cost(u.minus, u.plus, k - 1)
         return self._memo_put(self.m_diag, key, value)
+
+    def level1_side(self, theta):
+        """`_level1_side` of a level-1 diagram's atoms, once per diagram."""
+        hit = self._memo_get(self.m_1, theta.uid)
+        if hit is not None:
+            return hit
+        return self._memo_put(self.m_1, theta.uid, _level1_side(theta.atoms(), self.p))
 
     def empty_cost(self, theta, k) -> float:
         if isinstance(theta, GroundPoint):
@@ -287,10 +317,11 @@ class _CertifiedRun:
         hit = self._memo_get(self.m_0, key)
         if hit is not None:
             return hit
-        value = norm_p(
-            [self.diagonal_cost(u, k) for u in theta.atoms()], self.p
-        )
-        return self._memo_put(self.m_0, key, value)
+        if k == 1:
+            diag = self.level1_side(theta)[2]
+        else:
+            diag = [self.diagonal_cost(u, k) for u in theta.atoms()]
+        return self._memo_put(self.m_0, key, norm_p(diag, self.p))
 
 
 def certified_wasserstein(
@@ -302,6 +333,7 @@ def certified_wasserstein(
     """Memoized transport distance with safe pruning; equals the naive value."""
     if G.level != L.level:
         raise LevelMismatch("diagram level mismatch")
+    _check_p(p)
     c = counters if counters is not None else CostCounters()
     run = _CertifiedRun(p, c)
     return run.diagram_cost(G, L, G.level)
@@ -309,6 +341,7 @@ def certified_wasserstein(
 
 def empty_cost(theta: Diagram, p: float) -> float:
     """p-norm of the diagonal distances of the atoms: W_p(theta, 0)."""
+    _check_p(p)
     run = _CertifiedRun(p, CostCounters())
     return run.empty_cost(theta, theta.level)
 
@@ -330,8 +363,8 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
 
     Min-cost transport over the support plus the basepoint, divergences
     equal to the coefficients with the basepoint absorbing their negative
-    sum, arc costs the strengthened atom metric (at level 1 built in numpy
-    from the endpoint coordinates, above it from one certified run, whose
+    sum, arc costs the strengthened atom metric (at level 1 the numpy cost
+    block of `_level1_off` at p = 1, above it from one certified run, whose
     memo tables all the pairs share).  `min_cost_transport` solves it as a
     transportation LP from positive to negative nodes on the metric closure
     of those costs.  An infinite cost on the support (an atom with a +inf
@@ -343,7 +376,11 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     atoms = [a for a, _ in entries]
     coeffs = [c for _, c in entries]
     if xi.level == 1:
-        cost = _level1_cost_matrix(atoms)
+        side = _level1_side(atoms, 1)
+        n = len(atoms)
+        cost = np.zeros((n + 1, n + 1))
+        cost[:n, :n] = _level1_off(side, side, 1)  # 0 on the diagonal
+        cost[:n, n] = cost[n, :n] = side[2]
     else:
         # one certified run, so endpoint transports shared by several atoms
         # are computed once
@@ -358,25 +395,50 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     return min_cost_transport(divergence, cost)
 
 
-def _level1_cost_matrix(atoms: Sequence[Atom]) -> np.ndarray:
-    """`d1` between level-1 atoms and `d_diag` to the basepoint (last
-    index), both at p = 1, with the same floating-point operations."""
+# ---------------------------------------------------------------------------
+# Level-1 cost blocks: the one engine for level-1 atom costs, with the
+# floating-point operations of `d1` and `d_diag` (Python's and numpy's
+# powers may differ in the last place at p outside {1, inf})
+
+
+def _level1_side(atoms: Sequence[Atom], p) -> tuple:
+    """Birth rows, death rows and diagonal costs of level-1 atoms."""
     births = _coord_matrix([a.minus for a in atoms])
     deaths = _coord_matrix([a.plus for a in atoms])
-    gap = _dist_ground_array(births, deaths)
-    n = len(atoms)
-    cost = np.zeros((n + 1, n + 1))
-    direct = (_dist_ground_array(births[:, None], births[None])
-              + _dist_ground_array(deaths[:, None], deaths[None]))  # 0 on the diagonal
-    cost[:n, :n] = np.minimum(direct, gap[:, None] + gap[None])
-    cost[:n, n] = cost[n, :n] = gap
-    return cost
+    return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
+
+
+def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
+    """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) for every pair of a
+    left and a right atom, from their `_level1_side`s."""
+    (bu, du, e), (bv, dv, f) = side_u, side_v
+    width = max(bu.shape[1], bv.shape[1])
+    bu, du, bv, dv = (_pad(x, width) for x in (bu, du, bv, dv))
+    a = _dist_ground_array(bu[:, None], bv[None])
+    b = _dist_ground_array(du[:, None], dv[None])
+    if p == 1:
+        direct = a + b
+    elif p == INF:
+        direct = np.maximum(a, b)
+    else:
+        direct = (a**p + b**p) ** (1.0 / p)
+    return np.minimum(direct, e[:, None] + f[None])
 
 
 def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:
-    """Ground coordinates as rows, NaN-padded to the longest point."""
+    """Ground coordinates as rows, NaN-padded to the longest point; one
+    column when there are no points."""
+    if not points:
+        return np.empty((0, 1))
     cols = itertools.zip_longest(*(x.coords for x in points), fillvalue=math.nan)
     return np.array(list(cols), dtype=np.float64).T
+
+
+def _pad(rows: np.ndarray, width: int) -> np.ndarray:
+    """Coordinate rows NaN-padded to ``width`` columns."""
+    if rows.shape[1] == width:
+        return rows
+    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=math.nan)
 
 
 # ---------------------------------------------------------------------------

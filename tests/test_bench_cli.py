@@ -35,6 +35,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(models=("bogus",))
+        with pytest.raises(ValueError, match="no models given"):
+            ExperimentConfig(models=())
         with pytest.raises(ValueError):
             ExperimentConfig(m=0)
         with pytest.raises(ValueError):
@@ -206,6 +208,11 @@ class TestCli:
 
     def test_bad_model_exits_2(self):
         assert cli_main(["speedup", "--models", "nonsense", "--m", "1"]) == 2
+
+    def test_no_models_is_a_config_error(self, capsys):
+        for models in (",", ""):
+            assert cli_main(["speedup", "--models", models, "--m", "1"]) == 2
+            assert "config error: no models given" in capsys.readouterr().err
 
     def test_unknown_psi_exits_2(self, capsys):
         for command in ("speedup", "scaling"):

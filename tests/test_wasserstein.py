@@ -23,7 +23,6 @@ from hopd.core import (
     virtual_diagram,
 )
 from hopd.wasserstein import (
-    _level1_cost_matrix,
     CostCounters,
     assign_p,
     certified_wasserstein,
@@ -229,6 +228,64 @@ class TestWassersteinRecursion:
                 assert_close(naive_wasserstein(g, l, p), expected)
 
     @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_certified_equals_naive_level1(self, rng, p):
+        # +inf deaths, multiplicities above 1, 2-d ground points, one empty side
+        def level1(dim, max_atoms=5):
+            entries = {}
+            for _ in range(rng.randint(0, max_atoms)):
+                birth = [rng.randrange(8) / 4 for _ in range(dim)]
+                death = [b + rng.randrange(1, 8) / 4 for b in birth]
+                if rng.random() < 0.25:
+                    death[-1] = INF
+                a = atom(ground(*birth), ground(*death))
+                entries[a] = entries.get(a, 0) + rng.randint(1, 3)
+            return diagram(entries, level=1)
+
+        shapes = {"inf": 0, "mult": 0, "2d": 0, "empty": 0}
+        for dim in [1] * 40 + [2] * 40:
+            g, l = level1(dim), level1(dim)
+            if rng.random() < 0.1:
+                g = empty_diagram(1)
+            cn, cc = CostCounters(), CostCounters()
+            wn = naive_wasserstein(g, l, p, counters=cn)
+            wc = certified_wasserstein(g, l, p, counters=cc)
+            if p == 2:
+                assert_close(wn, wc, 1e-9)
+            else:
+                assert wn == wc, (g, l, wn, wc)
+            # every cell priced once: the naive count
+            assert cc.atom_expansions == cn.atom_expansions == len(g) * len(l)
+            atoms = g.atoms() + l.atoms()
+            shapes["inf"] += any(math.isinf(a.plus.coords[-1]) for a in atoms)
+            shapes["mult"] += any(m > 1 for x in (g, l) for _, m in x.entries)
+            shapes["2d"] += dim == 2 and bool(atoms)
+            shapes["empty"] += (len(g) == 0) != (len(l) == 0)
+        assert min(shapes.values()) > 0, shapes
+        # sides of two ground dimensions: costs read the shared coordinates, as `zip` does
+        g = diagram({interval(0, 1): 1})
+        l = diagram({atom(ground(0.0, 5.0), ground(1.0, 6.0)): 1})
+        assert certified_wasserstein(g, l, p) == naive_wasserstein(g, l, p) == 0.0
+
+    def test_level1_block_never_calls_atom_cost(self, rng, monkeypatch):
+        def no_atom_cost(*args):
+            raise AssertionError("atom_cost called at level 1")
+
+        monkeypatch.setattr(wasserstein._CertifiedRun, "atom_cost", no_atom_cost)
+        for _ in range(10):
+            g = rand_level1_diagram(rng, max_atoms=5)
+            l = rand_level1_diagram(rng, max_atoms=5)
+            for p in (1, 2, INF):
+                run = wasserstein._CertifiedRun(p, CostCounters())
+                assert_close(run.diagram_cost(g, l, 1), naive_wasserstein(g, l, p), 1e-9)
+
+    @pytest.mark.parametrize("route", [naive_wasserstein, certified_wasserstein])
+    def test_nan_p_rejected(self, route):
+        g = diagram({interval(0, 1): 1})
+        for x, y in ((g, g), (empty_diagram(1), empty_diagram(1))):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                route(x, y, math.nan)
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
     def test_certified_equals_naive_level2(self, rng, p):
         for _ in range(25):
             g = rand_level2_diagram(rng, max_atoms=3)
@@ -302,6 +359,11 @@ class TestWassersteinRecursion:
 class TestEmptyCost:
     def test_empty_diagram(self):
         assert empty_cost(empty_diagram(1), 1) == 0.0
+
+    def test_nan_p_rejected(self):
+        for theta in (empty_diagram(1), diagram({interval(0, 1): 1})):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                empty_cost(theta, math.nan)
 
     def test_hand_sum(self):
         theta = diagram({interval(0, 1): 1, interval(0.2, 0.4): 1})
@@ -396,13 +458,12 @@ class TestLinearNorm:
                 dim = rng.choice(dims)
                 atoms.append(atom(point(dim), point(dim)))
             atoms = list(dict.fromkeys(atoms))
-            n = len(atoms)
-            loop = np.zeros((n + 1, n + 1))
-            for i, j in itertools.permutations(range(n), 2):
-                loop[i, j] = d1(atoms[i], atoms[j], 1)
-            for i in range(n):
-                loop[i, n] = loop[n, i] = d_diag(atoms[i], 1)
-            assert (_level1_cost_matrix(atoms) == loop).all()
+            for p in (1, INF):
+                # the block every level-1 transport reads, at the p of the norm and beyond
+                side = wasserstein._level1_side(atoms, p)
+                off = wasserstein._level1_off(side, side, p)
+                assert off.tolist() == [[d1(u, v, p) for v in atoms] for u in atoms]
+                assert side[2].tolist() == [d_diag(u, p) for u in atoms]
 
         xi = virtual_diagram({interval(0.1, INF): 1, interval(0.2, 0.5): -2, interval(0.3, INF): 1})
         with warnings.catch_warnings():

@@ -524,7 +524,33 @@ def norm_p(values: Sequence[float], p: float) -> float:
         return max(vals)
     if p == 1:
         return sum(vals)
-    return sum(v**p for v in vals) ** (1.0 / p)
+    try:
+        total = sum(v**p for v in vals)
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        total = INF
+    if total < INF:
+        return total ** (1.0 / p)
+    k = _pow_shift(max(vals), p)  # a power left the float range: scale and retry
+    return _unshift(sum(math.ldexp(v, -k) ** p for v in vals) ** (1.0 / p), k)
+
+
+def _pow_shift(top: float, p: float) -> int:
+    """Power-of-two exponent k such that (top / 2^k)^p < 2^1000, so a sum of
+    fewer than 2^23 p-th powers of values up to ``top`` stays finite.
+
+    k is 0 unless the powers would come near overflow, so ordinary values
+    keep their bits, and a large k still leaves small terms clear of
+    underflow; power-of-two scaling is exact either way.
+    """
+    return max(0, math.frexp(top)[1] - int(1000 / p))
+
+
+def _unshift(x: float, k: int) -> float:
+    """x * 2^k, read as inf where that leaves the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return INF
 
 
 def dist_ground(x: GroundPoint, y: GroundPoint) -> float:

@@ -9,7 +9,16 @@ diagonal route, and prices each level-1 sub-transport as one numpy block:
 every off-diagonal cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) and
 both diagonal vectors e, f at once, then one assignment.  Both compute the
 same distances: exactly at p in {1, inf}, and to within rounding at other p,
-where numpy's powers may differ from Python's in the last place.
+where numpy's powers may differ from Python's in the last place.  At those
+other p a power that would leave the float range is taken on values scaled
+by a power of two, and the result scaled back.  The p = inf assignment is a
+bottleneck search that first tries its lower bound, the largest row or
+column minimum.
+
+The transport norm of a real-linear diagram is a min-cost flow on the
+metric closure of the atom costs: one assignment over unit masses when the
+coefficients are integers of total supply at most the node count, and a
+HiGHS transportation linear program otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .core import (
     _diag_scale,
     _dist_ground_array,
     _perfect_matching,
+    _pow_shift,
+    _unshift,
     dist_ground,
     level1_diag_cost,
     norm_p,
@@ -70,7 +81,9 @@ def assign_p(off, left, right, p) -> float:
         return 0.0
     if p == INF:
         return _assign_inf(costs)
-    A = costs**p
+    # scale the p-th powers clear of overflow (p = 1 takes no power)
+    k = 0 if p == 1 else _pow_shift(costs[np.isfinite(costs)].max(initial=0.0), p)
+    A = (np.ldexp(costs, -k) if k else costs) ** p
     try:
         rows, cols = linear_sum_assignment(A)
     except ValueError:
@@ -78,7 +91,7 @@ def assign_p(off, left, right, p) -> float:
     total = float(A[rows, cols].sum())
     if math.isinf(total):
         return INF
-    return total ** (1.0 / p)
+    return _unshift(total ** (1.0 / p), k)
 
 
 def _check_p(p) -> None:
@@ -88,18 +101,27 @@ def _check_p(p) -> None:
 
 
 def _assign_inf(costs: np.ndarray) -> float:
-    """Bottleneck assignment: the least threshold with a perfect matching."""
-    finite = np.union1d([0.0], costs[np.isfinite(costs)])
-    lo, hi = 0, len(finite) - 1
-    if not _perfect_matching(costs <= finite[hi]):
+    """Bottleneck assignment: the least threshold with a perfect matching.
+
+    A perfect matching takes one cell from every row and every column, so
+    the threshold is at least the largest row or column minimum, itself a
+    cell.  That bound is tried first; otherwise the search bisects over the
+    finite costs above it, where an index past the last one stands for INF.
+    """
+    lb = max(costs.min(axis=1).max(), costs.min(axis=0).max())
+    if math.isinf(lb):
         return INF
+    if _perfect_matching(costs <= lb):
+        return float(lb)
+    above = np.unique(costs[(costs > lb) & np.isfinite(costs)])
+    lo, hi = 0, len(above)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _perfect_matching(costs <= finite[mid]):
+        if _perfect_matching(costs <= above[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return float(finite[lo])
+    return INF if lo == len(above) else float(above[lo])
 
 
 def min_cost_transport(divergence: Sequence, cost) -> float:
@@ -109,10 +131,20 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     Divergences may be ints, floats or Fractions and must sum to zero;
     costs are finite and nonnegative over all ordered node pairs (the
     diagonal is ignored).  With nonnegative costs and no capacities an
-    optimal flow runs along shortest paths, so the problem is solved as a
-    HiGHS transportation linear program from the supply nodes (divergence
-    > 0) to the demand nodes (divergence < 0) on the metric closure of the
-    costs; zero-divergence nodes act as relays inside the closure.
+    optimal flow runs along shortest paths, so the problem is one of
+    transportation from the supply nodes (divergence > 0) to the demand
+    nodes (divergence < 0) on the metric closure of the costs (Floyd-Warshall
+    in numpy); zero-divergence nodes act as relays inside the closure.
+
+    When every divergence is an integer and the total supply is at most the
+    node count, each supply node is repeated once per unit it sends and each
+    demand node once per unit it takes, and one `linear_sum_assignment`
+    over those unit masses solves it: integer masses have an integral
+    optimal plan, and the unit block is no larger than the closure.  Any
+    other divergences (fractional, or a larger total supply) go to a HiGHS
+    transportation linear program over the supply x demand arcs, its costs
+    scaled by a power of two to at most 1, because HiGHS reads a cost of
+    1e20 or more as infinite.
     """
     n = len(divergence)
     if n == 0:
@@ -135,6 +167,14 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     np.fill_diagonal(dist, 0.0)
     for k in range(n):  # Floyd-Warshall closure
         np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    if all(int(d) == d for d in divergence):
+        units = [int(divergence[i]) for i in supply]
+        if sum(units) <= n:
+            rows = np.repeat(supply, units)
+            cols = np.repeat(demand, [-int(divergence[j]) for j in demand])
+            block = dist[np.ix_(rows, cols)]
+            r, c = linear_sum_assignment(block)
+            return float(block[r, c].sum())
     m, t = len(supply), len(demand)
     arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
     # one row per supply and per demand but the last, which the
@@ -146,11 +186,12 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     b_eq = np.array(
         [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
     )
-    res = linprog(dist[np.ix_(supply, demand)].ravel(), A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
+    lp_cost = dist[np.ix_(supply, demand)].ravel()
+    k = math.frexp(lp_cost.max())[1]  # scaled costs lie in [0, 1)
+    res = linprog(np.ldexp(lp_cost, -k), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return _unshift(float(res.fun), k)
 
 
 @dataclass
@@ -365,10 +406,13 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     equal to the coefficients with the basepoint absorbing their negative
     sum, arc costs the strengthened atom metric (at level 1 the numpy cost
     block of `_level1_off` at p = 1, above it from one certified run, whose
-    memo tables all the pairs share).  `min_cost_transport` solves it as a
-    transportation LP from positive to negative nodes on the metric closure
-    of those costs.  An infinite cost on the support (an atom with a +inf
-    death) raises ValueError.
+    memo tables all the pairs share).  `min_cost_transport` solves it on the
+    metric closure of those costs, from positive to negative nodes: integer
+    coefficients whose positive sum is at most the support size plus one
+    (say a difference of two diagrams with unit multiplicities) take one
+    assignment over unit masses, and Fraction coefficients (the means) or
+    larger integer masses a HiGHS transportation LP.  An infinite cost on
+    the support (an atom with a +inf death) raises ValueError.
     """
     entries = xi.entries
     if not entries:
@@ -421,7 +465,11 @@ def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
     elif p == INF:
         direct = np.maximum(a, b)
     else:
-        direct = (a**p + b**p) ** (1.0 / p)
+        try:
+            with np.errstate(over="raise"):
+                direct = (a**p + b**p) ** (1.0 / p)
+        except FloatingPointError:  # a power left the float range: `norm_p` scales each pair
+            direct = np.array([[norm_p(pair, p) for pair in zip(ra, rb)] for ra, rb in zip(a, b)])
     return np.minimum(direct, e[:, None] + f[None])
 
 

@@ -12,6 +12,7 @@ from scipy.sparse import coo_matrix
 
 from hopd import wasserstein
 from hopd.core import (
+    _perfect_matching,
     atom,
     d1,
     d_diag,
@@ -20,6 +21,7 @@ from hopd.core import (
     empty_diagram,
     ground,
     interval,
+    linear_diagram,
     virtual_diagram,
 )
 from hopd.wasserstein import (
@@ -121,6 +123,40 @@ class TestAssign:
         off = [[0.5, 0.9], [0.9, 0.5]]
         assert_close(assign_p(off, [2.0, 2.0], [2.0, 2.0], INF), 0.5)
 
+    def test_huge_unused_cost_keeps_small_costs(self):
+        # 1e300 squared leaves the float range; the scaling that avoids it
+        # must not flush the unit costs of the optimal matching to zero
+        for p, huge, want in ((2, 1e300, math.sqrt(2)), (3, 1e200, 2 ** (1 / 3))):
+            off = [[1.0, huge], [huge, 1.0]]
+            assert_close(assign_p(off, [5.0, 5.0], [5.0, 5.0], p), want, 1e-12)
+
+    def test_inf_bound_first_equals_full_candidate_bisection(self, rng):
+        def full_bisection(costs):
+            finite = np.union1d([0.0], costs[np.isfinite(costs)])
+            lo, hi = 0, len(finite) - 1
+            if not _perfect_matching(costs <= finite[hi]):
+                return INF
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _perfect_matching(costs <= finite[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return float(finite[lo])
+
+        # few distinct values, so ties, zero cells and inf cells are common
+        values = [0.0, 0.25, 0.5, 1.0, 2.0, INF]
+        seen_inf = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            costs = np.array([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            if rng.random() < 0.1:
+                costs[rng.randrange(n)] = INF  # an all-inf row has no matching
+            want = full_bisection(costs)
+            assert wasserstein._assign_inf(costs) == want
+            seen_inf += want == INF
+        assert seen_inf > 0
+
     def test_inf_large_problem_needs_no_recursion(self):
         # 1200-node matching graph: deeper than Python's recursion limit
         k = 600
@@ -172,6 +208,39 @@ class TestMinCostTransport:
         monkeypatch.setattr(wasserstein, "linprog", no_lp)
         assert min_cost_transport([0], [[0.0]]) == 0.0
         assert min_cost_transport([0, Fraction(0)], [[0.0, 3.0], [1.0, 0.0]]) == 0.0
+
+    def test_integer_masses_within_node_count_skip_the_lp(self, rng, monkeypatch):
+        # relays, zero-cost arcs and asymmetric costs without the triangle
+        # inequality; the total supply never exceeds the node count
+        def no_lp(*args, **kwargs):
+            raise AssertionError("LP called")
+
+        monkeypatch.setattr(wasserstein, "linprog", no_lp)
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            cost = [[rng.choice([0.0, rng.uniform(0, 10), rng.uniform(0, 1)]) for _ in range(n)]
+                    for _ in range(n)]
+            div = [0] * n
+            for _ in range(rng.randint(0, n)):
+                i, j = rng.sample(range(n), 2)
+                div[i] += 1
+                div[j] -= 1
+            assert sum(d for d in div if d > 0) <= n
+            assert_close(min_cost_transport(div, cost), transshipment_oracle(div, cost), 1e-9)
+
+    def test_fractional_or_large_masses_use_the_lp(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(wasserstein, "linprog", spy)
+        cost = [[0.0 if i == j else 1.0 for j in range(3)] for i in range(3)]
+        assert_close(min_cost_transport([Fraction(1, 2), Fraction(-1, 2), 0], cost), 0.5)
+        assert_close(min_cost_transport([4, -2, -2], cost), 4.0)  # supply 4 > 3 nodes
+        assert_close(min_cost_transport([0.5, -0.5, 0], cost), 0.5)
+        assert len(calls) == 3
 
     def test_relay_node_shortens_the_route(self):
         # the direct arc 0 -> 2 costs 5; the relay through node 1 costs 2
@@ -295,6 +364,15 @@ class TestWassersteinRecursion:
             wc = certified_wasserstein(g, l, p, counters=cc)
             assert_close(wn, wc, 1e-9)
             assert cc.atom_expansions <= cn.atom_expansions
+
+    def test_large_finite_coordinates_at_p2(self):
+        # squares of these gaps leave the float range; both routes scale by a
+        # power of two first and agree on the finite distance
+        g = diagram({interval(0.0, 1e200): 1})
+        l = diagram({interval(1e199, 2e200): 1})
+        naive = naive_wasserstein(g, l, 2)
+        assert naive == certified_wasserstein(g, l, 2)
+        assert_close(naive, math.hypot(1e199, 1e200), 1e-12)
 
     def test_memo_hit_on_repeat(self, rng):
         g = rand_level2_diagram(rng, max_atoms=2)
@@ -433,6 +511,17 @@ class TestLinearNorm:
 
         expected = 0.5 * min(d1(a, b, 1), d_diag(a, 1) + d_diag(b, 1))
         assert_close(linear_w1_norm(xi), expected)
+
+    @pytest.mark.parametrize("scale", [1e21, 1e200])
+    @pytest.mark.parametrize("c", [1, Fraction(1, 2), 5, 10**17])
+    def test_costs_past_the_lp_infinity(self, scale, c):
+        # HiGHS reads a cost >= 1e20 as infinite, so the LP (every c but 1,
+        # which takes the assignment) gets its costs scaled down first.
+        # Moving c units from a to b directly costs |b_a - b_b| + |d_a - d_b|
+        # per unit, less than both diagonals.
+        a, b = interval(0.0, scale), interval(scale / 10, 2 * scale)
+        xi = virtual_diagram({a: c, b: -c}) if isinstance(c, int) else linear_diagram({a: c, b: -c})
+        assert_close(linear_w1_norm(xi), float(c) * (scale / 10 + scale), 1e-12)
 
     def test_norm_axioms(self, rng):
         from conftest import rand_virtual

@@ -30,6 +30,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 INF = math.inf
+# Sums of p-th powers (1 < p < inf) are read as they are between _POW_TINY,
+# above which underflow cost at most rounding, and the float range's end
+# (_POW_HUGE for `_capped_powers`).  A sum outside is recomputed on rescaled
+# values.
+_POW_TINY = 2.0**-960
+_POW_HUGE = 2.0**999
 
 _INTERN_LOCK = threading.Lock()
 _INTERN: dict = {}
@@ -528,29 +534,22 @@ def norm_p(values: Sequence[float], p: float) -> float:
         total = sum(v**p for v in vals)
     except OverflowError:  # Python's float power raises where numpy's gives inf
         total = INF
-    if total < INF:
+    if _POW_TINY <= total < INF:
         return total ** (1.0 / p)
-    k = _pow_shift(max(vals), p)  # a power left the float range: scale and retry
-    return _unshift(sum(math.ldexp(v, -k) ** p for v in vals) ** (1.0 / p), k)
+    top = max(vals)
+    if top == 0:
+        return 0.0
+    # the powers left the float range: divide by the largest value, whose
+    # power is then 1, so the sum lies in [1, len(vals)]
+    return top * sum((v / top) ** p for v in vals) ** (1.0 / p)
 
 
-def _pow_shift(top: float, p: float) -> int:
-    """Power-of-two exponent k such that (top / 2^k)^p < 2^1000, so a sum of
-    fewer than 2^23 p-th powers of values up to ``top`` stays finite.
-
-    k is 0 unless the powers would come near overflow, so ordinary values
-    keep their bits, and a large k still leaves small terms clear of
-    underflow; power-of-two scaling is exact either way.
-    """
-    return max(0, math.frexp(top)[1] - int(1000 / p))
-
-
-def _unshift(x: float, k: int) -> float:
-    """x * 2^k, read as inf where that leaves the float range."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return INF
+def _capped_powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p with each value (an inf too) capped at 2^(1000/p) first, so no
+    power overflows and a capped one lands past _POW_HUGE."""
+    capped = np.minimum(x, 2.0 ** (1000 / p))
+    capped **= p
+    return capped
 
 
 def dist_ground(x: GroundPoint, y: GroundPoint) -> float:

@@ -10,10 +10,11 @@ every off-diagonal cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) and
 both diagonal vectors e, f at once, then one assignment.  Both compute the
 same distances: exactly at p in {1, inf}, and to within rounding at other p,
 where numpy's powers may differ from Python's in the last place.  At those
-other p a power that would leave the float range is taken on values scaled
-by a power of two, and the result scaled back.  The p = inf assignment is a
-bottleneck search that first tries its lower bound, the largest row or
-column minimum.
+other p a sum of p-th powers is computed plainly first; only where it left
+the float range (overflow, or underflow past rounding) is it recomputed on
+costs divided by the largest one (in a matching, by the bottleneck), and
+the result multiplied back.  The p = inf assignment is a bottleneck search
+that first tries its lower bound, the largest row or column minimum.
 
 The transport norm of a real-linear diagram is a min-cost flow on the
 metric closure of the atom costs: one assignment over unit masses when the
@@ -42,8 +43,9 @@ from .core import (
     _diag_scale,
     _dist_ground_array,
     _perfect_matching,
-    _pow_shift,
-    _unshift,
+    _POW_HUGE,
+    _POW_TINY,
+    _capped_powers,
     dist_ground,
     level1_diag_cost,
     norm_p,
@@ -81,17 +83,30 @@ def assign_p(off, left, right, p) -> float:
         return 0.0
     if p == INF:
         return _assign_inf(costs)
-    # scale the p-th powers clear of overflow (p = 1 takes no power)
-    k = 0 if p == 1 else _pow_shift(costs[np.isfinite(costs)].max(initial=0.0), p)
-    A = (np.ldexp(costs, -k) if k else costs) ** p
-    try:
-        rows, cols = linear_sum_assignment(A)
-    except ValueError:
-        return INF
-    total = float(A[rows, cols].sum())
-    if math.isinf(total):
-        return INF
-    return _unshift(total ** (1.0 / p), k)
+    if p == 1:
+        try:
+            rows, cols = linear_sum_assignment(costs)
+        except ValueError:
+            return INF
+        return float(costs[rows, cols].sum())
+    total = _least_power_sum(costs, p)
+    if _POW_TINY <= total < _POW_HUGE:
+        return total ** (1.0 / p)
+    # the powers left the float range: divide by the bottleneck b, which
+    # the optimum's largest cost reaches and n^(1/p) * b bounds, so the
+    # optimum's scaled powers sum to between 1 and n; it takes no cost past
+    # n * b, and capping there keeps the quotients finite
+    b = _assign_inf(costs)
+    if b == 0 or b == INF:
+        return b
+    return b * _least_power_sum(np.minimum(costs, len(costs) * b) / b, p) ** (1.0 / p)
+
+
+def _least_power_sum(costs: np.ndarray, p) -> float:
+    """Least sum of `_capped_powers` over the perfect matchings."""
+    A = _capped_powers(costs, p)
+    rows, cols = linear_sum_assignment(A)
+    return float(A[rows, cols].sum())
 
 
 def _check_p(p) -> None:
@@ -142,9 +157,9 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     over those unit masses solves it: integer masses have an integral
     optimal plan, and the unit block is no larger than the closure.  Any
     other divergences (fractional, or a larger total supply) go to a HiGHS
-    transportation linear program over the supply x demand arcs, its costs
-    scaled by a power of two to at most 1, because HiGHS reads a cost of
-    1e20 or more as infinite.
+    transportation linear program over the supply x demand arcs.  HiGHS
+    reads a cost of 1e20 or more as infinite, so costs past 2^60 are first
+    divided by a power of two that brings them below it.
     """
     n = len(divergence)
     if n == 0:
@@ -187,11 +202,12 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
         [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
     )
     lp_cost = dist[np.ix_(supply, demand)].ravel()
-    k = math.frexp(lp_cost.max())[1]  # scaled costs lie in [0, 1)
-    res = linprog(np.ldexp(lp_cost, -k), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS reads a cost >= 1e20 as infinite: bring large costs below 2^60
+    scale = 2.0 ** max(0, math.frexp(lp_cost.max())[1] - 60)
+    res = linprog(lp_cost / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return _unshift(float(res.fun), k)
+    return float(res.fun) * scale
 
 
 @dataclass
@@ -465,11 +481,12 @@ def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
     elif p == INF:
         direct = np.maximum(a, b)
     else:
-        try:
-            with np.errstate(over="raise"):
-                direct = (a**p + b**p) ** (1.0 / p)
-        except FloatingPointError:  # a power left the float range: `norm_p` scales each pair
-            direct = np.array([[norm_p(pair, p) for pair in zip(ra, rb)] for ra, rb in zip(a, b)])
+        total = _capped_powers(a, p) + _capped_powers(b, p)
+        direct = total ** (1.0 / p)
+        lost = (total < _POW_TINY) | (total >= _POW_HUGE)
+        if lost.any():  # a power left the float range: `norm_p` prices the pair
+            lost &= np.maximum(a, b) > 0
+            direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
     return np.minimum(direct, e[:, None] + f[None])
 
 

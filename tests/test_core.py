@@ -283,6 +283,16 @@ class TestMetrics:
                     if dist > 1e-12:
                         assert dist >= eps - 1e-12
 
+    def test_norm_p_powers_outside_the_float_range(self):
+        # squares past the float range, squares below it, and a p so large
+        # that every power but 0 and 1 overflows or underflows
+        assert_close(core.norm_p((1e200, 1e200), 2), math.sqrt(2) * 1e200, 1e-15)
+        assert core.norm_p((1e-200, 1e-200), 2) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15, abs=0)
+        assert_close(core.norm_p((1e-200, 1e200), 2), 1e200, 1e-15)
+        assert core.norm_p((3.0, 4.0), 1e6) == 4.0
+        assert core.norm_p((0.0, 0.0), 2) == 0.0
+        assert core.norm_p((0.37, 1.25), 2) == (0.37**2 + 1.25**2) ** 0.5
+
     def test_infinity_handling(self):
         u = interval(0.5, INF)
         v = interval(0.5, 1.0)

@@ -123,12 +123,31 @@ class TestAssign:
         off = [[0.5, 0.9], [0.9, 0.5]]
         assert_close(assign_p(off, [2.0, 2.0], [2.0, 2.0], INF), 0.5)
 
-    def test_huge_unused_cost_keeps_small_costs(self):
-        # 1e300 squared leaves the float range; the scaling that avoids it
-        # must not flush the unit costs of the optimal matching to zero
-        for p, huge, want in ((2, 1e300, math.sqrt(2)), (3, 1e200, 2 ** (1 / 3))):
-            off = [[1.0, huge], [huge, 1.0]]
-            assert_close(assign_p(off, [5.0, 5.0], [5.0, 5.0], p), want, 1e-12)
+    @pytest.mark.parametrize(
+        "p, small, huge",
+        [(2, 1.0, 1e300), (3, 1.0, 1e200), (3, 1.0, 1e300), (10, 1.0, 1e63), (2, 1e-13, 1e300)],
+    )
+    def test_huge_unused_cost_keeps_small_costs(self, p, small, huge):
+        # the huge costs' powers leave the float range; the optimum avoids
+        # them, and its small costs must not be flushed to zero
+        off = [[small, huge], [huge, small]]
+        got = assign_p(off, [huge, huge], [huge, huge], p)
+        assert got == pytest.approx(small * 2 ** (1 / p), rel=1e-12, abs=0)
+
+    def test_every_matching_past_the_float_range(self):
+        # (8e30)^10 overflows, so every matching's power sum does; scaled by
+        # the bottleneck 8e30, the unused 1e308 cells still overflow to inf
+        off = [[8e30, 1e308], [1e308, 8e30]]
+        got = assign_p(off, [1e308, 1e308], [1e308, 1e308], 10)
+        assert_close(got, 8e30 * 2 ** 0.1, 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2, 3])
+    def test_powers_below_the_float_range(self, p):
+        # squares of 1e-200 underflow to 0; the distance must not
+        off = [[1e-200, 1.0], [1.0, 1e-200]]
+        got = assign_p(off, [1.0, 1.0], [1.0, 1.0], p)
+        assert got == pytest.approx(1e-200 * 2 ** (1 / p), rel=1e-12, abs=0)
+        assert assign_p([[0.0]], [1.0], [1.0], p) == 0.0
 
     def test_inf_bound_first_equals_full_candidate_bisection(self, rng):
         def full_bisection(costs):
@@ -229,11 +248,12 @@ class TestMinCostTransport:
             assert_close(min_cost_transport(div, cost), transshipment_oracle(div, cost), 1e-9)
 
     def test_fractional_or_large_masses_use_the_lp(self, monkeypatch):
-        calls = []
+        calls, calls_costs = [], []
 
-        def spy(*args, **kwargs):
+        def spy(c, *args, **kwargs):
             calls.append(1)
-            return linprog(*args, **kwargs)
+            calls_costs.append(np.asarray(c))
+            return linprog(c, *args, **kwargs)
 
         monkeypatch.setattr(wasserstein, "linprog", spy)
         cost = [[0.0 if i == j else 1.0 for j in range(3)] for i in range(3)]
@@ -241,6 +261,9 @@ class TestMinCostTransport:
         assert_close(min_cost_transport([4, -2, -2], cost), 4.0)  # supply 4 > 3 nodes
         assert_close(min_cost_transport([0.5, -0.5, 0], cost), 0.5)
         assert len(calls) == 3
+        # ordinary costs reach HiGHS as they are; only costs near its
+        # infinity (1e20) are scaled down
+        assert all(np.array_equal(c, np.ones_like(c)) for c in calls_costs)
 
     def test_relay_node_shortens_the_route(self):
         # the direct arc 0 -> 2 costs 5; the relay through node 1 costs 2
@@ -366,13 +389,33 @@ class TestWassersteinRecursion:
             assert cc.atom_expansions <= cn.atom_expansions
 
     def test_large_finite_coordinates_at_p2(self):
-        # squares of these gaps leave the float range; both routes scale by a
-        # power of two first and agree on the finite distance
+        # squares of these gaps leave the float range; both routes rescale
+        # and agree on the finite distance
         g = diagram({interval(0.0, 1e200): 1})
         l = diagram({interval(1e199, 2e200): 1})
         naive = naive_wasserstein(g, l, 2)
         assert naive == certified_wasserstein(g, l, 2)
         assert_close(naive, math.hypot(1e199, 1e200), 1e-12)
+
+    def test_huge_atoms_keep_the_small_costs_at_p10(self):
+        # the optimum moves each atom by 1; the powers of the 1e63 costs it
+        # avoids leave the float range
+        g = diagram({interval(0.0, 1.0): 1, interval(0.0, 1e63): 1})
+        l = diagram({interval(0.0, 2.0): 1, interval(1.0, 1e63): 1})
+        naive = naive_wasserstein(g, l, 10)
+        assert naive == certified_wasserstein(g, l, 10)
+        assert_close(naive, 2**0.1, 1e-12)
+
+    def test_small_coordinates_at_p2(self):
+        # squares of these gaps underflow; the distances must not.  Against
+        # l each atom moves by 1e-200 at birth and death, less than the way
+        # through the diagonal
+        g = diagram({interval(0.0, 4e-200): 1})
+        l = diagram({interval(1e-200, 5e-200): 1})
+        for other, want in ((empty_diagram(1), 4e-200 / math.sqrt(2)), (l, math.sqrt(2) * 1e-200)):
+            naive = naive_wasserstein(g, other, 2)
+            assert naive == certified_wasserstein(g, other, 2)
+            assert naive == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_memo_hit_on_repeat(self, rng):
         g = rand_level2_diagram(rng, max_atoms=2)

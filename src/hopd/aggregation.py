@@ -34,10 +34,12 @@ from .core import (
 _ATOM, _COEFF, _ROW = itemgetter(0), itemgetter(1), attrgetter("row")
 # rows of the self-aggregate mask that ``self_aggregate_pairs`` builds at a time
 _PAIR_BLOCK = 1024
+# most classes (support squared, or labelings) an iterated expansion may build
+_EXPANSION_GUARD = 1_000_000
 
 
 class ExpansionGuardExceeded(RuntimeError):
-    """Iterated aggregation would exceed the configured size budget."""
+    """Iterated aggregation would exceed ``_EXPANSION_GUARD`` classes."""
 
 
 def pair_class(u: Atom, v: Atom) -> Atom:
@@ -189,22 +191,22 @@ def mean_aggregate(diagrams: Sequence[VirtualDiagram]) -> LinearDiagram:
     return _mean_of((bilinear_aggregate(g, g) for g in diagrams), len(diagrams))
 
 
-def iterated_aggregate(xi: VirtualDiagram, s: int, guard: int = 1_000_000) -> VirtualDiagram:
+def iterated_aggregate(xi: VirtualDiagram, s: int) -> VirtualDiagram:
     """s-fold self-aggregation Xi_s; support squares at each step (guarded)."""
     if s < 1:
         raise ValueError("s must be >= 1")
     current = xi
     for _ in range(s):
         size = current.support_size()
-        if size * size > guard:
+        if size * size > _EXPANSION_GUARD:
             raise ExpansionGuardExceeded(
-                f"support {size} would expand past guard {guard}"
+                f"support {size} would expand past guard {_EXPANSION_GUARD}"
             )
         current = bilinear_aggregate(current, current)
     return current
 
 
-def tree_expansion_oracle(xi: VirtualDiagram, s: int, guard: int = 1_000_000) -> VirtualDiagram:
+def tree_expansion_oracle(xi: VirtualDiagram, s: int) -> VirtualDiagram:
     """Direct sum over all leaf labelings of the depth-s binary tree.
 
     Independent of ``iterated_aggregate``: builds each nested class from its
@@ -214,8 +216,8 @@ def tree_expansion_oracle(xi: VirtualDiagram, s: int, guard: int = 1_000_000) ->
     if s < 1:
         raise ValueError("s must be >= 1")
     n, leaves = xi.support_size(), 2**s
-    if n**leaves > guard:
-        raise ExpansionGuardExceeded(f"{n}^{leaves} labelings exceed guard {guard}")
+    if n**leaves > _EXPANSION_GUARD:
+        raise ExpansionGuardExceeded(f"{n}^{leaves} labelings exceed guard {_EXPANSION_GUARD}")
 
     def classes():
         for labeling in itertools.product(xi.entries, repeat=leaves):

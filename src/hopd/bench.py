@@ -1,11 +1,11 @@
 """Experiment harness: speedup matrix, runtime scaling, transport benchmarks.
 
-Timing policy follows the experiments: the timed region covers aggregation
-(or harmonic evaluation) only; graph generation, persistence, Wasserstein
-matching, representation warming, and I/O all happen outside it, with the
-timed region running single-threaded.  Every timed run is then verified: per
-sample, the harmonic route's exact int64 nets must equal those collected from
-the explicit aggregate, and the phase of the mean must agree (1e-9 mod 2*pi);
+Timing policy follows the experiments: everything runs in one thread, and
+the timed region covers aggregation (or harmonic evaluation) only; graph
+generation, persistence, Wasserstein matching, representation warming, and
+I/O all happen outside it.  Every timed run is then verified: per sample,
+the harmonic route's exact int64 nets must equal those collected from the
+explicit aggregate, and the phase of the mean must agree (1e-9 mod 2*pi);
 a timing row is emitted only for verified-equal results.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +65,6 @@ class ExperimentConfig:
     seed: int = 20260502
     out: str | None = None
     units: str = "ns"
-    threads: int = 1
     psi: str = "golden"
     fmt: str = "csv"
     family: str = "uniform"
@@ -78,7 +76,7 @@ class ExperimentConfig:
         for m in self.models:
             if m not in MODELS:
                 raise ValueError(f"unknown model {m!r}")
-        if self.m < 1 or self.repeats < 1 or self.threads < 1:
+        if self.m < 1 or self.repeats < 1:
             raise ValueError("counts must be positive")
         if self.units not in UNIT_DIVISORS:
             raise ValueError(f"unknown units {self.units!r}")
@@ -211,20 +209,14 @@ def _verify(xs, parts, raws, psi, m):
 # Experiments
 
 
-def _model_samples(model: str, m: int, threads: int, offset: int = 0):
-    spec = model_spec(model)
-    idx = model_index(model)
-
-    def build(k: int) -> VirtualDiagram:
-        sample = generate(spec, seed_for(idx, k + offset))
+def _model_samples(model: str, m: int, offset: int = 0) -> list[VirtualDiagram]:
+    spec, idx = model_spec(model), model_index(model)
+    out = []
+    for k in range(offset, offset + m):
+        sample = generate(spec, seed_for(idx, k))
         filt = build_clique_filtration(sample.graph, normalize=True)
-        return persistence_h1(filt).to_virtual()
-
-    ks = range(m)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, ks))
-    return [build(k) for k in ks]
+        out.append(persistence_h1(filt).to_virtual())
+    return out
 
 
 def run_speedup_matrix(cfg: ExperimentConfig) -> list[dict]:
@@ -244,7 +236,7 @@ def run_speedup_matrix(cfg: ExperimentConfig) -> list[dict]:
     def samples(model: str, offset: int = 0):
         key = (model, offset)
         if key not in cache:
-            cache[key] = _model_samples(model, cfg.m, cfg.threads, offset)
+            cache[key] = _model_samples(model, cfg.m, offset)
         return cache[key]
 
     rows = []

@@ -170,7 +170,6 @@ _FLAGS = {
     "--seed": {"type": int},
     "--out": {},
     "--units": {},
-    "--threads": {"type": int},
     "--psi": {},
     "--format": {"dest": "fmt", "metavar": "FORMAT"},
     "--family": {},
@@ -179,7 +178,7 @@ _FLAGS = {
 
 # Each experiment command's handler and the flags that its runner reads.
 _COMMANDS = {
-    "speedup": (_cmd_speedup, "--models --m --threads --psi --units --out --format"),
+    "speedup": (_cmd_speedup, "--models --m --psi --units --out --format"),
     "scaling": (_cmd_scaling, "--n-range --repeats --seed --family --engine --psi --out --format"),
     "wbench": (_cmd_wbench, "--repeats --seed --out --format"),
     "demo": (_cmd_demo, "--models --m --out"),

@@ -568,10 +568,10 @@ def dist_ground(x: GroundPoint, y: GroundPoint) -> float:
 def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`dist_ground` over the last axis of broadcast coordinate arrays: the
     largest coordinate gap, where equal coordinates give 0 and +inf against
-    a finite value gives inf.  A NaN pad is skipped, as `zip` would."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, skipped as a pad
-        gap = np.abs(x - y)
-    return np.fmax.reduce(gap, axis=-1, initial=0.0)
+    a finite value gives inf.  A NaN pad is skipped, as `zip` would.  The
+    caller ignores numpy's invalid (inf - inf is NaN, skipped as a pad) and
+    overflow (a gap past the float range is inf, as in `dist_ground`)."""
+    return np.fmax.reduce(np.abs(x - y), axis=-1, initial=0.0)
 
 
 def _endpoint_dist(a: Endpoint, b: Endpoint, p: float) -> float:

@@ -49,6 +49,12 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _ratio_at(x: int, N: int) -> Fraction:
+    """x^(3N - 5) / N exactly: the naive/certified transport ratio when the
+    recursion has x vertices."""
+    return Fraction(x) ** (3 * N - 5) / N
+
+
 def envelope_worst(c: int, N: int, r: int) -> dict:
     """The four closed-form bounds plus their naive/certified ratio.
 
@@ -63,14 +69,12 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
     harmonic = width * logf ** (r - 1)
     naive_w = width ** (3 * N)
     certified_w = N * width**5
-    exp = 3 * N - 5
-    ratio = Fraction(width**exp, N) if exp >= 0 else Fraction(1, N * width ** (-exp))
     return {
         "naive_aggregation": naive_agg,
         "harmonic_evaluation": harmonic,
         "naive_wasserstein": naive_w,
         "certified_wasserstein": certified_w,
-        "ratio": ratio,
+        "ratio": _ratio_at(width, N),
     }
 
 
@@ -147,13 +151,7 @@ def sandwich_bounds(c: int, N: int) -> tuple[Fraction, Fraction]:
     values of that power at the extreme sizes c and c*(2^(N+1)-1); for
     3N - 5 < 0 the power is decreasing and the endpoints swap.
     """
-    exp = 3 * N - 5
-    top = c * (2 ** (N + 1) - 1)
-
-    def val(x: int) -> Fraction:
-        return Fraction(x**exp, N) if exp >= 0 else Fraction(1, N * x ** (-exp))
-
-    lo, hi = val(c), val(top)
+    lo, hi = _ratio_at(c, N), _ratio_at(c * (2 ** (N + 1) - 1), N)
     return (lo, hi) if lo <= hi else (hi, lo)
 
 

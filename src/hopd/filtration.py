@@ -7,6 +7,11 @@ boundary matrix restricted to cycle-creating edges, with each column a
 Python-int bitset (XOR adds columns, ``bit_length`` finds the pivot); a
 set-based full reduction of the whole boundary matrix (no clearing, no
 restriction, no bitsets) is kept alongside as an independent oracle.
+
+A class that never dies (an essential class) dies at the cap: the largest
+edge value, ``Filtration.max_value``, plus the caller's ``cap_delta``.  So
+every diagram is finite, and with ``cap_delta = 0`` a class born at the
+heaviest edge lies on the diagonal and is dropped.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Diagram, diagram, interval
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,7 @@ class Filtration:
 
     simplices: tuple[tuple[float, int, tuple[int, ...]], ...]
     n_vertices: int
-    normalized: bool
-    max_value: float
-
-    def cap_value(self) -> float:
-        return 1.0 if self.normalized else self.max_value
+    max_value: float  # the largest edge value (1.0 when normalized), and the cap
 
 
 def build_clique_filtration(g: WeightedGraph, normalize: bool = True) -> Filtration:
@@ -102,7 +101,7 @@ def build_clique_filtration(g: WeightedGraph, normalize: bool = True) -> Filtrat
                 simplices.append((tw, 2, (u, v, k)))
     simplices.sort(key=lambda s: (s[0], s[1], s[2]))
     max_value = max((w for _, _, w in edges), default=1.0)
-    return Filtration(tuple(simplices), g.n, normalize and scale > 0, max_value)
+    return Filtration(tuple(simplices), g.n, max_value)
 
 
 def _check_sorted(f: Filtration):
@@ -130,22 +129,14 @@ class _UnionFind:
         return True
 
 
-def _essential_death(f: Filtration, policy: str, delta: float) -> float:
-    if policy == "infinite":
-        return INF
-    return f.cap_value() + delta
-
-
 def _pairs_diagram(pairs: Iterable[tuple[float, float]]) -> Diagram:
     """Level-1 diagram of (birth, death) pairs counted with multiplicity;
     zero-persistence pairs are dropped as diagonal."""
     return diagram(Counter(interval(b, d) for b, d in pairs if b != d), level=1)
 
 
-def persistence_h0(
-    f: Filtration, essential: str = "cap", cap_delta: float = 0.0
-) -> Diagram:
-    """Components are born at 0 and die at their merging edge."""
+def persistence_h0(f: Filtration, cap_delta: float = 0.0) -> Diagram:
+    """Components are born at 0 and die at their merging edge, or at the cap."""
     _check_sorted(f)
     uf = _UnionFind(f.n_vertices)
     pairs: list[tuple[float, float]] = []
@@ -156,19 +147,16 @@ def persistence_h0(
         if uf.union(verts[0], verts[1]):
             pairs.append((0.0, value))
             components -= 1
-    death = _essential_death(f, essential, cap_delta)
-    pairs.extend((0.0, death) for _ in range(components))
+    pairs.extend((0.0, f.max_value + cap_delta) for _ in range(components))
     return _pairs_diagram(pairs)
 
 
-def persistence_h1(
-    f: Filtration, essential: str = "cap", cap_delta: float = 0.0
-) -> Diagram:
+def persistence_h1(f: Filtration, cap_delta: float = 0.0) -> Diagram:
     """Cycle persistence by GF(2) reduction of the triangle boundary columns.
 
     Edges that do not merge components create cycles; triangles kill them.
-    Unpaired cycles receive the cap death (or +inf under the "infinite"
-    policy) and zero-persistence pairs are dropped as diagonal.
+    Unpaired cycles die at the cap, and zero-persistence pairs are dropped
+    as diagonal.
     """
     _check_sorted(f)
     # Columns over positive edges only, as Python-int bitsets: bit i is the
@@ -198,7 +186,7 @@ def persistence_h1(
                     pairs.append((edge_value[low], value))
                     break
                 col ^= other
-    death = _essential_death(f, essential, cap_delta)
+    death = f.max_value + cap_delta
     for idx, is_pos in enumerate(positive):
         if is_pos and idx not in low_owner:
             pairs.append((edge_value[idx], death))
@@ -247,12 +235,10 @@ def full_reduction_pairs(f: Filtration):
     return pairs, essential
 
 
-def persistence_oracle(
-    f: Filtration, dim: int, essential: str = "cap", cap_delta: float = 0.0
-) -> Diagram:
-    """Degree-`dim` diagram read off the full reduction."""
+def persistence_oracle(f: Filtration, dim: int, cap_delta: float = 0.0) -> Diagram:
+    """Degree-`dim` diagram read off the full reduction, essential classes capped."""
     pairs, essentials = full_reduction_pairs(f)
-    death_cap = _essential_death(f, essential, cap_delta)
+    death_cap = f.max_value + cap_delta
     out: list[tuple[float, float]] = []
     for i, j in pairs:
         if f.simplices[i][1] == dim:

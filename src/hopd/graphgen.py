@@ -22,6 +22,7 @@ import numpy as np
 from .filtration import WeightedGraph, weighted_graph
 
 MODELS = ("er", "ws", "ba", "cm", "sbm", "chunglu", "ksw", "girg", "hrg", "ergm")
+_N_VERTICES = 50  # every model's vertex count
 
 _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "er": {"p": 0.10},
@@ -40,21 +41,18 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
 @dataclass(frozen=True)
 class ModelSpec:
     model: str
-    n: int = 50
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n < 2:
-            raise ValueError("need at least two vertices")
 
     def param(self, name: str) -> float:
         return self.params.get(name, _DEFAULT_PARAMS[self.model][name])
 
 
-def model_spec(model: str, n: int = 50, **params) -> ModelSpec:
-    return ModelSpec(model, n, dict(params))
+def model_spec(model: str, **params) -> ModelSpec:
+    return ModelSpec(model, dict(params))
 
 
 def model_index(model: str) -> int:
@@ -100,19 +98,19 @@ def generate(spec: ModelSpec, seed: int) -> GraphSample:
     builder = _BUILDERS[spec.model]
     edges, meta = builder(spec, topo_rng)
     meta = dict(meta)
-    meta.update(model=spec.model, n=spec.n, seed=seed)
+    meta.update(model=spec.model, n=_N_VERTICES, seed=seed)
     if spec.model in ("ksw", "girg", "hrg"):
         meta["weight_policy"] = "geometric-distance"
         weighted = edges
     else:
         meta["weight_policy"] = "uniform-marks"
         weighted = _uniform_marks(edges, mark_rng)
-    graph = weighted_graph(spec.n, weighted)
+    graph = weighted_graph(_N_VERTICES, weighted)
     return GraphSample(graph, meta)
 
 
 def _gen_er(spec, rng):
-    n, p = spec.n, spec.param("p")
+    n, p = _N_VERTICES, spec.param("p")
     if not 0 <= p <= 1:
         raise ValueError("edge probability out of range")
     iu, iv = np.triu_indices(n, 1)
@@ -120,7 +118,7 @@ def _gen_er(spec, rng):
 
 
 def _gen_ws(spec, rng):
-    n, degree, beta = spec.n, int(spec.param("degree")), spec.param("rewire")
+    n, degree, beta = _N_VERTICES, int(spec.param("degree")), spec.param("rewire")
     if degree % 2 or degree >= n:
         raise ValueError("ring degree must be even and < n")
     edges = set()
@@ -142,7 +140,7 @@ def _gen_ws(spec, rng):
 
 
 def _gen_ba(spec, rng):
-    n, m = spec.n, int(spec.param("m"))
+    n, m = _N_VERTICES, int(spec.param("m"))
     if m < 1 or m >= n:
         raise ValueError("attachment parameter out of range")
     # seed graph: m vertices spanned by a path, then preferential attachment
@@ -161,7 +159,7 @@ def _gen_ba(spec, rng):
 
 
 def _gen_cm(spec, rng):
-    n, degree = spec.n, int(spec.param("degree"))
+    n, degree = _N_VERTICES, int(spec.param("degree"))
     if (n * degree) % 2:
         raise ValueError("degree sum must be even")
     stubs = np.repeat(np.arange(n), degree)
@@ -188,7 +186,7 @@ def _gen_cm(spec, rng):
 
 
 def _gen_sbm(spec, rng):
-    n = spec.n
+    n = _N_VERTICES
     blocks = int(spec.param("blocks"))
     within, between = spec.param("within"), spec.param("between")
     membership = np.arange(n) * blocks // n
@@ -199,7 +197,7 @@ def _gen_sbm(spec, rng):
 
 
 def _gen_chunglu(spec, rng):
-    n = spec.n
+    n = _N_VERTICES
     avg, tau = spec.param("avg_degree"), spec.param("exponent")
     raw = np.array([(i + 1.0) ** (-1.0 / (tau - 1.0)) for i in range(n)])
     w = raw * (avg / raw.mean())
@@ -218,7 +216,7 @@ def _gen_ksw(spec, rng):
     rows, cols = int(spec.param("rows")), int(spec.param("cols"))
     q, alpha = int(spec.param("long_range")), spec.param("alpha")
     n = rows * cols
-    if n != spec.n:
+    if n != _N_VERTICES:
         raise ValueError("grid size must match vertex count")
     coords = _grid_coords(rows, cols)
     grid = np.array(coords)
@@ -249,7 +247,7 @@ def _gen_ksw(spec, rng):
 
 
 def _gen_girg(spec, rng):
-    n = spec.n
+    n = _N_VERTICES
     tau, alpha, dim = spec.param("tau"), spec.param("alpha"), int(spec.param("dim"))
     weights = (1.0 - rng.random(n)) ** (-1.0 / (tau - 1.0))
     pos = rng.random((n, dim))
@@ -267,7 +265,7 @@ def _gen_girg(spec, rng):
 
 
 def _gen_hrg(spec, rng):
-    n = spec.n
+    n = _N_VERTICES
     T = spec.param("temperature")
     ah = spec.param("curvature")
     R = 2.0 * math.log(n)
@@ -292,7 +290,7 @@ def _gen_hrg(spec, rng):
 
 
 def _gen_ergm(spec, rng):
-    n = spec.n
+    n = _N_VERTICES
     te, tt = spec.param("edge"), spec.param("triangle")
     steps = int(spec.param("steps"))
     init_p = spec.param("init_p")

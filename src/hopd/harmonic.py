@@ -488,10 +488,10 @@ def harmonic_eval(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     return wrap_angle(harmonic_eval_raw(xi, psi))
 
 
-def iterated_character_phase(xi: VirtualDiagram, s: int, theta, guard: int = 1_000_000) -> float:
+def iterated_character_phase(xi: VirtualDiagram, s: int, theta) -> float:
     """Depth-s labeled-tree phase: ``theta`` on the tree expansion of xi,
     which equals the character of the iterated aggregate."""
-    return evaluate_character(theta, tree_expansion_oracle(xi, s, guard=guard))
+    return evaluate_character(theta, tree_expansion_oracle(xi, s))
 
 
 __all__ = [

@@ -14,7 +14,9 @@ other p a sum of p-th powers is computed plainly first; only where it left
 the float range (overflow, or underflow past rounding) is it recomputed on
 costs divided by the largest one (in a matching, by the bottleneck), and
 the result multiplied back.  The p = inf assignment is a bottleneck search
-that first tries its lower bound, the largest row or column minimum.
+that first tries its lower bound, the largest row or column minimum.  A
+cost past the float range is inf in both routes, as Python's float
+arithmetic gives it, without a numpy warning.
 
 The transport norm of a real-linear diagram is a min-cost flow on the
 metric closure of the atom costs: one assignment over unit masses when the
@@ -24,6 +26,7 @@ HiGHS transportation linear program otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +55,17 @@ from .core import (
 )
 
 INF = math.inf
+# numpy arithmetic whose values stay below this cannot overflow; see `_overflow_guard`
+_REACH_SAFE = 2.0**1022
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _overflow_guard(reach: float):
+    """The context for an `assign_p` call whose opt-out costs sum to
+    ``reach``, which bounds the optimum: none below `_REACH_SAFE`, as
+    `np.errstate` costs about a microsecond, and above it one under which a
+    p = 1 sum past the float range is inf without a warning."""
+    return _NO_GUARD if reach < _REACH_SAFE else np.errstate(over="ignore")
 
 
 def assign_p(off, left, right, p) -> float:
@@ -254,7 +268,8 @@ def _naive_diagram_cost(G, L, k, p, c) -> float:
     left = [_naive_diag_cost(u, k, p, c) for u in us]
     right = [_naive_diag_cost(v, k, p, c) for v in vs]
     c.assign_calls += 1
-    return assign_p(off, left, right, p)
+    with _overflow_guard(sum(left) + sum(right)):
+        return assign_p(off, left, right, p)
 
 
 def _naive_atom_cost(u, v, k, p, c) -> float:
@@ -309,6 +324,7 @@ class _CertifiedRun:
         if k == 1:
             side_u, side_v = self.level1_side(G), self.level1_side(L)
             left, right = side_u[2], side_v[2]
+            reach = side_u[3] + side_v[3]
             off = _level1_off(side_u, side_v, self.p)
             self.c.atom_calls += off.size
             self.c.atom_expansions += off.size
@@ -317,9 +333,11 @@ class _CertifiedRun:
             vs = L.atoms()
             left = [self.diagonal_cost(u, k) for u in us]
             right = [self.diagonal_cost(v, k) for v in vs]
+            reach = sum(left) + sum(right)
             off = [[self.atom_cost(u, v, k) for v in vs] for u in us]
         self.c.assign_calls += 1
-        value = assign_p(off, left, right, self.p)
+        with _overflow_guard(reach):
+            value = assign_p(off, left, right, self.p)
         return self._memo_put(self.m_d, key, value)
 
     def atom_cost(self, u, v, k) -> float:
@@ -462,32 +480,37 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
 
 
 def _level1_side(atoms: Sequence[Atom], p) -> tuple:
-    """Birth rows, death rows and diagonal costs of level-1 atoms."""
+    """Birth rows, death rows and diagonal costs of level-1 atoms, and the
+    sum of those costs: what opting them all out costs, for `_overflow_guard`."""
     births = _coord_matrix([a.minus for a in atoms])
     deaths = _coord_matrix([a.plus for a in atoms])
-    return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
+    with np.errstate(invalid="ignore", over="ignore"):  # see `_dist_ground_array`
+        diag = _dist_ground_array(births, deaths) * _diag_scale(p)
+        return births, deaths, diag, float(diag.sum())
 
 
 def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
     """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) for every pair of a
     left and a right atom, from their `_level1_side`s."""
-    (bu, du, e), (bv, dv, f) = side_u, side_v
+    (bu, du, e, _), (bv, dv, f, _) = side_u, side_v
     width = max(bu.shape[1], bv.shape[1])
     bu, du, bv, dv = (_pad(x, width) for x in (bu, du, bv, dv))
-    a = _dist_ground_array(bu[:, None], bv[None])
-    b = _dist_ground_array(du[:, None], dv[None])
-    if p == 1:
-        direct = a + b
-    elif p == INF:
-        direct = np.maximum(a, b)
-    else:
-        total = _capped_powers(a, p) + _capped_powers(b, p)
-        direct = total ** (1.0 / p)
-        lost = (total < _POW_TINY) | (total >= _POW_HUGE)
-        if lost.any():  # a power left the float range: `norm_p` prices the pair
-            lost &= np.maximum(a, b) > 0
-            direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
-    return np.minimum(direct, e[:, None] + f[None])
+    # past the float range a gap or a sum is inf; see `_dist_ground_array`
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = _dist_ground_array(bu[:, None], bv[None])
+        b = _dist_ground_array(du[:, None], dv[None])
+        if p == 1:
+            direct = a + b
+        elif p == INF:
+            direct = np.maximum(a, b)
+        else:
+            total = _capped_powers(a, p) + _capped_powers(b, p)
+            direct = total ** (1.0 / p)
+            lost = (total < _POW_TINY) | (total >= _POW_HUGE)
+            if lost.any():  # a power left the float range: `norm_p` prices the pair
+                lost &= np.maximum(a, b) > 0
+                direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
+        return np.minimum(direct, e[:, None] + f[None])
 
 
 def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:
@@ -536,6 +559,9 @@ class ComplexityProfile:
 
 
 def complexity_profile(xi) -> ComplexityProfile:
+    # imported here: no transport route needs csgraph, which adds about 1 MB
+    from scipy.sparse.csgraph import connected_components
+
     if isinstance(xi, (VirtualDiagram, Diagram, LinearDiagram)):
         top = [a for a, _ in xi.entries]
     else:
@@ -574,18 +600,11 @@ def complexity_profile(xi) -> ComplexityProfile:
     for a in top:
         walk(a)
 
-    parent = {uid: uid for uid in depth}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for uid, kids in children_of.items():
-        for kid in kids:
-            parent[find(uid)] = find(kid.uid)
-    components = len({find(uid) for uid in depth})
+    index = {uid: i for i, uid in enumerate(depth)}
+    edges = [(index[uid], index[kid.uid]) for uid, kids in children_of.items() for kid in kids]
+    ends = tuple(zip(*edges)) or ((), ())
+    graph = coo_matrix((np.ones(len(edges)), ends), shape=(len(index), len(index)))
+    components = connected_components(graph, directed=False)[0]
 
     descendants: set[int] = set()
 

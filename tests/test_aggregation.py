@@ -367,11 +367,12 @@ class TestIterated:
                 assert iterated_aggregate(xi, s) == tree_expansion_oracle(xi, s)
 
     def test_guard_trips(self, rng):
-        xi = rand_virtual(rng, 40)
-        with pytest.raises(ExpansionGuardExceeded):
-            iterated_aggregate(xi, 2, guard=100)
-        with pytest.raises(ExpansionGuardExceeded):
-            tree_expansion_oracle(xi, 2, guard=100)
+        # the guard is 10^6 classes: 1001^2 pairs at the first step, 32^4
+        # labelings; both checks fail before any aggregation runs
+        with pytest.raises(ExpansionGuardExceeded, match="support 1001 .* guard 1000000$"):
+            iterated_aggregate(rand_virtual(rng, 1001), 2)
+        with pytest.raises(ExpansionGuardExceeded, match=r"32\^4 labelings exceed guard 1000000$"):
+            tree_expansion_oracle(rand_virtual(rng, 32), 2)
 
     def test_s_must_be_positive(self, rng):
         xi = rand_virtual(rng, 2)

@@ -278,6 +278,16 @@ class TestCli:
             cli_main(argv)
         assert err.value.code == 2
 
+    def test_retired_threads_setting_exits_2(self, tmp_path, capsys):
+        # sample generation is serial; a worker count is an unknown flag or key
+        with pytest.raises(SystemExit) as err:
+            cli_main(["speedup", "--models", "er", "--m", "1", "--threads", "2"])
+        assert err.value.code == 2
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("threads=2\n")
+        assert cli_main(["--config", str(cfg_file), "speedup", "--models", "er", "--m", "1"]) == 2
+        assert "config error: unknown config key 'threads'" in capsys.readouterr().err
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         # a new flag fails here until it is added on purpose
         parser = _build_parser({})
@@ -287,7 +297,7 @@ class TestCli:
             for name, p in sub.choices.items()
         }
         assert found == {
-            "speedup": {"--models", "--m", "--threads", "--psi", "--units", "--out", "--format"},
+            "speedup": {"--models", "--m", "--psi", "--units", "--out", "--format"},
             "scaling": {
                 "--n-range", "--repeats", "--seed", "--family", "--engine", "--psi", "--out",
                 "--format",

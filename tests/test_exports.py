@@ -2,6 +2,7 @@
 and every defaulted parameter of an exported function is pinned."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopd
+from hopd.bench import ExperimentConfig
 
 # importing __main__ would run the CLI
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hopd.__path__) if m.name != "__main__")
@@ -100,24 +102,17 @@ def test_private_names_are_used():
 # Every defaulted parameter of an exported function, as "module.function(name)".
 # A default is a knob: a new one fails here until it is added on purpose.
 PINNED_DEFAULTS = {
-    "aggregation.iterated_aggregate(guard)",
     "aggregation.linear_diagram(level)",
-    "aggregation.tree_expansion_oracle(guard)",
     "core.diagram(level)",
     "core.diagram(validate)",
     "core.linear_diagram(level)",
     "core.virtual_diagram(level)",
     "core.virtual_diagram(validate)",
     "filtration.build_clique_filtration(normalize)",
-    "filtration.persistence_h0(essential)",
     "filtration.persistence_h0(cap_delta)",
-    "filtration.persistence_h1(essential)",
     "filtration.persistence_h1(cap_delta)",
-    "filtration.persistence_oracle(essential)",
     "filtration.persistence_oracle(cap_delta)",
-    "graphgen.model_spec(n)",
     "harmonic.angles_close(tol)",
-    "harmonic.iterated_character_phase(guard)",
     "wasserstein.certified_wasserstein(counters)",
     "wasserstein.naive_wasserstein(counters)",
 }
@@ -137,3 +132,11 @@ def test_defaulted_parameters_are_pinned():
     assert found == PINNED_DEFAULTS, (
         f"new: {sorted(found - PINNED_DEFAULTS)}, gone: {sorted(PINNED_DEFAULTS - found)}"
     )
+
+
+def test_experiment_config_fields_are_pinned():
+    # a config field is a knob too: a new one fails here until it is added on purpose
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "models", "m", "repeats", "n_range", "seed", "out", "units", "psi", "fmt",
+        "family", "engine",
+    ]

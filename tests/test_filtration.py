@@ -89,7 +89,7 @@ class TestCliqueFiltration:
         g = weighted_graph(3, [(0, 1, 2.0), (1, 2, 4.0)])
         f = build_clique_filtration(g, normalize=True)
         assert max(s[0] for s in f.simplices) == 1.0
-        assert f.cap_value() == 1.0
+        assert f.max_value == 1.0
 
 
 class TestPersistenceH1:
@@ -129,10 +129,7 @@ class TestPersistenceH1:
         spec, idx = model_spec(model), model_index(model)
         for k in range(5):
             f = build_clique_filtration(generate(spec, seed_for(idx, k)).graph)
-            for policy in ("cap", "infinite"):
-                assert persistence_h1(f, essential=policy) == persistence_oracle(
-                    f, 1, essential=policy
-                )
+            assert persistence_h1(f) == persistence_oracle(f, 1)
             assert persistence_h0(f) == persistence_oracle(f, 0)
 
     def test_euler_rank_consistency(self):
@@ -147,13 +144,6 @@ class TestPersistenceH1:
             )
             n, m = g.n, g.edge_count()
             assert cycles_total == m - n + components
-
-    def test_infinite_policy(self):
-        edges = [(k, (k + 1) % 5, (k + 1) / 10) for k in range(5)]
-        g = weighted_graph(5, edges)
-        f = build_clique_filtration(g)
-        d = persistence_h1(f, essential="infinite")
-        assert d.entries == ((interval(1.0, INF), 1),)
 
 
 class TestPersistenceH0:
@@ -188,8 +178,8 @@ class TestPersistenceH0:
             comps = len({find(v) for v in range(30)})
             # cap offset separates essential deaths from any merge value
             d = persistence_h0(f, cap_delta=0.5)
-            finite = sum(m for a, m in d.entries if a.plus.coords[0] <= f.cap_value())
-            essential = sum(m for a, m in d.entries if a.plus.coords[0] > f.cap_value())
+            finite = sum(m for a, m in d.entries if a.plus.coords[0] <= f.max_value)
+            essential = sum(m for a, m in d.entries if a.plus.coords[0] > f.max_value)
             assert finite == 30 - comps
             assert essential == comps
 
@@ -207,7 +197,6 @@ class TestDeterminism:
         bad = Filtration(
             simplices=((0.5, 1, (0, 1)), (0.0, 0, (0,)), (0.0, 0, (1,))),
             n_vertices=2,
-            normalized=False,
             max_value=0.5,
         )
         with pytest.raises(ValueError):
@@ -227,8 +216,8 @@ class TestDeterminism:
     def test_unsorted_filtration_rejected_by_h0_and_h1(self, simplices, persistence):
         from hopd.filtration import Filtration
 
-        bad = Filtration(simplices=simplices, n_vertices=3, normalized=False, max_value=0.5)
+        bad = Filtration(simplices=simplices, n_vertices=3, max_value=0.5)
         with pytest.raises(ValueError, match="not sorted"):
             persistence(bad)
         # the same simplices in order are accepted
-        persistence(Filtration(tuple(sorted(simplices)), 3, False, 0.5))
+        persistence(Filtration(tuple(sorted(simplices)), 3, 0.5))

@@ -644,7 +644,7 @@ class TestIteratedPhase:
             assert angles_close(lhs, rhs, 1e-9)
 
     def test_guard_raises_expansion_guard_exceeded(self, rng):
-        # 5^4 labelings > 100, the same condition tree_expansion_oracle guards
-        xi = rand_virtual(rng, 5)
-        with pytest.raises(ExpansionGuardExceeded):
-            iterated_character_phase(xi, 2, Character(3, {}), guard=100)
+        # 32^4 labelings > 10^6, the same condition tree_expansion_oracle guards
+        xi = rand_virtual(rng, 32)
+        with pytest.raises(ExpansionGuardExceeded, match=r"32\^4 labelings"):
+            iterated_character_phase(xi, 2, Character(3, {}))

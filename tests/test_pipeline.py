@@ -4,7 +4,7 @@ import threading
 from pathlib import Path
 
 from hopd.aggregation import mean_aggregate
-from hopd.bench import ExperimentConfig, _model_samples, convert_units, run_speedup_matrix
+from hopd.bench import convert_units
 from hopd.cli import cli_main
 from hopd.filtration import build_clique_filtration, persistence_h1
 from hopd.graphgen import generate, model_index, model_spec, seed_for
@@ -52,26 +52,6 @@ def test_interning_is_thread_safe():
     first = out[0]
     for other in out[1:]:
         assert all(a is b for a, b in zip(first, other))
-
-
-def _assert_pool_matches_serial(models):
-    serial = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=1))
-    pooled = run_speedup_matrix(ExperimentConfig(models=models, m=2, threads=4))
-    keep = ("model_a", "model_b", "m", "support")
-    assert [{k: r[k] for k in keep} for r in serial] == [
-        {k: r[k] for k in keep} for r in pooled
-    ]
-    for model in models:
-        assert _model_samples(model, 4, 1) == _model_samples(model, 4, 4)
-
-
-def test_speedup_matrix_with_worker_pool():
-    _assert_pool_matches_serial(("er", "ws"))
-
-
-def test_worker_pool_on_geometric_and_chain_models():
-    # girg's generator is the numpy-heavy one and ergm's chain the longest
-    _assert_pool_matches_serial(("girg", "ergm"))
 
 
 def test_units_conversion():

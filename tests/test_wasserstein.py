@@ -417,6 +417,19 @@ class TestWassersteinRecursion:
             assert naive == certified_wasserstein(g, other, 2)
             assert naive == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("p, want", [(1, INF), (2, 1.5000000000000002e308), (INF, 7.5e307)])
+    def test_costs_past_the_float_range_without_a_warning(self, p, want):
+        # the gaps fit in a float, sums of two of them do not: both routes
+        # overflow to inf where the true cost passes the float range, and
+        # the suite turns any RuntimeWarning into an error.  One level up
+        # the assignment sums two such transports.
+        g = diagram({interval(0.0, 1.5e308): 1})
+        l = diagram({interval(-1.5e308, 0.0): 1})
+        g2, l2 = (diagram({atom(empty_diagram(1), x): 1}, level=2) for x in (g, l))
+        for a, b in ((g, l), (g2, l2)):
+            assert naive_wasserstein(a, b, p) == want
+            assert certified_wasserstein(a, b, p) == want
+
     def test_memo_hit_on_repeat(self, rng):
         g = rand_level2_diagram(rng, max_atoms=2)
         counters = CostCounters()

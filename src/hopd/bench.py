@@ -24,7 +24,7 @@ from .aggregation import (
     naive_self_aggregate,
     self_aggregate_pairs,
 )
-from .core import Atom, VirtualDiagram, interval, virtual_diagram
+from .core import Atom, Diagram, VirtualDiagram, interval, virtual_diagram
 from .filtration import build_clique_filtration, persistence_h1
 from .graphgen import MODELS, generate, model_index, model_spec, seed_for
 from .harmonic import (
@@ -209,13 +209,14 @@ def _verify(xs, parts, raws, psi, m):
 # Experiments
 
 
-def _model_samples(model: str, m: int, offset: int = 0) -> list[VirtualDiagram]:
+def model_h1(model: str, first: int, count: int) -> list[Diagram]:
+    """H1 diagrams of a model's samples first .. first + count - 1, each
+    from the normalized clique filtration of its generated graph."""
     spec, idx = model_spec(model), model_index(model)
     out = []
-    for k in range(offset, offset + m):
+    for k in range(first, first + count):
         sample = generate(spec, seed_for(idx, k))
-        filt = build_clique_filtration(sample.graph, normalize=True)
-        out.append(persistence_h1(filt).to_virtual())
+        out.append(persistence_h1(build_clique_filtration(sample.graph, normalize=True)))
     return out
 
 
@@ -236,7 +237,7 @@ def run_speedup_matrix(cfg: ExperimentConfig) -> list[dict]:
     def samples(model: str, offset: int = 0):
         key = (model, offset)
         if key not in cache:
-            cache[key] = _model_samples(model, cfg.m, offset)
+            cache[key] = [d.to_virtual() for d in model_h1(model, offset, cfg.m)]
         return cache[key]
 
     rows = []
@@ -457,6 +458,7 @@ __all__ = [
     "format_rows",
     "load_psi",
     "loglog_slope",
+    "model_h1",
     "run_runtime_scaling",
     "run_speedup_matrix",
     "run_wbench",

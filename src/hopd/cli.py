@@ -15,8 +15,10 @@ import sys
 from pathlib import Path
 
 from . import bench
+from .aggregation import mean_aggregate
 from .bench import ExperimentConfig
 from .envelopes import GuardExceeded, envelope_average, envelope_worst
+from .serialize import to_text
 
 
 class ConfigError(ValueError):
@@ -130,20 +132,10 @@ def _cmd_envelope(c: int, n: int, r: int, average: str | None) -> int:
 
 def _cmd_demo(cfg: ExperimentConfig) -> int:
     """end-to-end single aggregate"""
-    from .aggregation import mean_aggregate
-    from .filtration import build_clique_filtration, persistence_h1
-    from .graphgen import generate, model_index, model_spec, seed_for
-    from .serialize import to_text
-
     if len(cfg.models) != 1:
         raise ConfigError(f"demo takes one model, got {len(cfg.models)}")
     model = cfg.models[0]
-    spec = model_spec(model)
-    diagrams = []
-    for k in range(cfg.m):
-        sample = generate(spec, seed_for(model_index(model), k))
-        filt = build_clique_filtration(sample.graph, normalize=True)
-        diagrams.append(persistence_h1(filt))
+    diagrams = bench.model_h1(model, 0, cfg.m)
     first = diagrams[0]
     print(f"model {model}, sample 0: {len(first)} cycle intervals")
     for a, mult in first.entries[:12]:

@@ -32,10 +32,9 @@ from scipy.optimize import linear_sum_assignment
 INF = math.inf
 # Sums of p-th powers (1 < p < inf) are read as they are between _POW_TINY,
 # above which underflow cost at most rounding, and the float range's end
-# (_POW_HUGE for `_capped_powers`).  A sum outside is recomputed on rescaled
-# values.
+# (`wasserstein._POW_HUGE` for its capped powers).  A sum outside is
+# recomputed on rescaled values.
 _POW_TINY = 2.0**-960
-_POW_HUGE = 2.0**999
 
 _INTERN_LOCK = threading.Lock()
 _INTERN: dict = {}
@@ -544,14 +543,6 @@ def norm_p(values: Sequence[float], p: float) -> float:
     return top * sum((v / top) ** p for v in vals) ** (1.0 / p)
 
 
-def _capped_powers(x: np.ndarray, p: float) -> np.ndarray:
-    """x**p with each value (an inf too) capped at 2^(1000/p) first, so no
-    power overflows and a capped one lands past _POW_HUGE."""
-    capped = np.minimum(x, 2.0 ** (1000 / p))
-    capped **= p
-    return capped
-
-
 def dist_ground(x: GroundPoint, y: GroundPoint) -> float:
     if x is y:
         return 0.0
@@ -563,15 +554,6 @@ def dist_ground(x: GroundPoint, y: GroundPoint) -> float:
             return INF
         best = max(best, abs(a - b))
     return best
-
-
-def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`dist_ground` over the last axis of broadcast coordinate arrays: the
-    largest coordinate gap, where equal coordinates give 0 and +inf against
-    a finite value gives inf.  A NaN pad is skipped, as `zip` would.  The
-    caller ignores numpy's invalid (inf - inf is NaN, skipped as a pad) and
-    overflow (a gap past the float range is inf, as in `dist_ground`)."""
-    return np.fmax.reduce(np.abs(x - y), axis=-1, initial=0.0)
 
 
 def _endpoint_dist(a: Endpoint, b: Endpoint, p: float) -> float:

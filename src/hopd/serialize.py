@@ -1,14 +1,13 @@
 """Canonical s-expression text form for atoms and diagrams.
 
 The grammar is documented in docs/formats.md.  Entries are emitted in the
-structural canonical order, floats use shortest round-trip repr with an
-``inf`` token, and multiplicities append as ``*k``, so equal values always
-serialize to identical bytes.
+structural canonical order, floats use shortest round-trip repr (``inf``
+and ``-inf`` for the infinities), and multiplicities append as ``*k``, so
+equal values always serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .core import (
@@ -26,9 +25,7 @@ from .core import (
 
 
 def _num(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return repr(float(x))
+    return repr(float(x))  # 'inf' and '-inf' for the infinities
 
 
 def _coeff(c) -> str:
@@ -102,7 +99,7 @@ class _Parser:
         if tag == "p":
             coords = []
             while self.peek() != ")":
-                coords.append(self._float(self.take()))
+                coords.append(float(self.take()))
             self.expect(")")
             return ground(*coords)
         if tag == "a":
@@ -128,20 +125,14 @@ class _Parser:
         raise ValueError(f"unknown tag {tag!r}")
 
     @staticmethod
-    def _float(tok: str) -> float:
-        if tok == "inf":
-            return math.inf
-        return float(tok)
-
-    @staticmethod
     def _coeff(tok: str, tag: str):
         if tag == "d" or tag == "v":
             return int(tok)
         if "/" in tok:
             num, den = tok.split("/")
             return Fraction(int(num), int(den))
-        if "." in tok or "e" in tok or tok == "inf":
-            return _Parser._float(tok)
+        if "." in tok or "e" in tok or tok in ("inf", "-inf"):
+            return float(tok)
         return Fraction(int(tok))
 
 

@@ -14,9 +14,14 @@ other p a sum of p-th powers is computed plainly first; only where it left
 the float range (overflow, or underflow past rounding) is it recomputed on
 costs divided by the largest one (in a matching, by the bottleneck), and
 the result multiplied back.  The p = inf assignment is a bottleneck search
-that first tries its lower bound, the largest row or column minimum.  A
-cost past the float range is inf in both routes, as Python's float
-arithmetic gives it, without a numpy warning.
+that first tries its lower bound, the largest row or column minimum.
+
+Float policy: each public entry (`assign_p`, `naive_wasserstein`,
+`certified_wasserstein`, `empty_cost`, `linear_w1_norm`,
+`min_cost_transport`) checks its inputs and enters one numpy error state
+(`_float_policy`), once per call; the engine under it neither checks nor
+sets anything again.  A gap, sum or power past the float range is inf, as
+Python's float arithmetic gives it, and never a numpy warning.
 
 The transport norm of a real-linear diagram is a min-cost flow on the
 metric closure of the atom costs: one assignment over unit masses when the
@@ -26,7 +31,6 @@ HiGHS transportation linear program otherwise.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,28 +48,24 @@ from .core import (
     LinearDiagram,
     VirtualDiagram,
     _diag_scale,
-    _dist_ground_array,
     _perfect_matching,
-    _POW_HUGE,
     _POW_TINY,
-    _capped_powers,
     dist_ground,
     level1_diag_cost,
     norm_p,
 )
 
 INF = math.inf
-# numpy arithmetic whose values stay below this cannot overflow; see `_overflow_guard`
-_REACH_SAFE = 2.0**1022
-_NO_GUARD = contextlib.nullcontext()
+# a sum of `_capped_powers` at or past this holds a capped cost; see `core._POW_TINY`
+_POW_HUGE = 2.0**999
 
 
-def _overflow_guard(reach: float):
-    """The context for an `assign_p` call whose opt-out costs sum to
-    ``reach``, which bounds the optimum: none below `_REACH_SAFE`, as
-    `np.errstate` costs about a microsecond, and above it one under which a
-    p = 1 sum past the float range is inf without a warning."""
-    return _NO_GUARD if reach < _REACH_SAFE else np.errstate(over="ignore")
+def _float_policy():
+    """numpy's error state for one public call: a gap, sum or power past the
+    float range is inf, and inf - inf (two +inf coordinates) is a NaN that
+    `_dist_ground_array` skips as a pad.  A fresh instance per call, as
+    numpy 1.x's `errstate` is not reentrant."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 def assign_p(off, left, right, p) -> float:
@@ -83,17 +83,32 @@ def assign_p(off, left, right, p) -> float:
         raise ValueError("inconsistent dimensions") from None
     if len(off) != m or (m and off.shape != (m, l)):
         raise ValueError("inconsistent dimensions")
-    # rows: m left atoms then l diagonal slots; cols: l right atoms then m
-    # slots; an atom opts out only to its own slot, slot-to-slot is free
-    costs = np.full((m + l, m + l), INF)
-    costs[:m, :l] = off.reshape(m, l)
-    costs[range(m), range(l, l + m)] = left
-    costs[range(m, m + l), range(l)] = right
-    costs[m:, l:] = 0.0
+    costs = _augmented(off.reshape(m, l), left, right)
     if not (costs >= 0).all():  # a NaN fails the comparison too
         raise ValueError("costs must be nonnegative")
     _check_p(p)
-    if m == 0 and l == 0:
+    with _float_policy():
+        return _solve(costs, p)
+
+
+def _augmented(off, left, right) -> np.ndarray:
+    """The (m + l) x (m + l) cost matrix of a partial matching of m left and
+    l right atoms, from their m x l ``off`` costs and opt-out costs."""
+    m, l = len(left), len(right)
+    # rows: m left atoms then l diagonal slots; cols: l right atoms then m
+    # slots; an atom opts out only to its own slot, slot-to-slot is free
+    costs = np.full((m + l, m + l), INF)
+    if m:
+        costs[:m, :l] = off
+    costs[range(m), range(l, l + m)] = left
+    costs[range(m, m + l), range(l)] = right
+    costs[m:, l:] = 0.0
+    return costs
+
+
+def _solve(costs: np.ndarray, p) -> float:
+    """Least p-norm of the perfect matchings of an `_augmented` matrix."""
+    if not len(costs):
         return 0.0
     if p == INF:
         return _assign_inf(costs)
@@ -107,7 +122,7 @@ def assign_p(off, left, right, p) -> float:
     if _POW_TINY <= total < _POW_HUGE:
         return total ** (1.0 / p)
     # the powers left the float range: divide by the bottleneck b, which
-    # the optimum's largest cost reaches and n^(1/p) * b bounds, so the
+    # the optimum's largest cost attains and n^(1/p) * b bounds, so the
     # optimum's scaled powers sum to between 1 and n; it takes no cost past
     # n * b, and capping there keeps the quotients finite
     b = _assign_inf(costs)
@@ -121,6 +136,14 @@ def _least_power_sum(costs: np.ndarray, p) -> float:
     A = _capped_powers(costs, p)
     rows, cols = linear_sum_assignment(A)
     return float(A[rows, cols].sum())
+
+
+def _capped_powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p with each value (an inf too) capped at 2^(1000/p) first, so no
+    power overflows and a capped one lands past _POW_HUGE."""
+    capped = np.minimum(x, 2.0 ** (1000 / p))
+    capped **= p
+    return capped
 
 
 def _check_p(p) -> None:
@@ -193,35 +216,36 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     demand = [i for i, d in enumerate(divergence) if d < 0]
     if not supply:
         return 0.0
-    np.fill_diagonal(dist, 0.0)
-    for k in range(n):  # Floyd-Warshall closure
-        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-    if all(int(d) == d for d in divergence):
-        units = [int(divergence[i]) for i in supply]
-        if sum(units) <= n:
-            rows = np.repeat(supply, units)
-            cols = np.repeat(demand, [-int(divergence[j]) for j in demand])
-            block = dist[np.ix_(rows, cols)]
-            r, c = linear_sum_assignment(block)
-            return float(block[r, c].sum())
-    m, t = len(supply), len(demand)
-    arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
-    # one row per supply and per demand but the last, which the
-    # others imply since the divergences balance
-    a_eq = coo_matrix(
-        (np.ones(2 * m * t), (np.concatenate([arcs // t, m + arcs % t]), np.tile(arcs, 2))),
-        shape=(m + t, m * t),
-    ).tocsr()[:-1]
-    b_eq = np.array(
-        [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
-    )
-    lp_cost = dist[np.ix_(supply, demand)].ravel()
-    # HiGHS reads a cost >= 1e20 as infinite: bring large costs below 2^60
-    scale = 2.0 ** max(0, math.frexp(lp_cost.max())[1] - 60)
-    res = linprog(lp_cost / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun) * scale
+    with _float_policy():
+        np.fill_diagonal(dist, 0.0)
+        for k in range(n):  # Floyd-Warshall closure
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        if all(int(d) == d for d in divergence):
+            units = [int(divergence[i]) for i in supply]
+            if sum(units) <= n:
+                rows = np.repeat(supply, units)
+                cols = np.repeat(demand, [-int(divergence[j]) for j in demand])
+                block = dist[np.ix_(rows, cols)]
+                r, c = linear_sum_assignment(block)
+                return float(block[r, c].sum())
+        m, t = len(supply), len(demand)
+        arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
+        # one row per supply and per demand but the last, which the
+        # others imply since the divergences balance
+        a_eq = coo_matrix(
+            (np.ones(2 * m * t), (np.concatenate([arcs // t, m + arcs % t]), np.tile(arcs, 2))),
+            shape=(m + t, m * t),
+        ).tocsr()[:-1]
+        b_eq = np.array(
+            [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
+        )
+        lp_cost = dist[np.ix_(supply, demand)].ravel()
+        # HiGHS reads a cost >= 1e20 as infinite: bring large costs below 2^60
+        scale = 2.0 ** max(0, math.frexp(lp_cost.max())[1] - 60)
+        res = linprog(lp_cost / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        return float(res.fun) * scale
 
 
 @dataclass
@@ -255,7 +279,8 @@ def naive_wasserstein(
         raise LevelMismatch("diagram level mismatch")
     _check_p(p)
     c = counters if counters is not None else CostCounters()
-    return _naive_diagram_cost(G, L, G.level, p, c)
+    with _float_policy():
+        return _naive_diagram_cost(G, L, G.level, p, c)
 
 
 def _naive_diagram_cost(G, L, k, p, c) -> float:
@@ -268,8 +293,7 @@ def _naive_diagram_cost(G, L, k, p, c) -> float:
     left = [_naive_diag_cost(u, k, p, c) for u in us]
     right = [_naive_diag_cost(v, k, p, c) for v in vs]
     c.assign_calls += 1
-    with _overflow_guard(sum(left) + sum(right)):
-        return assign_p(off, left, right, p)
+    return _solve(_augmented(off, left, right), p)
 
 
 def _naive_atom_cost(u, v, k, p, c) -> float:
@@ -324,7 +348,6 @@ class _CertifiedRun:
         if k == 1:
             side_u, side_v = self.level1_side(G), self.level1_side(L)
             left, right = side_u[2], side_v[2]
-            reach = side_u[3] + side_v[3]
             off = _level1_off(side_u, side_v, self.p)
             self.c.atom_calls += off.size
             self.c.atom_expansions += off.size
@@ -333,11 +356,9 @@ class _CertifiedRun:
             vs = L.atoms()
             left = [self.diagonal_cost(u, k) for u in us]
             right = [self.diagonal_cost(v, k) for v in vs]
-            reach = sum(left) + sum(right)
             off = [[self.atom_cost(u, v, k) for v in vs] for u in us]
         self.c.assign_calls += 1
-        with _overflow_guard(reach):
-            value = assign_p(off, left, right, self.p)
+        value = _solve(_augmented(off, left, right), self.p)
         return self._memo_put(self.m_d, key, value)
 
     def atom_cost(self, u, v, k) -> float:
@@ -410,15 +431,15 @@ def certified_wasserstein(
         raise LevelMismatch("diagram level mismatch")
     _check_p(p)
     c = counters if counters is not None else CostCounters()
-    run = _CertifiedRun(p, c)
-    return run.diagram_cost(G, L, G.level)
+    with _float_policy():
+        return _CertifiedRun(p, c).diagram_cost(G, L, G.level)
 
 
 def empty_cost(theta: Diagram, p: float) -> float:
     """p-norm of the diagonal distances of the atoms: W_p(theta, 0)."""
     _check_p(p)
-    run = _CertifiedRun(p, CostCounters())
-    return run.empty_cost(theta, theta.level)
+    with _float_policy():
+        return _CertifiedRun(p, CostCounters()).empty_cost(theta, theta.level)
 
 
 def group_metric(a: VirtualDiagram, b: VirtualDiagram) -> float:
@@ -453,22 +474,23 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
         return 0.0
     atoms = [a for a, _ in entries]
     coeffs = [c for _, c in entries]
-    if xi.level == 1:
-        side = _level1_side(atoms, 1)
-        n = len(atoms)
-        cost = np.zeros((n + 1, n + 1))
-        cost[:n, :n] = _level1_off(side, side, 1)  # 0 on the diagonal
-        cost[:n, n] = cost[n, :n] = side[2]
-    else:
-        # one certified run, so endpoint transports shared by several atoms
-        # are computed once
-        run = _CertifiedRun(1, CostCounters())
-        n, k = len(atoms), xi.level
-        cost = [[0.0] * (n + 1) for _ in range(n + 1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
-            cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
+    with _float_policy():
+        if xi.level == 1:
+            side = _level1_side(atoms, 1)
+            n = len(atoms)
+            cost = np.zeros((n + 1, n + 1))
+            cost[:n, :n] = _level1_off(side, side, 1)  # 0 on the diagonal
+            cost[:n, n] = cost[n, :n] = side[2]
+        else:
+            # one certified run, so endpoint transports shared by several
+            # atoms are computed once
+            run = _CertifiedRun(1, CostCounters())
+            n, k = len(atoms), xi.level
+            cost = [[0.0] * (n + 1) for _ in range(n + 1)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
+                cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
     divergence = list(coeffs) + [-sum(coeffs)]
     return min_cost_transport(divergence, cost)
 
@@ -480,37 +502,41 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
 
 
 def _level1_side(atoms: Sequence[Atom], p) -> tuple:
-    """Birth rows, death rows and diagonal costs of level-1 atoms, and the
-    sum of those costs: what opting them all out costs, for `_overflow_guard`."""
+    """Birth rows, death rows and diagonal costs of level-1 atoms."""
     births = _coord_matrix([a.minus for a in atoms])
     deaths = _coord_matrix([a.plus for a in atoms])
-    with np.errstate(invalid="ignore", over="ignore"):  # see `_dist_ground_array`
-        diag = _dist_ground_array(births, deaths) * _diag_scale(p)
-        return births, deaths, diag, float(diag.sum())
+    return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
 
 
 def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
     """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) for every pair of a
     left and a right atom, from their `_level1_side`s."""
-    (bu, du, e, _), (bv, dv, f, _) = side_u, side_v
+    (bu, du, e), (bv, dv, f) = side_u, side_v
     width = max(bu.shape[1], bv.shape[1])
     bu, du, bv, dv = (_pad(x, width) for x in (bu, du, bv, dv))
-    # past the float range a gap or a sum is inf; see `_dist_ground_array`
-    with np.errstate(invalid="ignore", over="ignore"):
-        a = _dist_ground_array(bu[:, None], bv[None])
-        b = _dist_ground_array(du[:, None], dv[None])
-        if p == 1:
-            direct = a + b
-        elif p == INF:
-            direct = np.maximum(a, b)
-        else:
-            total = _capped_powers(a, p) + _capped_powers(b, p)
-            direct = total ** (1.0 / p)
-            lost = (total < _POW_TINY) | (total >= _POW_HUGE)
-            if lost.any():  # a power left the float range: `norm_p` prices the pair
-                lost &= np.maximum(a, b) > 0
-                direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
-        return np.minimum(direct, e[:, None] + f[None])
+    a = _dist_ground_array(bu[:, None], bv[None])
+    b = _dist_ground_array(du[:, None], dv[None])
+    if p == 1:
+        direct = a + b
+    elif p == INF:
+        direct = np.maximum(a, b)
+    else:
+        total = _capped_powers(a, p) + _capped_powers(b, p)
+        direct = total ** (1.0 / p)
+        lost = (total < _POW_TINY) | (total >= _POW_HUGE)
+        if lost.any():  # a power left the float range: `norm_p` prices the pair
+            lost &= np.maximum(a, b) > 0
+            direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
+    return np.minimum(direct, e[:, None] + f[None])
+
+
+def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`dist_ground` over the last axis of broadcast coordinate arrays: the
+    largest coordinate gap, where equal coordinates give 0 and +inf against
+    a finite value gives inf.  A NaN pad is skipped, as `zip` would, and so
+    is inf - inf, under `_float_policy`, which also makes a gap past the
+    float range inf, as in `dist_ground`."""
+    return np.fmax.reduce(np.abs(x - y), axis=-1, initial=0.0)
 
 
 def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:

@@ -197,6 +197,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "demo_er.txt").exists()
 
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        # the output directory cannot be made where a regular file stands
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli_main(["demo", "--models", "er", "--m", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_rows_go_to_stdout_without_out(self, capsys):
+        assert cli_main(["speedup", "--models", "er", "--m", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == GOLDEN_SPEEDUP_HEADER
+        assert lines[1].startswith("er,er,1,")
+        assert lines[2].startswith("er vs er: naive ")
+
     def test_speedup_smoke(self, tmp_path):
         code = cli_main(
             ["speedup", "--models", "er,ws", "--m", "3", "--out", str(tmp_path)]
@@ -343,6 +357,24 @@ class TestCli:
         code = cli_main(["--config", str(cfg_file), "speedup", "--m", "2", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "speedup.csv").read_text().splitlines()[1].split(",")[2] == "2"
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        argv = ["--config", str(tmp_path / "missing.cfg"), "demo", "--models", "er", "--m", "1"]
+        assert cli_main(argv) == 2
+        assert "config error: " in capsys.readouterr().err
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("models=er\nm 1\n")
+        assert cli_main(["--config", str(cfg_file), "demo"]) == 2
+        assert "config error: bad config line 'm 1'" in capsys.readouterr().err
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("# demo settings\n\nmodels=er\n   # one sample\n   \nm=1\n")
+        code = cli_main(["--config", str(cfg_file), "demo", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "demo_er.txt").exists()
 
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg_file = tmp_path / "bench.cfg"

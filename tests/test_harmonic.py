@@ -96,6 +96,15 @@ class TestEvaluateCharacter:
         bwd = evaluate_character(chi, -agg)
         assert angles_close(wrap_angle(fwd + bwd), 0.0)
 
+    def test_general_character_on_pair_aggregate(self, rng):
+        # a total character, not a coboundary, read off the pair enumerator
+        for _ in range(8):
+            xi = rand_virtual(rng, rng.randint(1, 30), grid=10, coeff_range=(-5, 5))
+            chi = random_character(rng, xi)
+            lhs = evaluate_character(chi, self_aggregate_pairs(xi))
+            rhs = evaluate_character(chi, naive_self_aggregate(xi))
+            assert angles_close(lhs, rhs, 1e-9)
+
     def test_tiny_negative_phase_wraps_below_two_pi(self):
         from hopd.aggregation import pair_class
 

@@ -55,6 +55,30 @@ def test_linear_fraction_round_trip():
     assert from_text(text) == xi
 
 
+@pytest.mark.parametrize(
+    "c, token",
+    [
+        (0.5, "*0.5"),
+        (2.0, "*2.0"),
+        (1e-05, "*1e-05"),
+        (math.inf, "*inf"),
+        (-math.inf, "*-inf"),
+        (Fraction(3), "*3"),
+        (3, "*3"),
+    ],
+)
+def test_linear_float_and_integer_round_trip(c, token):
+    xi = linear_diagram({interval(0, 1): c, interval(0.2, 0.4): Fraction(1, 3)})
+    text = to_text(xi)
+    assert token + " " in text
+    back = from_text(text)
+    assert back == xi
+    # a float keeps its type and sign; an integer reads back as a Fraction
+    got = dict(back.entries)[interval(0, 1)]
+    assert type(got) is (float if isinstance(c, float) else Fraction)
+    assert got == c
+
+
 def test_nested_level2_round_trip():
     inner1 = diagram({interval(0.1, 0.9): 1, interval(0.3, 0.5): 2})
     inner2 = diagram({interval(0.2, 0.8): 1})

@@ -118,6 +118,10 @@ class TestAssign:
         left2[i] += rng.uniform(0, 1)
         assert assign_p(off, left2, right, p) >= base - 1e-12
 
+    def test_optimum_past_the_float_range_without_a_warning(self):
+        # the suite turns any RuntimeWarning into an error
+        assert assign_p([[INF]], [1e308], [1e308], 1) == INF
+
     def test_inf_threshold_smallest_feasible(self):
         # two feasible thresholds; the smaller must win
         off = [[0.5, 0.9], [0.9, 0.5]]
@@ -264,6 +268,12 @@ class TestMinCostTransport:
         # ordinary costs reach HiGHS as they are; only costs near its
         # infinity (1e20) are scaled down
         assert all(np.array_equal(c, np.ones_like(c)) for c in calls_costs)
+
+    def test_relay_past_the_float_range_without_a_warning(self):
+        # the relay through node 1 sums to inf in the closure; the direct
+        # arc is the optimum
+        cost = [[0.0, 1e308, 1.5e308], [1e308, 0.0, 1e308], [1.5e308, 1e308, 0.0]]
+        assert min_cost_transport([1, 0, -1], cost) == 1.5e308
 
     def test_relay_node_shortens_the_route(self):
         # the direct arc 0 -> 2 costs 5; the relay through node 1 costs 2
@@ -426,9 +436,13 @@ class TestWassersteinRecursion:
         g = diagram({interval(0.0, 1.5e308): 1})
         l = diagram({interval(-1.5e308, 0.0): 1})
         g2, l2 = (diagram({atom(empty_diagram(1), x): 1}, level=2) for x in (g, l))
+        (u, _), (v, _) = g.entries[0], l.entries[0]
         for a, b in ((g, l), (g2, l2)):
             assert naive_wasserstein(a, b, p) == want
             assert certified_wasserstein(a, b, p) == want
+            assert empty_cost(a, p) == empty_cost(b, p) == d_diag(u, p)
+        # the public assignment on the same costs
+        assert assign_p([[d1(u, v, p)]], [d_diag(u, p)], [d_diag(v, p)], p) == want
 
     def test_memo_hit_on_repeat(self, rng):
         g = rand_level2_diagram(rng, max_atoms=2)
@@ -604,9 +618,11 @@ class TestLinearNorm:
                 atoms.append(atom(point(dim), point(dim)))
             atoms = list(dict.fromkeys(atoms))
             for p in (1, INF):
-                # the block every level-1 transport reads, at the p of the norm and beyond
-                side = wasserstein._level1_side(atoms, p)
-                off = wasserstein._level1_off(side, side, p)
+                # the block every level-1 transport reads, at the p of the norm
+                # and beyond, under the error state of the public entries
+                with wasserstein._float_policy():
+                    side = wasserstein._level1_side(atoms, p)
+                    off = wasserstein._level1_off(side, side, p)
                 assert off.tolist() == [[d1(u, v, p) for v in atoms] for u in atoms]
                 assert side[2].tolist() == [d_diag(u, p) for u in atoms]
 

@@ -63,6 +63,8 @@ def _run_experiment(handler, **given) -> int:
         bench.load_psi(cfg.psi)  # a bad psi file is found before any graph is made
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.out is not None:  # an unusable --out fails (exit 1) before the run
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     return handler(cfg)
 
 

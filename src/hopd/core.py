@@ -419,6 +419,8 @@ def linear_diagram(entries, level=None) -> LinearDiagram:
     acc: dict[Atom, object] = {}
     for a, c in entries:
         acc[a] = acc.get(a, 0) + c
+    if any(c != c for c in acc.values()):  # given, or inf - inf of one atom
+        raise ValueError("NaN coefficient")
     return LinearDiagram(*_canonical(acc, level, False))
 
 

@@ -126,14 +126,17 @@ class _Parser:
 
     @staticmethod
     def _coeff(tok: str, tag: str):
-        if tag == "d" or tag == "v":
-            return int(tok)
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        if "." in tok or "e" in tok or tok in ("inf", "-inf"):
-            return float(tok)
-        return Fraction(int(tok))
+        try:
+            if tag == "d" or tag == "v":
+                return int(tok)
+            if "/" in tok:
+                num, den = tok.split("/")
+                return Fraction(int(num), int(den))
+            if "." in tok or "e" in tok or tok in ("inf", "-inf"):
+                return float(tok)
+            return Fraction(int(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot read coefficient {tok!r}") from None
 
 
 def from_text(text: str):

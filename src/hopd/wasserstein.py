@@ -5,9 +5,15 @@ their diagonal cost.  The naive recursion re-derives every endpoint
 comparison one scalar atom cost at a time (the timed baseline).  The
 certified variant shares memo tables across the recursion, skips a product
 expansion whenever a reverse-triangle lower bound already certifies the
-diagonal route, and prices each level-1 sub-transport as one numpy block:
-every off-diagonal cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) and
-both diagonal vectors e, f at once, then one assignment.  Both compute the
+diagonal route, and prices every level-1 sub-transport from one cost matrix
+per run.  At construction the run pools the atoms of every distinct level-1
+diagram its inputs reach; on its first level-1 sub-transport it computes
+every cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + e_v) over the pool in
+one numpy block, next to the diagonal vector e, and each sub-transport then
+reads its off-diagonal block and both opt-out vectors as slices of the pool
+before one assignment.  The lower bound holds where the level-1 costs are a
+metric; ground points of mixed dimension (below) can break that, so a run
+whose pool mixes dimensions never prunes.  Both compute the
 same distances: exactly at p in {1, inf}, and to within rounding at other p,
 where numpy's powers may differ from Python's in the last place.  At those
 other p a sum of p-th powers is computed plainly first; only where it left
@@ -26,7 +32,14 @@ Python's float arithmetic gives it, and never a numpy warning.
 The transport norm of a real-linear diagram is a min-cost flow on the
 metric closure of the atom costs: one assignment over unit masses when the
 coefficients are integers of total supply at most the node count, and a
-HiGHS transportation linear program otherwise.
+HiGHS transportation linear program otherwise.  At level 1, when every
+ground point has one coordinate, the costs are a metric already and the
+closure (Floyd-Warshall) is skipped: with p = 1 the direct cost is
+|b_u - b_v| + |d_u - d_v| and the diagonal cost e_u = |b_u - d_u|, so e is
+1-Lipschitz for the direct cost, and min(direct, e_u + e_v) with the
+basepoint costs e keeps the triangle inequality.  Ground points of mixed
+dimension keep the closure: there costs read only the shared coordinates,
+as `zip` does, and the triangle inequality can fail.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -95,13 +109,15 @@ def _augmented(off, left, right) -> np.ndarray:
     """The (m + l) x (m + l) cost matrix of a partial matching of m left and
     l right atoms, from their m x l ``off`` costs and opt-out costs."""
     m, l = len(left), len(right)
+    n = m + l
     # rows: m left atoms then l diagonal slots; cols: l right atoms then m
     # slots; an atom opts out only to its own slot, slot-to-slot is free
-    costs = np.full((m + l, m + l), INF)
+    costs = np.full((n, n), INF)
     if m:
         costs[:m, :l] = off
-    costs[range(m), range(l, l + m)] = left
-    costs[range(m, m + l), range(l)] = right
+    flat = costs.reshape(-1)  # a view: cell (i, j) is flat[i * n + j]
+    flat[l : m * n : n + 1] = left  # cells (i, l + i)
+    flat[m * n :: n + 1] = right  # cells (m + j, j)
     costs[m:, l:] = 0.0
     return costs
 
@@ -201,8 +217,6 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
     n = len(divergence)
     if n == 0:
         return 0.0
-    if sum(divergence) != 0:
-        raise ValueError("divergences must sum to zero")
     dist = np.array(cost, dtype=np.float64)
     if dist.shape != (n, n):
         raise ValueError("cost must be an n x n matrix")
@@ -211,41 +225,50 @@ def min_cost_transport(divergence: Sequence, cost) -> float:
         raise ValueError("costs must be nonnegative")
     if np.isinf(arc_cost).any():
         raise ValueError("infinite cost arc")
+    with _float_policy():
+        np.fill_diagonal(dist, 0.0)
+        for k in range(n):  # Floyd-Warshall closure
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        return _transport(divergence, dist)
+
+
+def _transport(divergence: Sequence, dist: np.ndarray) -> float:
+    """`min_cost_transport` on finite costs that are already their own
+    metric closure: one assignment over unit masses, or the HiGHS LP.  The
+    diagonal is never read, as no node is both a supply and a demand."""
+    if sum(divergence) != 0:
+        raise ValueError("divergences must sum to zero")
     # signs of the exact values: a tiny Fraction is still a supply
     supply = [i for i, d in enumerate(divergence) if d > 0]
     demand = [i for i, d in enumerate(divergence) if d < 0]
     if not supply:
         return 0.0
-    with _float_policy():
-        np.fill_diagonal(dist, 0.0)
-        for k in range(n):  # Floyd-Warshall closure
-            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-        if all(int(d) == d for d in divergence):
-            units = [int(divergence[i]) for i in supply]
-            if sum(units) <= n:
-                rows = np.repeat(supply, units)
-                cols = np.repeat(demand, [-int(divergence[j]) for j in demand])
-                block = dist[np.ix_(rows, cols)]
-                r, c = linear_sum_assignment(block)
-                return float(block[r, c].sum())
-        m, t = len(supply), len(demand)
-        arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
-        # one row per supply and per demand but the last, which the
-        # others imply since the divergences balance
-        a_eq = coo_matrix(
-            (np.ones(2 * m * t), (np.concatenate([arcs // t, m + arcs % t]), np.tile(arcs, 2))),
-            shape=(m + t, m * t),
-        ).tocsr()[:-1]
-        b_eq = np.array(
-            [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
-        )
-        lp_cost = dist[np.ix_(supply, demand)].ravel()
-        # HiGHS reads a cost >= 1e20 as infinite: bring large costs below 2^60
-        scale = 2.0 ** max(0, math.frexp(lp_cost.max())[1] - 60)
-        res = linprog(lp_cost / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        return float(res.fun) * scale
+    if all(int(d) == d for d in divergence):
+        units = [int(divergence[i]) for i in supply]
+        if sum(units) <= len(divergence):
+            rows = np.repeat(supply, units)
+            cols = np.repeat(demand, [-int(divergence[j]) for j in demand])
+            block = dist[np.ix_(rows, cols)]
+            r, c = linear_sum_assignment(block)
+            return float(block[r, c].sum())
+    m, t = len(supply), len(demand)
+    arcs = np.arange(m * t)  # arc i * t + j runs supply[i] -> demand[j]
+    # one row per supply and per demand but the last, which the
+    # others imply since the divergences balance
+    a_eq = coo_matrix(
+        (np.ones(2 * m * t), (np.concatenate([arcs // t, m + arcs % t]), np.tile(arcs, 2))),
+        shape=(m + t, m * t),
+    ).tocsr()[:-1]
+    b_eq = np.array(
+        [float(divergence[i]) for i in supply] + [-float(divergence[j]) for j in demand[:-1]]
+    )
+    lp_cost = dist[np.ix_(supply, demand)].ravel()
+    # HiGHS reads a cost >= 1e20 as infinite: bring large costs below 2^60
+    scale = 2.0 ** max(0, math.frexp(lp_cost.max())[1] - 60)
+    res = linprog(lp_cost / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun) * scale
 
 
 @dataclass
@@ -317,14 +340,34 @@ def _naive_diag_cost(u: Atom, k, p, c) -> float:
 
 
 class _CertifiedRun:
-    def __init__(self, p, counters):
+    """One certified computation at exponent ``p`` over the level-1 diagrams
+    that ``diagrams`` reach: the memo tables its recursion shares, and one
+    level-1 pool, the atoms of those diagrams in one list, each diagram a
+    slice of it."""
+
+    def __init__(self, p, counters, diagrams):
         self.p = p
         self.c = counters
         self.m_d: dict = {}
         self.m_a: dict = {}
         self.m_diag: dict = {}
         self.m_0: dict = {}
-        self.m_1: dict = {}
+        pool, self.slices = [], {}
+        for theta in _level1_diagrams(diagrams):
+            start = len(pool)
+            pool.extend(theta.atoms())
+            self.slices[theta.uid] = slice(start, len(pool))
+        births, deaths, _ = self.side = _level1_side(pool, p)
+        # the reverse-triangle bound holds where level-1 costs are a metric;
+        # ground points of mixed dimension (NaN pads) read only shared
+        # coordinates, as `zip` does, which breaks the triangle inequality
+        self.prune = not (np.isnan(births).any() or np.isnan(deaths).any())
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """`_level1_off` of the pool against itself, built on the first
+        level-1 sub-transport (an `empty_cost` needs only the diagonal)."""
+        return _level1_off(self.side, self.p)
 
     def _memo_get(self, table, key):
         val = table.get(key)
@@ -346,9 +389,9 @@ class _CertifiedRun:
         if k == 0:
             return self._memo_put(self.m_d, key, dist_ground(G, L))
         if k == 1:
-            side_u, side_v = self.level1_side(G), self.level1_side(L)
-            left, right = side_u[2], side_v[2]
-            off = _level1_off(side_u, side_v, self.p)
+            rows, cols = self.slices[G.uid], self.slices[L.uid]
+            diag = self.side[2]
+            off, left, right = self.off[rows, cols], diag[rows], diag[cols]
             self.c.atom_calls += off.size
             self.c.atom_expansions += off.size
         else:
@@ -380,7 +423,7 @@ class _CertifiedRun:
             ),
             self.p,
         )
-        if b >= e + f:
+        if self.prune and b >= e + f:
             self.c.prunes += 1
             return self._memo_put(self.m_a, key, e + f)
         self.c.atom_expansions += 1
@@ -399,13 +442,6 @@ class _CertifiedRun:
         value = self.diagram_cost(u.minus, u.plus, k - 1)
         return self._memo_put(self.m_diag, key, value)
 
-    def level1_side(self, theta):
-        """`_level1_side` of a level-1 diagram's atoms, once per diagram."""
-        hit = self._memo_get(self.m_1, theta.uid)
-        if hit is not None:
-            return hit
-        return self._memo_put(self.m_1, theta.uid, _level1_side(theta.atoms(), self.p))
-
     def empty_cost(self, theta, k) -> float:
         if isinstance(theta, GroundPoint):
             raise LevelMismatch("empty cost undefined at ground level")
@@ -414,7 +450,7 @@ class _CertifiedRun:
         if hit is not None:
             return hit
         if k == 1:
-            diag = self.level1_side(theta)[2]
+            diag = self.side[2][self.slices[theta.uid]]
         else:
             diag = [self.diagonal_cost(u, k) for u in theta.atoms()]
         return self._memo_put(self.m_0, key, norm_p(diag, self.p))
@@ -432,14 +468,14 @@ def certified_wasserstein(
     _check_p(p)
     c = counters if counters is not None else CostCounters()
     with _float_policy():
-        return _CertifiedRun(p, c).diagram_cost(G, L, G.level)
+        return _CertifiedRun(p, c, (G, L)).diagram_cost(G, L, G.level)
 
 
 def empty_cost(theta: Diagram, p: float) -> float:
     """p-norm of the diagonal distances of the atoms: W_p(theta, 0)."""
     _check_p(p)
     with _float_policy():
-        return _CertifiedRun(p, CostCounters()).empty_cost(theta, theta.level)
+        return _CertifiedRun(p, CostCounters(), (theta,)).empty_cost(theta, theta.level)
 
 
 def group_metric(a: VirtualDiagram, b: VirtualDiagram) -> float:
@@ -460,38 +496,44 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     Min-cost transport over the support plus the basepoint, divergences
     equal to the coefficients with the basepoint absorbing their negative
     sum, arc costs the strengthened atom metric (at level 1 the numpy cost
-    block of `_level1_off` at p = 1, above it from one certified run, whose
-    memo tables all the pairs share).  `min_cost_transport` solves it on the
-    metric closure of those costs, from positive to negative nodes: integer
-    coefficients whose positive sum is at most the support size plus one
-    (say a difference of two diagrams with unit multiplicities) take one
-    assignment over unit masses, and Fraction coefficients (the means) or
-    larger integer masses a HiGHS transportation LP.  An infinite cost on
-    the support (an atom with a +inf death) raises ValueError.
+    block of `_level1_off` at p = 1, above it from one certified run over
+    the atoms' endpoint diagrams, whose memo tables and level-1 pool all
+    the pairs share).  The flow runs on the metric closure of those costs,
+    which one-dimensional level-1 costs already are (module docstring), from
+    positive to negative nodes: integer coefficients whose positive sum is
+    at most the support size plus one (say a difference of two diagrams
+    with unit multiplicities) take one assignment over unit masses, and
+    Fraction coefficients (the means) or larger integer masses a HiGHS
+    transportation LP.  An infinite cost on the support (an atom with a
+    +inf death) raises ValueError.
     """
     entries = xi.entries
     if not entries:
         return 0.0
     atoms = [a for a, _ in entries]
     coeffs = [c for _, c in entries]
+    divergence = coeffs + [-sum(coeffs)]
     with _float_policy():
         if xi.level == 1:
-            side = _level1_side(atoms, 1)
+            births, deaths, diag = side = _level1_side(atoms, 1)
             n = len(atoms)
             cost = np.zeros((n + 1, n + 1))
-            cost[:n, :n] = _level1_off(side, side, 1)  # 0 on the diagonal
-            cost[:n, n] = cost[n, :n] = side[2]
+            cost[:n, :n] = _level1_off(side, 1)  # 0 on the diagonal
+            cost[:n, n] = cost[n, :n] = diag
+            if births.shape[1] == deaths.shape[1] == 1:  # one coordinate each
+                if np.isinf(cost).any():
+                    raise ValueError("infinite cost arc")
+                return _transport(divergence, cost)
         else:
             # one certified run, so endpoint transports shared by several
             # atoms are computed once
-            run = _CertifiedRun(1, CostCounters())
+            run = _CertifiedRun(1, CostCounters(), [e for a in atoms for e in (a.minus, a.plus)])
             n, k = len(atoms), xi.level
             cost = [[0.0] * (n + 1) for _ in range(n + 1)]
             for i in range(n):
                 for j in range(i + 1, n):
                     cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
                 cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
-    divergence = list(coeffs) + [-sum(coeffs)]
     return min_cost_transport(divergence, cost)
 
 
@@ -501,6 +543,23 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
 # powers may differ in the last place at p outside {1, inf})
 
 
+def _level1_diagrams(diagrams) -> list:
+    """The distinct level-1 diagrams that ``diagrams`` reach through the
+    endpoints of their atoms; a level-1 diagram reaches itself."""
+    found, seen, stack = [], set(), list(diagrams)
+    while stack:
+        theta = stack.pop()
+        if theta.level == 0 or theta.uid in seen:
+            continue
+        seen.add(theta.uid)
+        if theta.level == 1:
+            found.append(theta)
+        else:
+            for a in theta.support():
+                stack += (a.minus, a.plus)
+    return found
+
+
 def _level1_side(atoms: Sequence[Atom], p) -> tuple:
     """Birth rows, death rows and diagonal costs of level-1 atoms."""
     births = _coord_matrix([a.minus for a in atoms])
@@ -508,14 +567,12 @@ def _level1_side(atoms: Sequence[Atom], p) -> tuple:
     return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
 
 
-def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
-    """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + f_v) for every pair of a
-    left and a right atom, from their `_level1_side`s."""
-    (bu, du, e), (bv, dv, f) = side_u, side_v
-    width = max(bu.shape[1], bv.shape[1])
-    bu, du, bv, dv = (_pad(x, width) for x in (bu, du, bv, dv))
-    a = _dist_ground_array(bu[:, None], bv[None])
-    b = _dist_ground_array(du[:, None], dv[None])
+def _level1_off(side: tuple, p) -> np.ndarray:
+    """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + e_v) for every pair of
+    atoms u, v of one `_level1_side`."""
+    births, deaths, e = side
+    a = _dist_ground_array(births[:, None], births[None])
+    b = _dist_ground_array(deaths[:, None], deaths[None])
     if p == 1:
         direct = a + b
     elif p == INF:
@@ -527,7 +584,7 @@ def _level1_off(side_u: tuple, side_v: tuple, p) -> np.ndarray:
         if lost.any():  # a power left the float range: `norm_p` prices the pair
             lost &= np.maximum(a, b) > 0
             direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
-    return np.minimum(direct, e[:, None] + f[None])
+    return np.minimum(direct, e[:, None] + e[None])
 
 
 def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -546,13 +603,6 @@ def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:
         return np.empty((0, 1))
     cols = itertools.zip_longest(*(x.coords for x in points), fillvalue=math.nan)
     return np.array(list(cols), dtype=np.float64).T
-
-
-def _pad(rows: np.ndarray, width: int) -> np.ndarray:
-    """Coordinate rows NaN-padded to ``width`` columns."""
-    if rows.shape[1] == width:
-        return rows
-    return np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=math.nan)
 
 
 # ---------------------------------------------------------------------------

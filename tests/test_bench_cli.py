@@ -204,6 +204,22 @@ class TestCli:
         assert cli_main(["demo", "--models", "er", "--m", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["demo", "speedup"])
+    def test_unusable_out_fails_before_any_graph(self, command, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def no_graphs(*args):
+            calls.append(args)
+            raise AssertionError("model_h1 called")
+
+        monkeypatch.setattr(bench, "model_h1", no_graphs)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli_main([command, "--models", "er", "--m", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model_h1" not in err
+        assert calls == []
+
     def test_rows_go_to_stdout_without_out(self, capsys):
         assert cli_main(["speedup", "--models", "er", "--m", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -24,6 +24,7 @@ from hopd.core import (
     ground,
     interval,
     is_diagonal,
+    linear_diagram,
     virtual_diagram,
     CoefficientOverflow,
     LevelMismatch,
@@ -385,6 +386,15 @@ class TestGroundSpace:
             ground(INF, 1.0)
         with pytest.raises(ValueError):
             ground(float("nan"))
+
+    def test_linear_diagram_rejects_a_nan_coefficient(self):
+        # given, or summed from inf and -inf on one atom; a NaN could be
+        # written as text but not read back
+        a, b = interval(0, 1), interval(0.2, 0.4)
+        for entries in ({a: math.nan, b: 1}, [(a, INF), (b, 1), (a, -INF)]):
+            with pytest.raises(ValueError, match="NaN coefficient"):
+                linear_diagram(entries)
+        assert dict(linear_diagram([(a, INF), (a, 1.0)]).entries) == {a: INF}
 
     def test_ground_validation_around_lookup(self):
         # ground looks the intern table up before it validates: a rejected

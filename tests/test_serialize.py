@@ -102,6 +102,14 @@ def test_parse_errors():
         from_text("(d 1 (a (p 0) (p 1))")
 
 
+@pytest.mark.parametrize("tok", ["nan", "1/0", "1/2/3", "x", ""])
+def test_unreadable_coefficient_names_its_token(tok):
+    with pytest.raises(ValueError, match=f"cannot read coefficient '{tok}'"):
+        from_text(f"(l 1 (a (p 0.0) (p 1.0))*{tok})")
+    with pytest.raises(ValueError, match=f"cannot read coefficient '{tok}'"):
+        from_text(f"(v 1 (a (p 0.0) (p 1.0))*{tok})")
+
+
 # Text of a 1-d and a 2-d atom with a 0.0 coordinate, in a fresh process
 # that first interns the same points spelled `argv[1]` (0.0 or -0.0).
 _ZERO_SNIPPET = """

@@ -21,6 +21,7 @@ from hopd.core import (
     empty_diagram,
     ground,
     interval,
+    is_basepoint_pair,
     linear_diagram,
     virtual_diagram,
 )
@@ -121,6 +122,28 @@ class TestAssign:
     def test_optimum_past_the_float_range_without_a_warning(self):
         # the suite turns any RuntimeWarning into an error
         assert assign_p([[INF]], [1e308], [1e308], 1) == INF
+
+    @pytest.mark.parametrize("m, l", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2)])
+    def test_augmented_layout(self, m, l):
+        # the strided writes of the opt-out diagonals against the cell-by-cell
+        # construction: rows are m atoms then l slots, columns l atoms then m slots
+        off = np.arange(1.0, m * l + 1).reshape(m, l)
+        left = [INF if i % 2 else 10.0 + i for i in range(m)]
+        right = [INF if j % 3 == 1 else 20.0 + j for j in range(l)]
+        n = m + l
+        want = np.full((n, n), INF)
+        for i in range(m):
+            for j in range(l):
+                want[i, j] = off[i, j]
+            want[i, l + i] = left[i]
+        for j in range(l):
+            want[m + j, j] = right[j]
+        for i in range(m, n):
+            for j in range(l, n):
+                want[i, j] = 0.0
+        for given in (off, off.tolist()):
+            got = wasserstein._augmented(given, left, right)
+            assert got.shape == (n, n) and np.array_equal(got, want)
 
     def test_inf_threshold_smallest_feasible(self):
         # two feasible thresholds; the smaller must win
@@ -377,7 +400,7 @@ class TestWassersteinRecursion:
             g = rand_level1_diagram(rng, max_atoms=5)
             l = rand_level1_diagram(rng, max_atoms=5)
             for p in (1, 2, INF):
-                run = wasserstein._CertifiedRun(p, CostCounters())
+                run = wasserstein._CertifiedRun(p, CostCounters(), (g, l))
                 assert_close(run.diagram_cost(g, l, 1), naive_wasserstein(g, l, p), 1e-9)
 
     @pytest.mark.parametrize("route", [naive_wasserstein, certified_wasserstein])
@@ -387,16 +410,88 @@ class TestWassersteinRecursion:
             with pytest.raises(ValueError, match="p must be >= 1"):
                 route(x, y, math.nan)
 
-    @pytest.mark.parametrize("p", [1, 2, INF])
+    @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_certified_equals_naive_level2(self, rng, p):
+        # one level-1 pool holds 1-d and 2-d ground points and +inf deaths
+        def level1():
+            entries = {}
+            for _ in range(rng.randint(0, 4)):
+                dim = rng.choice((1, 2))
+                birth = [rng.randrange(8) / 4 for _ in range(dim)]
+                death = [b + rng.randrange(1, 8) / 4 for b in birth]
+                if rng.random() < 0.03:
+                    death[-1] = INF
+                a = atom(ground(*birth), ground(*death))
+                entries[a] = entries.get(a, 0) + rng.randint(1, 2)
+            return diagram(entries, level=1)
+
+        def level2():
+            entries = {}
+            for _ in range(rng.randint(0, 5)):
+                cand = atom(level1(), level1())
+                if not is_basepoint_pair(cand.minus, cand.plus):
+                    entries[cand] = entries.get(cand, 0) + 1
+            return diagram(entries, level=2)
+
+        finite = mixed = inf = 0
         for _ in range(25):
-            g = rand_level2_diagram(rng, max_atoms=3)
-            l = rand_level2_diagram(rng, max_atoms=3)
+            g, l = level2(), level2()
             cn, cc = CostCounters(), CostCounters()
             wn = naive_wasserstein(g, l, p, counters=cn)
             wc = certified_wasserstein(g, l, p, counters=cc)
-            assert_close(wn, wc, 1e-9)
+            if p in (1, INF):
+                assert wn == wc, (g, l, wn, wc)
+            else:
+                assert_close(wn, wc, 1e-9)
             assert cc.atom_expansions <= cn.atom_expansions
+            points = [x for d in (g, l) for u in d.support() for e in (u.minus, u.plus)
+                      for a in e.support() for x in (a.minus, a.plus)]
+            finite += math.isfinite(wc)
+            mixed += len({len(x.coords) for x in points}) == 2
+            inf += any(math.isinf(x.coords[-1]) for x in points)
+        assert min(finite, mixed, inf) > 0, (finite, mixed, inf)
+
+    def test_mixed_dimensions_never_prune(self):
+        # costs read the shared coordinates, so the 2-d endpoint atom with a
+        # +inf death lies at 0 from the 1-d one while its own empty cost is
+        # inf: the reverse-triangle bound (inf) would certify the diagonal
+        # route (inf) past the product route (0)
+        a = diagram({atom(ground(0.0, 0.0), ground(1.0, INF)): 1})
+        b = diagram({interval(0.0, 1.0): 1})
+        g, l = (diagram({atom(x, empty_diagram(1)): 1}, level=2) for x in (a, b))
+        for p in (1, 2, INF):
+            counters = CostCounters()
+            assert certified_wasserstein(g, l, p, counters=counters) == naive_wasserstein(g, l, p) == 0.0
+            assert counters.prunes == 0
+
+    def test_depth2_run_builds_one_level1_block(self, rng, monkeypatch):
+        calls = []
+        level1_off = wasserstein._level1_off
+
+        def counted(*args):
+            calls.append(args)
+            return level1_off(*args)
+
+        monkeypatch.setattr(wasserstein, "_level1_off", counted)
+        seen = 0
+        for _ in range(10):
+            g = rand_level2_diagram(rng, max_atoms=4)
+            l = rand_level2_diagram(rng, max_atoms=4)
+            for p in (1, 2, INF):
+                calls.clear()
+                cc = CostCounters()
+                certified_wasserstein(g, l, p, counters=cc)
+                # one pool block per run, however many level-1 sub-transports
+                # read it; none when there is no atom to price
+                assert len(calls) == (len(g) + len(l) > 0)
+                seen += cc.diagram_calls > 2
+        assert seen
+        # a norm above level 1 prices all its pairs from one block too
+        xi = virtual_diagram({a: c for a, c in zip(g.support() + l.support(), itertools.cycle((1, -2)))},
+                             level=2)
+        calls.clear()
+        linear_w1_norm(xi)
+        assert len(calls) == (xi.support_size() > 0)
 
     def test_large_finite_coordinates_at_p2(self):
         # squares of these gaps leave the float range; both routes rescale
@@ -449,7 +544,7 @@ class TestWassersteinRecursion:
         counters = CostCounters()
         from hopd.wasserstein import _CertifiedRun
 
-        run = _CertifiedRun(1.0, counters)
+        run = _CertifiedRun(1.0, counters, (g,))
         run.diagram_cost(g, g, g.level)
         before = counters.memo_hits
         run.diagram_cost(g, g, g.level)
@@ -622,7 +717,7 @@ class TestLinearNorm:
                 # and beyond, under the error state of the public entries
                 with wasserstein._float_policy():
                     side = wasserstein._level1_side(atoms, p)
-                    off = wasserstein._level1_off(side, side, p)
+                    off = wasserstein._level1_off(side, p)
                 assert off.tolist() == [[d1(u, v, p) for v in atoms] for u in atoms]
                 assert side[2].tolist() == [d_diag(u, p) for u in atoms]
 
@@ -632,6 +727,38 @@ class TestLinearNorm:
             with pytest.raises(ValueError):
                 linear_w1_norm(xi)
 
+
+    def test_one_dimensional_level1_norm_needs_no_closure(self, rng, monkeypatch):
+        # the norm skips the closure of its block; the public transport on
+        # the same block closes it first and must agree
+        from conftest import rand_virtual
+
+        def block(xi):
+            atoms = xi.support()
+            n = len(atoms)
+            cost = [[d1(u, v, 1) for v in atoms] + [d_diag(u, 1)] for u in atoms]
+            return cost + [[d_diag(u, 1) for u in atoms] + [0.0]], n
+
+        closures = []
+        monkeypatch.setattr(wasserstein, "min_cost_transport", lambda *a: closures.append(a))
+        for k in range(60):
+            xi = rand_virtual(rng, rng.randint(1, 12), grid=(0, 8)[k % 2], coeff_range=(-3, 3))
+            if k % 3 == 0:
+                xi = linear_diagram({a: Fraction(c, 2) for a, c in xi.entries})
+            cost, n = block(xi)
+            coeffs = [c for _, c in xi.entries]
+            want = min_cost_transport(coeffs + [-sum(coeffs)], cost)
+            assert linear_w1_norm(xi) == pytest.approx(want, rel=1e-12, abs=0)
+        assert closures == []
+
+    def test_mixed_dimensions_keep_the_closure(self):
+        # a and c read only their first coordinate against b, so each lies at
+        # 0 from b but at 2 from the other: the closure routes c's two units
+        # through b (cost 0) and the basepoint's unit to b (cost 1)
+        a = atom(ground(0.0, 0.0), ground(1.0, 0.0))
+        b = interval(0.0, 1.0)
+        c = atom(ground(0.0, 5.0), ground(1.0, 5.0))
+        assert linear_w1_norm(virtual_diagram({a: -2, b: -1, c: 2})) == 1.0
 
     def test_level2_cost_matrix_shares_one_certified_run(self, rng, monkeypatch):
         from hopd.aggregation import naive_self_aggregate
@@ -706,7 +833,7 @@ class TestComplexityProfile:
             g = rand_level2_diagram(rng, max_atoms=3)
             l = rand_level2_diagram(rng, max_atoms=3)
             counters = CostCounters()
-            run = _CertifiedRun(1.0, counters)
+            run = _CertifiedRun(1.0, counters, (g, l))
             run.diagram_cost(g, l, 2)
             prof = complexity_profile(list(g.support()) + list(l.support()))
             bound = max(1, prof.max_depth) * max(1, prof.total_vertices) ** 2

@@ -54,13 +54,20 @@ def bilinear_aggregate(G: VirtualDiagram, L: VirtualDiagram) -> VirtualDiagram:
     under every character.  A class coefficient outside int64 raises
     ``CoefficientOverflow``, as on every route; a clamped one would no
     longer be the product c_u * c_v that the dominance sums reproduce.
+
+    Each atom's singleton diagram, the endpoint of its classes, is looked
+    up (interned if new) once per atom of G and of L, not once per pair.
+    In a self-aggregate every atom is an endpoint of its own class (u, u),
+    so that interns no diagram the pair classes would not.
     """
     if G.level != L.level:
         raise LevelMismatch("aggregation needs equal levels")
+    left = [(u, singleton_diagram(u), cu) for u, cu in G.entries]
+    right = left if L is G else [(v, singleton_diagram(v), cv) for v, cv in L.entries]
     classes = (
-        (pair_class(u, v), cu * cv)
-        for u, cu in G.entries
-        for v, cv in L.entries
+        (atom(su, sv), cu * cv)
+        for u, su, cu in left
+        for v, sv, cv in right
         # a pair of distinct equivalent atoms is a diagonal class
         if atom_leq(u, v) and (u is v or not atom_leq(v, u))
     )
@@ -177,9 +184,13 @@ def _sum_of(parts: Iterable[VirtualDiagram]) -> VirtualDiagram:
 
 
 def _mean_of(parts: Iterable[VirtualDiagram], m: int) -> LinearDiagram:
-    """``_sum_of(parts) / m``; its entries are sorted and nonzero already."""
+    """``_sum_of(parts) / m``; its entries are sorted and nonzero already.
+    A ``Fraction`` is immutable, so each distinct quotient is built once."""
     total = _sum_of(parts)
-    return LinearDiagram(total.level, tuple((a, Fraction(c, m)) for a, c in total.entries))
+    coeffs = list(map(_COEFF, total.entries))
+    quotient = {c: Fraction(c, m) for c in set(coeffs)}
+    atoms = map(_ATOM, total.entries)
+    return LinearDiagram(total.level, tuple(zip(atoms, map(quotient.__getitem__, coeffs))))
 
 
 def sum_aggregate(diagrams: Sequence[VirtualDiagram]) -> VirtualDiagram:
@@ -187,7 +198,12 @@ def sum_aggregate(diagrams: Sequence[VirtualDiagram]) -> VirtualDiagram:
 
 
 def mean_aggregate(diagrams: Sequence[VirtualDiagram]) -> LinearDiagram:
-    """Sum aggregate divided by the sample count, exact rational coefficients."""
+    """Sum aggregate divided by the sample count, exact rational coefficients.
+
+    One literal pair loop (``bilinear_aggregate``) per sample, one
+    accumulation and sort of their classes, and one ``Fraction(c, m)`` per
+    distinct summed coefficient c, shared by the classes that hold it.
+    """
     return _mean_of((bilinear_aggregate(g, g) for g in diagrams), len(diagrams))
 
 

@@ -24,6 +24,7 @@ import itertools
 import math
 import struct
 import threading
+from operator import le
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -35,6 +36,12 @@ INF = math.inf
 # (`wasserstein._POW_HUGE` for its capped powers).  A sum outside is
 # recomputed on rescaled values.
 _POW_TINY = 2.0**-960
+# level-1 maps of at least this many atoms are put in canonical order by one
+# np.lexsort over their coordinate rows, smaller ones by Python's sort: the
+# lexsort is 2x faster on shuffled maps of 300 atoms or more, within 10% on a
+# difference of two sorted diagrams (two runs, which Python's sort merges),
+# and slower below 30; graph H1 diagrams and their differences hold 6-180
+_LEXSORT_MIN = 256
 
 _INTERN_LOCK = threading.Lock()
 _INTERN: dict = {}
@@ -260,7 +267,10 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
 
     Zero coefficients are deleted from ``acc`` unchecked.  The others must
     share one level (``LevelMismatch``) and, under ``validate``, none may be
-    a basepoint atom (``ValueError``); an empty map needs ``level``.
+    a basepoint atom (``ValueError``); an empty map needs ``level``.  A
+    level-1 map of at least ``_LEXSORT_MIN`` atoms whose ground points share
+    one dimension is sorted by one ``np.lexsort`` over its coordinate rows,
+    in the ``sort_key`` order; any other by Python's sort.
     """
     zeros = []
     for a, c in acc.items():
@@ -277,6 +287,17 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
         raise ValueError("empty diagram needs an explicit level")
     for a in zeros:
         del acc[a]
+    if level == 1 and len(acc) >= _LEXSORT_MIN:
+        rows = [a.row for a in acc]
+        widths = set(map(len, rows))
+        if len(widths) == 1:
+            k = widths.pop() // 16  # coordinates per ground point
+            phi = np.frombuffer(b"".join(rows)).reshape(len(rows), 2 * k)
+            # births, then deaths: the sort_key's columns; np.lexsort sorts
+            # by its last key first, and distinct atoms never tie
+            cols = np.hstack((-phi[:, :k], phi[:, k:]))
+            items = list(acc.items())
+            return level, tuple(map(items.__getitem__, np.lexsort(cols.T[::-1]).tolist()))
     return level, tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
 
 
@@ -442,11 +463,24 @@ def endpoint_leq(a: Endpoint, b: Endpoint) -> bool:
 
 
 def atom_leq(u: Atom, v: Atom) -> bool:
-    """Containment preorder on atoms: reversed on minus, forward on plus."""
-    if u.level != v.level:
-        raise LevelMismatch(f"cannot compare level {u.level} with {v.level}")
+    """Containment preorder on atoms: reversed on minus, forward on plus.
+
+    Level-1 atoms, whose endpoints are ground points, are compared inline
+    with the comparisons ``ground_leq`` makes, in its order: coordinates
+    pairwise up to the shorter point, as ``zip`` reads them.  This is the
+    test in the literal pair loop, two calls per ordered pair.
+    """
+    level = u.level
+    if level != v.level:
+        raise LevelMismatch(f"cannot compare level {level} with {v.level}")
     if u is v:
         return True
+    if level == 1:
+        a, b = v.minus.coords, u.minus.coords
+        c, d = u.plus.coords, v.plus.coords
+        if len(a) == 1 == len(c):
+            return a[0] <= b[0] and c[0] <= d[0]
+        return all(map(le, a, b)) and all(map(le, c, d))
     return endpoint_leq(v.minus, u.minus) and endpoint_leq(u.plus, v.plus)
 
 

@@ -11,7 +11,9 @@ diagram its inputs reach; on its first level-1 sub-transport it computes
 every cost min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + e_v) over the pool in
 one numpy block, next to the diagonal vector e, and each sub-transport then
 reads its off-diagonal block and both opt-out vectors as slices of the pool
-before one assignment.  The lower bound holds where the level-1 costs are a
+before one assignment.  A run over at most two level-1 diagrams (a level-1
+transport between G and L) reads one block at most, so it prices only that
+block's |G| x |L| cells.  The lower bound holds where the level-1 costs are a
 metric; ground points of mixed dimension (below) can break that, so a run
 whose pool mixes dimensions never prunes.  Both compute the
 same distances: exactly at p in {1, inf}, and to within rounding at other p,
@@ -362,6 +364,9 @@ class _CertifiedRun:
         # ground points of mixed dimension (NaN pads) read only shared
         # coordinates, as `zip` does, which breaks the triangle inequality
         self.prune = not (np.isnan(births).any() or np.isnan(deaths).any())
+        # at most two level-1 inputs (a level-1 transport, or the diagonal
+        # of one level-2 atom) are read by one level-1 sub-transport at most
+        self.pooled = len(diagrams) > 2 or any(theta.level > 1 for theta in diagrams)
 
     @cached_property
     def off(self) -> np.ndarray:
@@ -391,7 +396,11 @@ class _CertifiedRun:
         if k == 1:
             rows, cols = self.slices[G.uid], self.slices[L.uid]
             diag = self.side[2]
-            off, left, right = self.off[rows, cols], diag[rows], diag[cols]
+            if self.pooled:
+                off = self.off[rows, cols]
+            else:  # the run's one level-1 sub-transport: only its cells
+                off = _level1_off(self.side, self.p, rows, cols)
+            left, right = diag[rows], diag[cols]
             self.c.atom_calls += off.size
             self.c.atom_expansions += off.size
         else:
@@ -567,12 +576,13 @@ def _level1_side(atoms: Sequence[Atom], p) -> tuple:
     return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
 
 
-def _level1_off(side: tuple, p) -> np.ndarray:
-    """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + e_v) for every pair of
-    atoms u, v of one `_level1_side`."""
+def _level1_off(side: tuple, p, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """min(||(d(b_u, b_v), d(d_u, d_v))||_p, e_u + e_v) for every atom u in
+    ``rows`` and v in ``cols`` of one `_level1_side` (all of it by default);
+    each cell is the same floating-point expression whatever the slices."""
     births, deaths, e = side
-    a = _dist_ground_array(births[:, None], births[None])
-    b = _dist_ground_array(deaths[:, None], deaths[None])
+    a = _dist_ground_array(births[rows, None], births[None, cols])
+    b = _dist_ground_array(deaths[rows, None], deaths[None, cols])
     if p == 1:
         direct = a + b
     elif p == INF:
@@ -584,7 +594,7 @@ def _level1_off(side: tuple, p) -> np.ndarray:
         if lost.any():  # a power left the float range: `norm_p` prices the pair
             lost &= np.maximum(a, b) > 0
             direct[lost] = [norm_p(pair, p) for pair in zip(a[lost], b[lost])]
-    return np.minimum(direct, e[:, None] + e[None])
+    return np.minimum(direct, e[rows, None] + e[None, cols])
 
 
 def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:

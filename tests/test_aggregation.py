@@ -294,6 +294,23 @@ class TestSumAndMean:
         for _, c in mean.entries:
             assert isinstance(c, Fraction)
         assert mean.coefficient(pair_class(b, a)) == 1
+        # six of thirty samples hold each class once: 6/30 reduces to 1/5
+        mean = mean_aggregate([xi] * 6 + [virtual_diagram({}, level=1)] * 24)
+        assert dict(mean.entries) == {pair_class(u, v): Fraction(1, 5) for u, v in ((a, a), (b, b), (b, a))}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 30])
+    def test_mean_is_the_sum_over_m(self, rng, m):
+        xs = [rand_virtual(rng, rng.randint(1, 8), grid=6, coeff_range=(-6, 6)) for _ in range(m)]
+        total = sum_aggregate(xs)
+        mean = mean_aggregate(xs)
+        assert mean.level == total.level == 2
+        assert mean.entries == tuple((a, Fraction(c, m)) for a, c in total.entries)
+        assert all(type(q) is Fraction for _, q in mean.entries)
+        # negative numerators and ones that reduce occur; equal quotients
+        # are one shared Fraction
+        numerators = {c for _, c in total.entries}
+        assert min(numerators) < 0 and (m == 1 or any(math.gcd(c, m) > 1 for c in numerators))
+        assert len({id(q) for _, q in mean.entries}) == len(numerators)
 
 
 class TestPairClassInterning:

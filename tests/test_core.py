@@ -66,6 +66,38 @@ class TestAtomLeq:
         with pytest.raises(LevelMismatch):
             atom_leq(interval(0, 1), lvl2)
 
+    def test_equals_the_endpoint_composition(self, rng):
+        # the inline level-1 test against endpoint_leq -> ground_leq, on 1-d
+        # and 2-d points read up to the shorter one, tied births and deaths,
+        # +inf deaths, and level-2 atoms, which keep the generic path
+        def point(dim, top):
+            coords = [rng.randrange(4) / 4 for _ in range(dim)]
+            if top:
+                coords[-1] = INF
+            return ground(*coords)
+
+        atoms = set()
+        while len(atoms) < 40:
+            dim = rng.choice((1, 2))
+            minus, plus = point(dim, False), point(dim, rng.random() < 0.25)
+            if minus is not plus:
+                atoms.add(atom(minus, plus))
+        atoms = sorted(atoms, key=lambda a: a.uid)
+        atoms += [atom(diagram({u: 1}), diagram({v: 1})) for u, v in zip(atoms[:6], atoms[6:12])]
+        counts = {True: 0, False: 0}
+        for u in atoms:
+            for v in atoms:
+                if u.level != v.level:
+                    with pytest.raises(LevelMismatch):
+                        atom_leq(u, v)
+                    continue
+                want = u is v or (core.endpoint_leq(v.minus, u.minus) and core.endpoint_leq(u.plus, v.plus))
+                assert atom_leq(u, v) is want, (u, v)
+                counts[want] += 1
+        assert min(counts.values()) > 100, counts
+        dims = {len(a.minus.coords) for a in atoms[:40]}
+        assert dims == {1, 2} and any(math.isinf(a.plus.coords[-1]) for a in atoms[:40])
+
 
 class TestAtomLookupFirst:
     """``atom`` looks the intern table up before it checks its endpoints."""
@@ -325,6 +357,45 @@ class TestCanonicalization:
         d_fwd = virtual_diagram({a: 1 for a in atoms})
         d_rev = virtual_diagram({a: 1 for a in reversed(atoms)})
         assert d_fwd.entries == d_rev.entries
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (1, 2)])
+    def test_large_level1_maps_keep_the_sort_key_order(self, rng, monkeypatch, dims):
+        # past the cut-over, rows of one width are ordered by np.lexsort;
+        # mixed widths, and maps below it, keep Python's sort
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+
+        def point(dim, top):
+            coords = [rng.randrange(-3, 40) / 4 for _ in range(dim)]
+            if top:
+                coords[-1] = INF
+            return ground(*coords)
+
+        atoms = set()
+        while len(atoms) < core._LEXSORT_MIN + 50:
+            dim = rng.choice(dims)
+            minus, plus = point(dim, False), point(dim, rng.random() < 0.1)
+            if minus is not plus:
+                atoms.add(atom(minus, plus))
+        atoms = list(atoms)
+        rng.shuffle(atoms)
+        want = sorted(atoms, key=lambda a: a.sort_key)
+        coeffs = {a: rng.choice((-2, -1, 1, 3)) for a in atoms}
+        small = atoms[: core._LEXSORT_MIN - 1]
+        for size in (small, atoms):
+            calls.clear()
+            keep = set(size)
+            order = [a for a in want if a in keep]
+            assert virtual_diagram({a: coeffs[a] for a in size}).entries == tuple((a, coeffs[a]) for a in order)
+            assert diagram({a: abs(coeffs[a]) for a in size}).entries == tuple((a, abs(coeffs[a])) for a in order)
+            assert linear_diagram({a: coeffs[a] / 2 for a in size}).entries == tuple((a, coeffs[a] / 2) for a in order)
+            lexsorted = size is atoms and len(dims) == 1
+            assert calls == [2 * dims[0]] * 3 * lexsorted
+        # no two atoms tie, and the +inf deaths and both signs of a birth occur
+        assert len({a.sort_key for a in atoms}) == len(atoms)
+        assert any(math.isinf(a.plus.coords[-1]) for a in atoms)
+        assert {math.copysign(1, a.minus.coords[0]) for a in atoms} == {-1.0, 1.0}
 
     def test_cancelled_coefficients_dropped(self):
         # coefficients that cancel leave no entry: one atom listed twice, from

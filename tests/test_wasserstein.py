@@ -493,6 +493,30 @@ class TestWassersteinRecursion:
         linear_w1_norm(xi)
         assert len(calls) == (xi.support_size() > 0)
 
+    def test_level1_transport_prices_only_its_cells(self, rng, monkeypatch):
+        shapes = []
+        level1_off = wasserstein._level1_off
+
+        def counted(*args):
+            out = level1_off(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(wasserstein, "_level1_off", counted)
+        for _ in range(10):
+            g = rand_level1_diagram(rng, max_atoms=6)
+            l = rand_level1_diagram(rng, max_atoms=6)
+            for p in (1, 2.5, INF):
+                shapes.clear()
+                value = certified_wasserstein(g, l, p)
+                # the |G| x |L| block, not the (|G| + |L|)^2 pool block
+                assert shapes == [(len(g), len(l))]
+                pooled = wasserstein._CertifiedRun(p, CostCounters(), (g, l))
+                pooled.pooled = True
+                with wasserstein._float_policy():
+                    assert pooled.diagram_cost(g, l, 1) == value
+                assert shapes[1] == (len(g) + len(l) * (l is not g),) * 2
+
     def test_large_finite_coordinates_at_p2(self):
         # squares of these gaps leave the float range; both routes rescale
         # and agree on the finite distance

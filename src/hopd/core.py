@@ -40,7 +40,7 @@ _POW_TINY = 2.0**-960
 # np.lexsort over their coordinate rows, smaller ones by Python's sort: the
 # lexsort is 2x faster on shuffled maps of 300 atoms or more, within 10% on a
 # difference of two sorted diagrams (two runs, which Python's sort merges),
-# and slower below 30; graph H1 diagrams and their differences hold 6-180
+# and slower below 30; graph H1 diagrams and their differences hold 6-180 atoms
 _LEXSORT_MIN = 256
 
 _INTERN_LOCK = threading.Lock()

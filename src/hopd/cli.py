@@ -128,7 +128,12 @@ def _cmd_envelope(c: int, n: int, r: int, average: str | None) -> int:
     print(f"ratio = {bounds['ratio']}")
     if average:
         value = envelope_average(c, n, average)
-        print(f"average_{average} = {value} (~{float(value):.6g})")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the exact value runs past the 4300-digit default
+        try:
+            print(f"average_{average} = {value} (~{float(value):.6g})")
+        finally:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

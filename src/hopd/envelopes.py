@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import index
 
 AVERAGE_GUARD_WIDTH = 256  # cap on c * 2^N so the exact DP stays tractable
 
@@ -21,11 +22,31 @@ class GuardExceeded(ValueError):
     pass
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an exact integer >= least, or ValueError."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(n, 0..n)."""
+    """Stirling numbers of the second kind S(n, 0..n).
+
+    Rows are only ever cached as a prefix 0..currsize-1.  A cold row recurses
+    to its predecessor, but every 64th row first builds the missing rows
+    below it in increasing order, so a cold call is at most 64 rows deep
+    whatever n, and a build of 64 rows or fewer is the plain recursion.
+    """
     if n == 0:
         return (1,)
+    if n % 64 == 0:
+        for m in range(_stirling_row.cache_info().currsize, n):
+            _stirling_row(m)
     prev = _stirling_row(n - 1)
     row = [0] * (n + 1)
     for k in range(1, n + 1):
@@ -34,13 +55,14 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 
 def stirling2(n: int, k: int) -> int:
+    n = _count("n", n, 0)
     if k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]
 
 
 def bell_number(n: int) -> int:
-    return sum(_stirling_row(n))
+    return sum(_stirling_row(_count("n", n, 0)))
 
 
 def ceil_log2(x: int) -> int:
@@ -61,8 +83,7 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
     Log factors are evaluated as max(1, ceil(log2(c * 2^N))) so every value
     is an exact integer or rational.
     """
-    if c < 1 or N < 1 or r < 1:
-        raise ValueError("c, N, r must be >= 1")
+    c, N, r = _count("c", c, 1), _count("N", N, 1), _count("r", r, 1)
     width = c * 2**N
     logf = max(1, ceil_log2(width))
     naive_agg = c * c * 4**N
@@ -78,11 +99,11 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
     }
 
 
-def _check_average_guard(c: int, N: int):
-    if c < 1 or N < 1:
-        raise ValueError("c and N must be >= 1")
+def _check_average_guard(c: int, N: int) -> tuple[int, int]:
+    c, N = _count("c", c, 1), _count("N", N, 1)
     if c * 2**N > AVERAGE_GUARD_WIDTH:
         raise GuardExceeded(f"average-case DP guarded at c*2^N <= {AVERAGE_GUARD_WIDTH}")
+    return c, N
 
 
 def merge_model_moment(c: int, N: int, power: int) -> Fraction:
@@ -95,12 +116,20 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
     play, merges the Stirling-weighted sources per target size t2, and only
     then applies the binomial shift E[(S + t2)^m], which is linear and
     depends on t2 alone.  One gcd per stage keeps the fraction reduced.
+
+    The last transition, the widest and with the largest numbers, is not
+    run as a stage: only the one moment returned is formed.  Summed over
+    targets, source t contributes
+    Σ_i C(power, i) · E[S^i; t] · T_t[power - i] / B(2t), where
+    T_t[j] = Σ_k S(2t, k) · k^j, so the result is one sum over sources
+    scaled to the lcm of their Bell numbers.
     """
-    _check_average_guard(c, N)
+    c, N = _check_average_guard(c, N)
+    power = _count("power", power, 0)
     binom = [[comb(m, i) for i in range(m + 1)] for m in range(power + 1)]
     den = 1
     dist: dict[int, list[int]] = {c: [c**m for m in range(power + 1)]}
-    for _ in range(N):
+    for _ in range(N - 1):
         bells = {t: bell_number(2 * t) for t in dist}
         stage = lcm(*bells.values())
         acc: dict[int, list[int]] = {}
@@ -128,7 +157,19 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
         if shrink > 1:
             den //= shrink
             dist = {t: [v // shrink for v in nums] for t, nums in dist.items()}
-    return Fraction(sum(nums[power] for nums in dist.values()), den)
+    bells = {t: bell_number(2 * t) for t in dist}
+    stage = lcm(*bells.values())
+    coeffs = binom[power]
+    total = 0
+    for t, nums in dist.items():
+        weights = _stirling_row(2 * t)
+        sums = [sum(weights)]  # T_t[j] = Σ_k S(2t, k) · k^j for j = 0..power
+        for _ in range(power):
+            weights = [k * w for k, w in enumerate(weights)]
+            sums.append(sum(weights))
+        inner = sum(b * nums[i] * sums[power - i] for i, b in enumerate(coeffs))
+        total += stage // bells[t] * inner
+    return Fraction(total, den * stage)
 
 
 def envelope_average(c: int, N: int, mode: str) -> Fraction:
@@ -151,6 +192,7 @@ def sandwich_bounds(c: int, N: int) -> tuple[Fraction, Fraction]:
     values of that power at the extreme sizes c and c*(2^(N+1)-1); for
     3N - 5 < 0 the power is decreasing and the endpoints swap.
     """
+    c, N = _count("c", c, 1), _count("N", N, 1)
     lo, hi = _ratio_at(c, N), _ratio_at(c * (2 ** (N + 1) - 1), N)
     return (lo, hi) if lo <= hi else (hi, lo)
 

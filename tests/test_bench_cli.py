@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "naive_aggregation = 16" in out
         assert "ratio = 2" in out
+
+    def test_envelope_prints_values_past_the_digit_limit(self, capsys):
+        # the exact certified average at (2, 6) has about 5,500 digits
+        assert cli_main(["envelope", "--c", "2", "--n", "6", "--r", "2", "--average", "certified"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("average_certified = ") and len(line) > sys.get_int_max_str_digits()
 
     def test_demo_writes_diagram(self, tmp_path, capsys):
         code = cli_main(["demo", "--models", "er", "--m", "1", "--out", str(tmp_path)])

@@ -8,6 +8,7 @@ import pytest
 
 from hopd.envelopes import (
     GuardExceeded,
+    _stirling_row,
     average_ratio,
     bell_number,
     ceil_log2,
@@ -46,6 +47,33 @@ class TestCombinatorics:
         assert bell_number(n) == len(parts)
         for k in range(n + 1):
             assert stirling2(n, k) == sum(1 for p in parts if len(p) == k)
+
+    def test_bell_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            bell_number(-1)
+
+    def test_cold_build_depth_does_not_grow_with_n(self):
+        # a cold build is at most 64 rows deep whatever n.  The limit is
+        # lowered rather than n raised: the rows up to 1500 hold about 0.75 GB.
+        n = 400
+        triangle = [1]  # Bell triangle: its rows start at B(0), B(1), ...
+        for _ in range(n):
+            nxt = [triangle[-1]]
+            for v in triangle:
+                nxt.append(nxt[-1] + v)
+            triangle = nxt
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        _stirling_row.cache_clear()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            got = bell_number(n)
+        finally:
+            sys.setrecursionlimit(limit)
+            _stirling_row.cache_clear()
+        assert got == triangle[0]
 
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
@@ -87,6 +115,10 @@ class TestWorstCase:
         with pytest.raises(ValueError):
             envelope_worst(1, 1, 0)
 
+    def test_rejects_non_integer_size(self):
+        with pytest.raises(ValueError):
+            envelope_worst(1.5, 2, 2)
+
 
 class TestAverageCase:
     def test_hand_enumerated_c1_n1(self):
@@ -117,9 +149,22 @@ class TestAverageCase:
                 with pytest.raises(GuardExceeded):
                     envelope_average(c, N, mode)
 
+    def test_rejects_negative_power(self):
+        with pytest.raises(ValueError):
+            merge_model_moment(1, 2, -1)
+
+    def test_rejects_non_integer_size(self):
+        with pytest.raises(ValueError):
+            merge_model_moment(1.5, 2, 3)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             envelope_average(1, 1, "bogus")
+
+    def test_sandwich_rejects_bad_sizes(self):
+        for c, N in ((0, 1), (1.5, 2), (1, 0)):
+            with pytest.raises(ValueError):
+                sandwich_bounds(c, N)
 
     def test_sandwich_small_sweep(self):
         # exact ratios sit inside the pointwise envelope bounds
@@ -148,6 +193,40 @@ def moment_by_stage_paths(c, N, power):
     return walk(c, c, Fraction(1), N)
 
 
+def moments_by_stage_dp(c, N, top):
+    """E[(t_0 + ... + t_N)^m] for m = 0..top, stage by stage in Fractions,
+    with transition probabilities S(2t, t2) / B(2t)."""
+    rows = {}
+    dist = {c: [Fraction(c) ** m for m in range(top + 1)]}
+    for _ in range(N):
+        merged = {}
+        for t, mom in dist.items():
+            if 2 * t not in rows:
+                rows[2 * t] = [stirling_by_inclusion_exclusion(2 * t, k) for k in range(2 * t + 1)]
+            row = rows[2 * t]
+            bell = sum(row)
+            for t2 in range(1, 2 * t + 1):
+                prob = Fraction(row[t2], bell)
+                acc = merged.setdefault(t2, [Fraction(0)] * (top + 1))
+                for m in range(top + 1):
+                    acc[m] += prob * mom[m]
+        dist = {
+            t2: [sum(comb(m, i) * acc[i] * t2 ** (m - i) for i in range(m + 1)) for m in range(top + 1)]
+            for t2, acc in merged.items()
+        }
+    return [sum(mom[m] for mom in dist.values()) for m in range(top + 1)]
+
+
+class TestStageOracle:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_every_power_equals_stage_dp(self, N):
+        # every c with c * 2^N <= 64 and every power 0..3N+1
+        for c in range(1, 64 // 2**N + 1):
+            expect = moments_by_stage_dp(c, N, 3 * N + 1)
+            for power, value in enumerate(expect):
+                assert merge_model_moment(c, N, power) == value, (c, N, power)
+
+
 class TestMomentOracle:
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -169,3 +248,18 @@ class TestMomentOracle:
         finally:
             sys.set_int_max_str_digits(limit)
         assert digest.hexdigest() == "18c83ba5b88ad73f5392c4d41c4adcf5315a1018d5fc7870595f729883d5fb15"
+
+    def test_guard_edge_digest_is_pinned(self):
+        # SHA-256 of the reprs at width 256, the guard's edge, where the last
+        # transition dominates most; recorded before that transition was
+        # collapsed to the one moment returned
+        digest = hashlib.sha256()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for mode in ("naive", "certified"):
+                for c, N in ((4, 6), (1, 8)):
+                    digest.update(repr(envelope_average(c, N, mode)).encode() + b"\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert digest.hexdigest() == "625f283fc91d5f3314378aade48f170399a64b215861b20f5b3615c0cf96873d"

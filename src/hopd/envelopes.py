@@ -22,7 +22,7 @@ class GuardExceeded(ValueError):
     pass
 
 
-def _count(name: str, value, least: int) -> int:
+def _integer(name: str, value, least: int) -> int:
     """value as an exact integer >= least, or ValueError."""
     try:
         value = index(value)
@@ -55,14 +55,14 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 
 def stirling2(n: int, k: int) -> int:
-    n = _count("n", n, 0)
+    n = _integer("n", n, 0)
     if k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]
 
 
 def bell_number(n: int) -> int:
-    return sum(_stirling_row(_count("n", n, 0)))
+    return sum(_stirling_row(_integer("n", n, 0)))
 
 
 def ceil_log2(x: int) -> int:
@@ -83,7 +83,7 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
     Log factors are evaluated as max(1, ceil(log2(c * 2^N))) so every value
     is an exact integer or rational.
     """
-    c, N, r = _count("c", c, 1), _count("N", N, 1), _count("r", r, 1)
+    c, N, r = _integer("c", c, 1), _integer("N", N, 1), _integer("r", r, 1)
     width = c * 2**N
     logf = max(1, ceil_log2(width))
     naive_agg = c * c * 4**N
@@ -100,7 +100,7 @@ def envelope_worst(c: int, N: int, r: int) -> dict:
 
 
 def _check_average_guard(c: int, N: int) -> tuple[int, int]:
-    c, N = _count("c", c, 1), _count("N", N, 1)
+    c, N = _integer("c", c, 1), _integer("N", N, 1)
     if c * 2**N > AVERAGE_GUARD_WIDTH:
         raise GuardExceeded(f"average-case DP guarded at c*2^N <= {AVERAGE_GUARD_WIDTH}")
     return c, N
@@ -125,7 +125,7 @@ def merge_model_moment(c: int, N: int, power: int) -> Fraction:
     scaled to the lcm of their Bell numbers.
     """
     c, N = _check_average_guard(c, N)
-    power = _count("power", power, 0)
+    power = _integer("power", power, 0)
     binom = [[comb(m, i) for i in range(m + 1)] for m in range(power + 1)]
     den = 1
     dist: dict[int, list[int]] = {c: [c**m for m in range(power + 1)]}
@@ -192,7 +192,7 @@ def sandwich_bounds(c: int, N: int) -> tuple[Fraction, Fraction]:
     values of that power at the extreme sizes c and c*(2^(N+1)-1); for
     3N - 5 < 0 the power is decreasing and the endpoints swap.
     """
-    c, N = _count("c", c, 1), _count("N", N, 1)
+    c, N = _integer("c", c, 1), _integer("N", N, 1)
     lo, hi = _ratio_at(c, N), _ratio_at(c * (2 ** (N + 1) - 1), N)
     return (lo, hi) if lo <= hi else (hi, lo)
 

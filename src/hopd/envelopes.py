@@ -56,6 +56,7 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 def stirling2(n: int, k: int) -> int:
     n = _integer("n", n, 0)
+    k = _integer("k", k, -float("inf"))  # any integer; S(n, k) = 0 outside 0..n
     if k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]

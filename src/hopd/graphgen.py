@@ -1,20 +1,24 @@
 """Random graph generators for the aggregation benchmarks.
 
-Ten models over 50 vertices with fixed parameters; every sample is fully
-determined by (model, seed).  Randomness comes from PCG64 streams split per
-purpose (topology vs. edge marks), so regenerating with the same seed gives
-a bit-identical edge list.  The per-pair models (er, sbm, chunglu, girg,
-hrg and ergm's initial graph) read one uniform per vertex pair in ``triu``
-order from a single batched draw, the same stream as one scalar draw per
-pair; the test suite pins every model's edge lists by SHA-256.  Geometric models (ksw, girg, hrg) use their
-underlying distances as edge weights; all other models draw independent
-uniform(0,1) marks.
+Ten models over 50 vertices, each with the fixed parameters of one table
+(`_PARAMS`); every sample is fully determined by (model, seed), and its
+metadata records the model's parameters, what its builder reports (cm's
+removed loops and multi-edges, chunglu's weight tag, hrg's disk radius),
+the seed and the weight policy.  Randomness comes from PCG64 streams split
+per purpose (topology vs. edge marks), so regenerating with the same seed
+gives a bit-identical edge list.  The per-pair models (er, sbm, chunglu,
+girg, hrg and ergm's initial graph) read one uniform per vertex pair in
+``triu`` order from a single batched draw, the same stream as one scalar
+draw per pair; the test suite pins every model's edge lists by SHA-256.
+Geometric models (ksw, girg, hrg) use their underlying distances as edge
+weights; all other models draw independent uniform(0,1) marks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import index
 from typing import Mapping
 
 import numpy as np
@@ -24,7 +28,7 @@ from .filtration import WeightedGraph, weighted_graph
 MODELS = ("er", "ws", "ba", "cm", "sbm", "chunglu", "ksw", "girg", "hrg", "ergm")
 _N_VERTICES = 50  # every model's vertex count
 
-_DEFAULT_PARAMS: dict[str, dict[str, float]] = {
+_PARAMS: dict[str, dict[str, float]] = {
     "er": {"p": 0.10},
     "ws": {"degree": 4, "rewire": 0.1},
     "ba": {"m": 2},
@@ -41,18 +45,14 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
 @dataclass(frozen=True)
 class ModelSpec:
     model: str
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
 
-    def param(self, name: str) -> float:
-        return self.params.get(name, _DEFAULT_PARAMS[self.model][name])
 
-
-def model_spec(model: str, **params) -> ModelSpec:
-    return ModelSpec(model, dict(params))
+def model_spec(model: str) -> ModelSpec:
+    return ModelSpec(model)
 
 
 def model_index(model: str) -> int:
@@ -94,33 +94,33 @@ def _pair_list(iu, iv, keep, *columns) -> list[tuple]:
 
 
 def generate(spec: ModelSpec, seed: int) -> GraphSample:
+    try:
+        seed = index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, not {type(seed).__name__}") from None
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     topo_rng, mark_rng = _streams(seed)
-    builder = _BUILDERS[spec.model]
-    edges, meta = builder(spec, topo_rng)
-    meta = dict(meta)
-    meta.update(model=spec.model, n=_N_VERTICES, seed=seed)
-    if spec.model in ("ksw", "girg", "hrg"):
-        meta["weight_policy"] = "geometric-distance"
-        weighted = edges
-    else:
-        meta["weight_policy"] = "uniform-marks"
-        weighted = _uniform_marks(edges, mark_rng)
-    graph = weighted_graph(_N_VERTICES, weighted)
-    return GraphSample(graph, meta)
+    params = _PARAMS[spec.model]
+    edges, extras = _BUILDERS[spec.model](topo_rng, **params)
+    geometric = spec.model in ("ksw", "girg", "hrg")
+    meta = {**params, **extras, "model": spec.model, "n": _N_VERTICES, "seed": seed,
+            "weight_policy": "geometric-distance" if geometric else "uniform-marks"}
+    weighted = edges if geometric else _uniform_marks(edges, mark_rng)
+    return GraphSample(weighted_graph(_N_VERTICES, weighted), meta)
 
 
-def _gen_er(spec, rng):
-    n, p = _N_VERTICES, spec.param("p")
-    if not 0 <= p <= 1:
-        raise ValueError("edge probability out of range")
-    iu, iv = np.triu_indices(n, 1)
-    return _pair_list(iu, iv, rng.random(len(iu)) < p), {"p": p}
+# Each builder takes the topology stream and its model's `_PARAMS` entry and
+# returns the edges and the metadata it adds to that entry.
 
 
-def _gen_ws(spec, rng):
-    n, degree, beta = _N_VERTICES, int(spec.param("degree")), spec.param("rewire")
-    if degree % 2 or degree >= n:
-        raise ValueError("ring degree must be even and < n")
+def _gen_er(rng, p):
+    iu, iv = np.triu_indices(_N_VERTICES, 1)
+    return _pair_list(iu, iv, rng.random(len(iu)) < p), {}
+
+
+def _gen_ws(rng, degree, rewire):
+    n = _N_VERTICES
     edges = set()
     for u in range(n):
         for j in range(1, degree // 2 + 1):
@@ -128,7 +128,7 @@ def _gen_ws(spec, rng):
     edges = sorted(edges)
     out = set(edges)
     for u, v in edges:
-        if rng.random() < beta:
+        if rng.random() < rewire:
             out.discard((u, v))
             while True:
                 w = int(rng.integers(0, n))
@@ -136,18 +136,15 @@ def _gen_ws(spec, rng):
                 if w != u and cand not in out:
                     out.add(cand)
                     break
-    return sorted(out), {"degree": degree, "rewire": beta}
+    return sorted(out), {}
 
 
-def _gen_ba(spec, rng):
-    n, m = _N_VERTICES, int(spec.param("m"))
-    if m < 1 or m >= n:
-        raise ValueError("attachment parameter out of range")
+def _gen_ba(rng, m):
     # seed graph: m vertices spanned by a path, then preferential attachment
-    edges = [(i, i + 1) for i in range(m - 1)] if m > 1 else []
+    edges = [(i, i + 1) for i in range(m - 1)]
     repeated = [v for e in edges for v in e] or [0]
     targets = set()
-    for v in range(m, n):
+    for v in range(m, _N_VERTICES):
         targets.clear()
         while len(targets) < m:
             pick = repeated[int(rng.integers(0, len(repeated)))]
@@ -155,14 +152,11 @@ def _gen_ba(spec, rng):
         for t in sorted(targets):
             edges.append((t, v))
             repeated.extend((t, v))
-    return sorted(set(edges)), {"m": m}
+    return sorted(set(edges)), {}
 
 
-def _gen_cm(spec, rng):
-    n, degree = _N_VERTICES, int(spec.param("degree"))
-    if (n * degree) % 2:
-        raise ValueError("degree sum must be even")
-    stubs = np.repeat(np.arange(n), degree)
+def _gen_cm(rng, degree):
+    stubs = np.repeat(np.arange(_N_VERTICES), degree)
     rng.shuffle(stubs)
     loops = 0
     multi = 0
@@ -177,47 +171,33 @@ def _gen_cm(spec, rng):
             multi += 1
             continue
         seen.add(key)
-    return sorted(seen), {
-        "degree": degree,
-        "loops_removed": loops,
-        "multi_edges_removed": multi,
-        "simplified": True,
-    }
+    return sorted(seen), {"loops_removed": loops, "multi_edges_removed": multi, "simplified": True}
 
 
-def _gen_sbm(spec, rng):
+def _gen_sbm(rng, blocks, within, between):
     n = _N_VERTICES
-    blocks = int(spec.param("blocks"))
-    within, between = spec.param("within"), spec.param("between")
     membership = np.arange(n) * blocks // n
     iu, iv = np.triu_indices(n, 1)
     p = np.where(membership[iu] == membership[iv], within, between)
-    edges = _pair_list(iu, iv, rng.random(len(iu)) < p)
-    return edges, {"blocks": blocks, "within": within, "between": between}
+    return _pair_list(iu, iv, rng.random(len(iu)) < p), {}
 
 
-def _gen_chunglu(spec, rng):
+def _gen_chunglu(rng, avg_degree, exponent):
     n = _N_VERTICES
-    avg, tau = spec.param("avg_degree"), spec.param("exponent")
-    raw = np.array([(i + 1.0) ** (-1.0 / (tau - 1.0)) for i in range(n)])
-    w = raw * (avg / raw.mean())
+    raw = np.array([(i + 1.0) ** (-1.0 / (exponent - 1.0)) for i in range(n)])
+    w = raw * (avg_degree / raw.mean())
     total = w.sum()
     iu, iv = np.triu_indices(n, 1)
     p = np.minimum(1.0, w[iu] * w[iv] / total)
-    edges = _pair_list(iu, iv, rng.random(len(iu)) < p)
-    return edges, {"avg_degree": avg, "exponent": tau, "weights": "power-law"}
+    return _pair_list(iu, iv, rng.random(len(iu)) < p), {"weights": "power-law"}
 
 
 def _grid_coords(rows, cols):
     return [(r, c) for r in range(rows) for c in range(cols)]
 
 
-def _gen_ksw(spec, rng):
-    rows, cols = int(spec.param("rows")), int(spec.param("cols"))
-    q, alpha = int(spec.param("long_range")), spec.param("alpha")
+def _gen_ksw(rng, rows, cols, long_range, alpha):
     n = rows * cols
-    if n != _N_VERTICES:
-        raise ValueError("grid size must match vertex count")
     coords = _grid_coords(rows, cols)
     grid = np.array(coords)
     hops = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)  # Manhattan, exact
@@ -238,17 +218,15 @@ def _gen_ksw(spec, rng):
         # p every time
         cdf = weights.cumsum()
         cdf /= cdf[-1]
-        for _ in range(q):
+        for _ in range(long_range):
             k = int(cdf.searchsorted(rng.random(), side="right"))
             v = k + (k >= u)
             edges.setdefault((min(u, v), max(u, v)), float(hops[u, v]))
-    out = sorted((u, v, w) for (u, v), w in edges.items())
-    return out, {"rows": rows, "cols": cols, "long_range": q, "alpha": alpha}
+    return sorted((u, v, w) for (u, v), w in edges.items()), {}
 
 
-def _gen_girg(spec, rng):
+def _gen_girg(rng, tau, alpha, dim):
     n = _N_VERTICES
-    tau, alpha, dim = spec.param("tau"), spec.param("alpha"), int(spec.param("dim"))
     weights = (1.0 - rng.random(n)) ** (-1.0 / (tau - 1.0))
     pos = rng.random((n, dim))
     total = weights.sum()
@@ -260,18 +238,15 @@ def _gen_girg(spec, rng):
     p[far] = np.minimum(
         1.0, (weights[iu[far]] * weights[iv[far]] / (total * dist[far] ** dim)) ** alpha
     )
-    edges = _pair_list(iu, iv, rng.random(len(iu)) < p, np.maximum(dist, 1e-12))
-    return edges, {"tau": tau, "alpha": alpha, "dim": dim}
+    return _pair_list(iu, iv, rng.random(len(iu)) < p, np.maximum(dist, 1e-12)), {}
 
 
-def _gen_hrg(spec, rng):
+def _gen_hrg(rng, temperature, curvature):
     n = _N_VERTICES
-    T = spec.param("temperature")
-    ah = spec.param("curvature")
     R = 2.0 * math.log(n)
     theta = rng.random(n) * 2.0 * math.pi
     u = rng.random(n)
-    radii = np.arccosh(1.0 + u * (math.cosh(ah * R) - 1.0)) / ah
+    radii = np.arccosh(1.0 + u * (math.cosh(curvature * R) - 1.0)) / curvature
     # scalar libm per pair: these distances become edge weights, and numpy's
     # vectorized transcendentals may differ from math's in the last bit
     theta = theta.tolist()
@@ -283,17 +258,14 @@ def _gen_hrg(spec, rng):
             dt = math.pi - abs(math.pi - abs(theta[a] - theta[b]))
             ch = cosh[a] * cosh[b] - sinh[a] * sinh[b] * math.cos(dt)
             d = math.acosh(max(1.0, ch))
-            p = 1.0 / (1.0 + math.exp((d - R) / (2.0 * T)))
+            p = 1.0 / (1.0 + math.exp((d - R) / (2.0 * temperature)))
             if next(draws) < p:
                 edges.append((a, b, max(d, 1e-12)))
-    return edges, {"temperature": T, "curvature": ah, "radius": R}
+    return edges, {"radius": R}
 
 
-def _gen_ergm(spec, rng):
+def _gen_ergm(rng, edge, triangle, steps, init_p):
     n = _N_VERTICES
-    te, tt = spec.param("edge"), spec.param("triangle")
-    steps = int(spec.param("steps"))
-    init_p = spec.param("init_p")
     # adjacency rows as Python-int bitsets: bit v of adj[u] is the edge uv
     adj = [0] * n
     iu, iv = np.triu_indices(n, 1)
@@ -310,14 +282,13 @@ def _gen_ergm(spec, rng):
             continue
         common = (adj[u] & adj[v]).bit_count()
         if adj[u] >> v & 1:
-            delta = -te - tt * common
+            delta = -edge - triangle * common
         else:
-            delta = te + tt * common
+            delta = edge + triangle * common
         if delta >= 0 or uniform() < exp(delta):
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-    return edges, {"edge": te, "triangle": tt, "steps": steps, "init_p": init_p}
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1], {}
 
 
 _BUILDERS = {

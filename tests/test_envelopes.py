@@ -48,6 +48,14 @@ class TestCombinatorics:
         for k in range(n + 1):
             assert stirling2(n, k) == sum(1 for p in parts if len(p) == k)
 
+    def test_stirling_outside_the_row_is_zero(self):
+        assert [stirling2(3, k) for k in (-2, -1, 4, 10**30)] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("k", [1.5, "1", None, 2.0])
+    def test_stirling_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError):
+            stirling2(3, k)
+
     def test_bell_rejects_negative_n(self):
         with pytest.raises(ValueError):
             bell_number(-1)

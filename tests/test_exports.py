@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every defaulted parameter of an exported function is pinned."""
+and every defaulted or keyword-catching parameter of an exported function
+is pinned."""
 
 import ast
 import dataclasses
@@ -118,19 +119,34 @@ PINNED_DEFAULTS = {
 }
 
 
-def test_defaulted_parameters_are_pinned():
-    found = set()
+# Every **kwargs parameter of an exported function, in the same form.  It
+# takes any keyword a caller invents, so it is a knob of unbounded width.
+PINNED_VAR_KEYWORDS: set[str] = set()
+
+
+def _exported_parameters():
+    """(module.function(name), parameter) for every parameter of every
+    exported function."""
     for name in MODULES:
         module = importlib.import_module(f"hopd.{name}")
         for export in getattr(module, "__all__", ()):
             obj = getattr(module, export)
-            if not inspect.isfunction(obj):
-                continue
-            for param in inspect.signature(obj).parameters.values():
-                if param.default is not inspect.Parameter.empty:
-                    found.add(f"{name}.{export}({param.name})")
+            if inspect.isfunction(obj):
+                for param in inspect.signature(obj).parameters.values():
+                    yield f"{name}.{export}({param.name})", param
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {key for key, param in _exported_parameters() if param.default is not inspect.Parameter.empty}
     assert found == PINNED_DEFAULTS, (
         f"new: {sorted(found - PINNED_DEFAULTS)}, gone: {sorted(PINNED_DEFAULTS - found)}"
+    )
+
+
+def test_var_keyword_parameters_are_pinned():
+    found = {key for key, param in _exported_parameters() if param.kind is inspect.Parameter.VAR_KEYWORD}
+    assert found == PINNED_VAR_KEYWORDS, (
+        f"new: {sorted(found - PINNED_VAR_KEYWORDS)}, gone: {sorted(PINNED_VAR_KEYWORDS - found)}"
     )
 
 

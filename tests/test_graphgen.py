@@ -1,11 +1,13 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from hopd.filtration import build_clique_filtration, persistence_h1, write_edge_list
 from hopd.graphgen import (
     MODELS,
+    _gen_ws,
     generate,
     metadata_block,
     model_index,
@@ -77,6 +79,17 @@ class TestSeedSchedule:
         with pytest.raises(ValueError):
             seed_for(-1, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, -1])
+    def test_generate_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError):
+            generate(model_spec("er"), seed)
+
+    def test_generate_takes_integer_like_seeds(self):
+        spec = model_spec("er")
+        sample = generate(spec, np.int64(7))
+        assert sample.graph == generate(spec, 7).graph
+        assert type(sample.metadata["seed"]) is int
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("model", MODELS)
@@ -117,10 +130,10 @@ class TestModels:
         assert abs(mean - expected) <= 3 * sigma
 
     def test_ws_without_rewiring_is_ring(self):
-        g = generate(model_spec("ws", rewire=0.0), 5).graph
-        assert g.edge_count() == 100
+        edges, _ = _gen_ws(np.random.default_rng(5), 4, 0.0)
+        assert len(edges) == 100
         degrees = [0] * 50
-        for u, v, _ in g.edges:
+        for u, v in edges:
             degrees[u] += 1
             degrees[v] += 1
         assert set(degrees) == {4}
@@ -193,11 +206,3 @@ class TestModels:
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             model_spec("nonsense")
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            generate(model_spec("er", p=1.5), 1)
-        with pytest.raises(ValueError):
-            generate(model_spec("ws", degree=5), 1)
-        with pytest.raises(ValueError):
-            generate(model_spec("ksw", rows=3), 1)

@@ -1,12 +1,13 @@
 """Clique filtration of weighted graphs and H0/H1 persistence.
 
 Vertices enter at value 0, an edge at its (optionally normalized) weight,
-and a triangle when its heaviest edge enters, so every face precedes its
-cofaces.  H1 pairs come from GF(2) column reduction of the triangle
-boundary matrix restricted to cycle-creating edges, with each column a
-Python-int bitset (XOR adds columns, ``bit_length`` finds the pivot); a
-set-based full reduction of the whole boundary matrix (no clearing, no
-restriction, no bitsets) is kept alongside as an independent oracle.
+which must be nonnegative, and a triangle when its heaviest edge enters, so
+every face precedes its cofaces.  H1 pairs come from GF(2) column reduction
+of the triangle boundary matrix restricted to cycle-creating edges, with
+each column a Python-int bitset (XOR adds columns, ``bit_length`` finds the
+pivot); a set-based full reduction of the whole boundary matrix (no
+clearing, no restriction, no bitsets) is kept alongside as an independent
+oracle.
 
 A class that never dies (an essential class) dies at the cap: the largest
 edge value, ``Filtration.max_value``, plus the caller's ``cap_delta``.  So
@@ -37,12 +38,15 @@ class WeightedGraph:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError("vertex out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            if u > v:
+                raise ValueError(f"edge {(u, v)} must name its smaller vertex first")
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge {(u, v)}")
+            seen.add((u, v))
             if not math.isfinite(w):
                 raise ValueError("edge weights must be finite")
+            if w < 0:
+                raise ValueError("edge weights must be nonnegative")
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -94,12 +98,15 @@ def build_clique_filtration(g: WeightedGraph, normalize: bool = True) -> Filtrat
         value[(u, v)] = w
     simplices = [(0.0, 0, (v,)) for v in range(g.n)]
     simplices += [(w, 1, (u, v)) for u, v, w in edges]
-    for u, v, w in edges:
-        for k in sorted(adj[u] & adj[v]):
-            if k > v:
-                tw = max(w, value[(min(u, k), max(u, k))], value[(v, k)])
-                simplices.append((tw, 2, (u, v, k)))
-    simplices.sort(key=lambda s: (s[0], s[1], s[2]))
+    # each triangle once, as (u, v, k) with u < v < k, so `value` holds its
+    # pairs in that order; the tuples are distinct, so one sort orders them
+    simplices += [
+        (max(w, value[(u, k)], value[(v, k)]), 2, (u, v, k))
+        for u, v, w in edges
+        for k in adj[u] & adj[v]
+        if k > v
+    ]
+    simplices.sort()
     max_value = max((w for _, _, w in edges), default=1.0)
     return Filtration(tuple(simplices), g.n, max_value)
 

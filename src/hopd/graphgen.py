@@ -9,7 +9,10 @@ per purpose (topology vs. edge marks), so regenerating with the same seed
 gives a bit-identical edge list.  The per-pair models (er, sbm, chunglu,
 girg, hrg and ergm's initial graph) read one uniform per vertex pair in
 ``triu`` order from a single batched draw, the same stream as one scalar
-draw per pair; the test suite pins every model's edge lists by SHA-256.
+draw per pair.  ergm's Metropolis chain reads its proposals and acceptance
+uniforms in bulk from the raw PCG64 words (`_raw_draws`), by the rules numpy's
+scalar ``integers`` and ``random`` follow.  The test suite pins every
+model's edge lists by SHA-256.
 Geometric models (ksw, girg, hrg) use their underlying distances as edge
 weights; all other models draw independent uniform(0,1) marks.
 """
@@ -264,6 +267,66 @@ def _gen_hrg(rng, temperature, curvature):
     return edges, {"radius": R}
 
 
+_RAW_BLOCK = 2048  # raw words `_raw_draws` reads at a time
+
+
+def _raw_draws(rng, n: int):
+    """(integer, uniform): callables that return exactly what the PCG64
+    Generator ``rng`` would return from ``rng.integers(0, n)`` and
+    ``rng.random()``, computed from raw words read in blocks.
+
+    numpy's rules: a 32-bit draw takes the low half of a new 64-bit word and
+    keeps the high half for the next 32-bit draw; a uniform takes a whole new
+    word w as ``(w >> 11) * 2**-53`` and leaves a kept half alone.  An
+    integer is ``(x * n) >> 32`` for a 32-bit draw x, redrawn while
+    ``(x * n) & 0xFFFFFFFF < (2**32 - n) % n`` (D. Lemire, "Fast random
+    integer generation in an interval", ACM TOMACS 29(1), 2019).  ``rng``
+    must keep no half when this is called (its draws so far were whole
+    words), and it ends up past the last word used, so only its last reader
+    may call this.
+    """
+    if not 2 <= n < 1 << 32:
+        raise ValueError(f"n must lie in 2..2**32 - 1, not {n}")
+    threshold = ((1 << 32) - n) % n
+
+    def lemire(x):  # 32-bit draws -> their integers, -1 where redrawn
+        m = x * np.uint64(n)
+        return np.where(m & 0xFFFFFFFF < threshold, -1, (m >> 32).astype(np.int64)).tolist()
+
+    low = high = uniforms = ()
+    pos = 0  # the next unread word
+    kept = None  # the integer of the kept high half, if one is kept
+
+    def refill():
+        nonlocal low, high, uniforms, pos
+        words = rng.bit_generator.random_raw(_RAW_BLOCK)
+        low, high = lemire(words & 0xFFFFFFFF), lemire(words >> 32)
+        uniforms = ((words >> 11) * 2.0**-53).tolist()
+        pos = 0
+
+    def integer() -> int:
+        nonlocal pos, kept
+        while True:
+            if kept is None:
+                if pos == len(low):
+                    refill()
+                x, kept = low[pos], high[pos]
+                pos += 1
+            else:
+                x, kept = kept, None
+            if x >= 0:
+                return x
+
+    def uniform() -> float:
+        nonlocal pos
+        if pos == len(uniforms):
+            refill()
+        pos += 1
+        return uniforms[pos - 1]
+
+    return integer, uniform
+
+
 def _gen_ergm(rng, edge, triangle, steps, init_p):
     n = _N_VERTICES
     # adjacency rows as Python-int bitsets: bit v of adj[u] is the edge uv
@@ -272,12 +335,13 @@ def _gen_ergm(rng, edge, triangle, steps, init_p):
     for u, v in _pair_list(iu, iv, rng.random(len(iu)) < init_p):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    integers, uniform, exp = rng.integers, rng.random, math.exp
+    # the chain is the topology stream's last reader in `generate`, so the
+    # words `_raw_draws` reads past the last one it uses are never wanted
+    integer, uniform = _raw_draws(rng, n)
+    exp = math.exp
     for _ in range(steps):
-        # two scalar draws per step: one size-2 draw reads the same stream
-        # but costs more per call
-        u = int(integers(0, n))
-        v = int(integers(0, n))
+        u = integer()
+        v = integer()
         if u == v:
             continue
         common = (adj[u] & adj[v]).bit_count()

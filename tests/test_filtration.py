@@ -5,6 +5,7 @@ import pytest
 
 from hopd.core import interval
 from hopd.filtration import (
+    WeightedGraph,
     build_clique_filtration,
     full_reduction_pairs,
     persistence_h0,
@@ -39,6 +40,23 @@ class TestWeightedGraph:
             weighted_graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
         with pytest.raises(ValueError):
             weighted_graph(3, [(0, 1, INF)])
+
+    def test_rejects_negative_weights(self):
+        # the edge would enter before its vertices, and an all-negative graph
+        # would cap its essential classes below their births
+        edges = [(0, 1, -1.0), (1, 2, 1.0), (0, 2, 0.5)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_graph(3, edges)
+        with pytest.raises(ValueError, match="nonnegative"):
+            read_edge_list("3 3\n0 1 -1.0\n1 2 1.0\n0 2 0.5\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightedGraph(3, ((0, 1, -1.0),))
+        assert weighted_graph(2, [(0, 1, 0.0)]).edges == ((0, 1, 0.0),)
+
+    def test_rejects_an_edge_that_names_its_larger_vertex_first(self):
+        with pytest.raises(ValueError, match="smaller vertex first"):
+            WeightedGraph(3, ((1, 0, 0.5),))
+        assert weighted_graph(3, [(1, 0, 0.5)]).edges == ((0, 1, 0.5),)
 
     def test_edge_list_round_trip(self):
         g = weighted_graph(4, [(0, 1, 0.25), (2, 3, 0.5), (1, 2, 0.75)])

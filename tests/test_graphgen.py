@@ -8,6 +8,7 @@ from hopd.filtration import build_clique_filtration, persistence_h1, write_edge_
 from hopd.graphgen import (
     MODELS,
     _gen_ws,
+    _raw_draws,
     generate,
     metadata_block,
     model_index,
@@ -64,6 +65,13 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 over the same 100 graphs, models in MODELS order, of repr() of the
+# simplices of each normalized clique filtration; computed while the
+# filtration still sorted each edge's common neighbours and sorted the
+# simplices through an identity key.
+PINNED_SIMPLICES_DIGEST = "148abc626afa1375c6733c9960fab90aa0f5b2e3d3ad296d046807a278a9ad4f"
+
+
 def _pinned_samples(model):
     spec, idx = model_spec(model), model_index(model)
     return [generate(spec, seed_for(idx, k)) for k in range(10)]
@@ -112,9 +120,53 @@ class TestDeterminism:
             h.update(to_text(persistence_h1(build_clique_filtration(sample.graph))).encode())
         assert h.hexdigest() == PINNED_DIGESTS[model][1]
 
+    def test_clique_simplices_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for model in MODELS:
+            for sample in _pinned_samples(model):
+                h.update(repr(build_clique_filtration(sample.graph).simplices).encode())
+        assert h.hexdigest() == PINNED_SIMPLICES_DIGEST
+
     def test_different_seeds_differ(self):
         spec = model_spec("er")
         assert generate(spec, 1).graph != generate(spec, 2).graph
+
+
+def _draws_match_generator(seed, n, draws, uniform_share):
+    """Read the same seeded mix of integer and uniform draws from a Generator
+    and from `_raw_draws` on a twin Generator; assert they agree draw by draw."""
+    expected = np.random.default_rng(seed)
+    integer, uniform = _raw_draws(np.random.default_rng(seed), n)
+    mix = np.random.default_rng([seed, 1]).random(draws) < uniform_share
+    for is_uniform in mix.tolist():
+        if is_uniform:
+            assert uniform() == expected.random()
+        else:
+            assert integer() == expected.integers(0, n)
+
+
+class TestRawDraws:
+    @pytest.mark.parametrize("seed", range(0, 240, 30))
+    def test_matches_generator_at_ergm_range(self, seed):
+        for s in range(seed, seed + 30):  # 240 seeds in all
+            _draws_match_generator(s, 50, 400, uniform_share=0.3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_generator_when_half_the_draws_are_redrawn(self, seed):
+        # threshold (2**32 - n) % n = 2**31 - 1: about half the 32-bit draws
+        # are redrawn, which moves the next draw to the other half of a word
+        _draws_match_generator(seed, 2**31 + 1, 400, uniform_share=0.3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_generator_across_blocks_of_raw_words(self, seed):
+        # 2000 uniforms and 3000 integers read about 3500 words, past the
+        # first block of `_RAW_BLOCK` = 2048
+        _draws_match_generator(seed, 50, 5000, uniform_share=0.4)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2**32, 2**32 + 1, 2**64])
+    def test_rejects_a_range_outside_32_bits(self, n):
+        with pytest.raises(ValueError):
+            _raw_draws(np.random.default_rng(0), n)
 
 
 class TestModels:

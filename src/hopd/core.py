@@ -14,7 +14,11 @@ structural sort key so serialization is bit-stable across runs.  A hit in
 the intern table is one dict lookup; a miss takes ``_INTERN_LOCK`` once.
 A level-1 atom carries its coordinate row (-births, deaths) as float64
 bytes in ``Atom.row``, packed before the atom is published, so a diagram's
-coordinate matrix is one join of its atoms' rows.
+coordinate matrix is one join of its atoms' rows.  The row is also its
+intern key.  ``interval`` interns only the atom; its ground points are
+interned when ``minus`` or ``plus`` is first read, and readers that need
+coordinates alone (``atom_leq``, ``atom_coords``, storage validation) read
+``sort_key`` or ``row`` instead.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ def _add(key, obj):
 
 
 def intern_table_size() -> int:
+    """Entries in the intern table: one per interned value.  The ground
+    points of an atom made by ``interval`` count once its ``minus`` or
+    ``plus`` is read (or they are interned some other way)."""
     return len(_INTERN)
 
 
@@ -146,7 +153,7 @@ class Atom:
     """Level-n interval: an ordered (minus, plus) pair of level-(n-1) objects.
 
     ``row`` is a level-1 atom's coordinate row, the float64 bytes of its
-    ``atom_coords``; above level 1 it is None.
+    ``atom_coords``, and its intern key; above level 1 it is None.
     """
 
     __slots__ = ("level", "minus", "plus", "uid", "sort_key", "row")
@@ -160,15 +167,50 @@ class Atom:
         self.row = row
 
     def __repr__(self):
-        if self.level == 1:
-            return f"Atom({_fmt_endpoint(self.minus)}, {_fmt_endpoint(self.plus)})"
+        if self.level == 1:  # from the coordinates: interns no ground point
+            b, d = (cs[0] if len(cs) == 1 else cs for cs in self.sort_key)
+            return f"Atom({b}, {d})"
         return f"Atom(level={self.level}, {self.minus!r}, {self.plus!r})"
 
 
-def _fmt_endpoint(e):
-    if isinstance(e, GroundPoint):
-        return e.coords[0] if len(e.coords) == 1 else e.coords
-    return repr(e)
+_SET_MINUS, _SET_PLUS = Atom.minus.__set__, Atom.plus.__set__
+
+
+class _Interval(Atom):
+    """A level-1 atom that ``interval`` interned without its ground points.
+
+    Its first read of ``minus`` or ``plus`` interns both points, fills the
+    base slots and turns it into a plain ``Atom``, so each later read is a
+    slot read.  ``sort_key`` is ((birth,), (death,)), as from the points.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, row, sort_key, uid):
+        self.level = 1
+        self.uid = uid
+        self.sort_key = sort_key
+        self.row = row
+
+    @property
+    def minus(self):
+        return _intern_endpoints(self).minus
+
+    @property
+    def plus(self):
+        return _intern_endpoints(self).plus
+
+
+def _intern_endpoints(a: _Interval) -> Atom:
+    """``a`` as a plain ``Atom``, its ground points interned; under
+    ``_INTERN_LOCK``, so a thread that lost the race finds ``a`` filled."""
+    with _INTERN_LOCK:
+        if type(a) is _Interval:
+            minus, plus = (_INTERN.get(("p", cs)) or _add_point(("p", cs)) for cs in a.sort_key)
+            _SET_MINUS(a, minus)
+            _SET_PLUS(a, plus)
+            a.__class__ = Atom
+    return a
 
 
 Endpoint = Union[GroundPoint, "Diagram"]
@@ -181,7 +223,7 @@ _PACK_1D = struct.Struct("2d").pack
 
 def atom(minus: Endpoint, plus: Endpoint) -> Atom:
     # an intern id names one object and only checked pairs are interned, so
-    # a hit needs no checks
+    # a hit needs no checks; level-1 atoms are keyed by their row instead
     try:
         key = ("a", minus.uid, plus.uid)
     except AttributeError:
@@ -190,12 +232,15 @@ def atom(minus: Endpoint, plus: Endpoint) -> Atom:
     if a is not None:
         return a
     if isinstance(minus, GroundPoint) and isinstance(plus, GroundPoint):
-        if len(minus.coords) != len(plus.coords):
+        cs, ds = minus.coords, plus.coords
+        if len(cs) != len(ds):
             raise LevelMismatch("endpoint dimension mismatch")
-        cs = minus.coords
-        row = struct.pack(f"{2 * len(cs)}d", *[-c for c in cs], *plus.coords)
-        with _INTERN_LOCK:
-            return _add(key, Atom(1, minus, plus, _NEXT_UID, row))
+        row = struct.pack(f"{2 * len(cs)}d", *[-c for c in cs], *ds)
+        a = _INTERN.get(row)
+        if a is None:
+            with _INTERN_LOCK:
+                a = _add(row, Atom(1, minus, plus, _NEXT_UID, row))
+        return a
     if isinstance(minus, Diagram) and isinstance(plus, Diagram):
         if minus.level != plus.level:
             raise LevelMismatch("endpoint level mismatch")
@@ -206,25 +251,22 @@ def atom(minus: Endpoint, plus: Endpoint) -> Atom:
 
 def interval(birth: float, death: float) -> Atom:
     """Level-1 atom over a one-dimensional ground space: ``atom(ground(birth),
-    ground(death))``, interning whatever of the three is new in one lock."""
-    bkey, dkey = ("p", (float(birth),)), ("p", (float(death),))
-    minus, plus = _INTERN.get(bkey), _INTERN.get(dkey)
-    if minus is not None and plus is not None:
-        a = _INTERN.get(("a", minus.uid, plus.uid))
-        if a is not None:
-            return a
-    if minus is None:
-        _check_coords(bkey[1])
-    if plus is None:
-        _check_coords(dkey[1])
-    with _INTERN_LOCK:
-        if minus is None:
-            minus = _add_point(bkey)
-        if plus is None:
-            plus = _add_point(dkey)
-        # packed from the interned points: a -0.0 birth was stored as 0.0
-        row = _PACK_1D(-minus.coords[0], plus.coords[0])
-        return _add(("a", minus.uid, plus.uid), Atom(1, minus, plus, _NEXT_UID, row))
+    ground(death))``, the same object whichever is called first.
+
+    It is looked up by its row alone.  A miss interns one object, whose
+    ground points are interned on the first read of ``minus`` or ``plus``.
+    """
+    # + 0.0 stores a -0.0 as 0.0, as ground does, so the row negates 0.0
+    b, d = float(birth) + 0.0, float(death) + 0.0
+    row = _PACK_1D(-b, d)
+    a = _INTERN.get(row)
+    if a is None:
+        cs, ds = (b,), (d,)
+        _check_coords(cs)
+        _check_coords(ds)
+        with _INTERN_LOCK:
+            a = _add(row, _Interval(row, (cs, ds), _NEXT_UID))
+    return a
 
 
 class _EntryMap:
@@ -281,7 +323,10 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
             level = a.level
         elif a.level != level:
             raise LevelMismatch("mixed atom levels")
-        if validate and is_basepoint_pair(a.minus, a.plus):
+        # a level-1 atom is degenerate when its ground points, so their
+        # coordinates, are equal
+        if validate and (a.sort_key[0] == a.sort_key[1] if level == 1
+                         else is_basepoint_pair(a.minus, a.plus)):
             raise ValueError(f"diagonal atom {a!r} cannot be stored")
     if level is None:
         raise ValueError("empty diagram needs an explicit level")
@@ -296,8 +341,11 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
             # births, then deaths: the sort_key's columns; np.lexsort sorts
             # by its last key first, and distinct atoms never tie
             cols = np.hstack((-phi[:, :k], phi[:, k:]))
-            items = list(acc.items())
-            return level, tuple(map(items.__getitem__, np.lexsort(cols.T[::-1]).tolist()))
+            order = np.lexsort(cols.T[::-1]).tolist()
+            # pairs built in canonical order lie in memory in that order,
+            # which is the order the warm-up reads them in
+            atoms, coeffs = list(acc), list(acc.values())
+            return level, tuple(zip(map(atoms.__getitem__, order), map(coeffs.__getitem__, order)))
     return level, tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
 
 
@@ -466,18 +514,19 @@ def atom_leq(u: Atom, v: Atom) -> bool:
     """Containment preorder on atoms: reversed on minus, forward on plus.
 
     Level-1 atoms, whose endpoints are ground points, are compared inline
-    with the comparisons ``ground_leq`` makes, in its order: coordinates
-    pairwise up to the shorter point, as ``zip`` reads them.  This is the
-    test in the literal pair loop, two calls per ordered pair.
+    on their ``sort_key`` with the comparisons ``ground_leq`` makes, in its
+    order: coordinates pairwise up to the shorter point, as ``zip`` reads
+    them.  This is the test in the literal pair loop, two calls per ordered
+    pair.
     """
     level = u.level
     if level != v.level:
         raise LevelMismatch(f"cannot compare level {level} with {v.level}")
     if u is v:
         return True
-    if level == 1:
-        a, b = v.minus.coords, u.minus.coords
-        c, d = u.plus.coords, v.plus.coords
+    if level == 1:  # the sort_key is (minus.coords, plus.coords)
+        b, c = u.sort_key
+        a, d = v.sort_key
         if len(a) == 1 == len(c):
             return a[0] <= b[0] and c[0] <= d[0]
         return all(map(le, a, b)) and all(map(le, c, d))
@@ -488,7 +537,8 @@ def atom_coords(u: Atom):
     """Derived coordinates representing the level-1 preorder: (-birth, death)."""
     if u.level != 1:
         raise PreorderUnavailable("coordinate representation exists at level 1 only")
-    return tuple(-c for c in u.minus.coords) + u.plus.coords
+    row = u.row
+    return struct.unpack(f"{len(row) >> 3}d", row)
 
 
 def is_diagonal(u: Atom) -> bool:

@@ -53,10 +53,17 @@ class WeightedGraph:
 
 
 def weighted_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGraph:
-    canon = tuple(
-        (min(u, v), max(u, v), float(w)) for u, v, w in edges
-    )
-    return WeightedGraph(n, tuple(sorted(canon)))
+    """The graph of ``edges``, each (u, v, w) stored as (min, max, float(w)),
+    sorted.  Edges that are so already, as every generator emits them, are
+    kept as given; others are canonicalized and sorted."""
+    edges = tuple(edges)
+    if not (
+        set(map(type, edges)) <= {tuple}
+        and all(u < v and type(w) is float for u, v, w in edges)
+        and all(map(operator.lt, edges, edges[1:]))
+    ):
+        edges = tuple(sorted((min(u, v), max(u, v), float(w)) for u, v, w in edges))
+    return WeightedGraph(n, edges)
 
 
 def write_edge_list(g: WeightedGraph) -> str:

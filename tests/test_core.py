@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 import threading
@@ -134,23 +135,161 @@ class TestAtomLookupFirst:
         assert atom(d0, d1_) is atom(d0, d1_)
         assert atom(d0, d1_).level == 2
 
-    def test_interval_interns_as_atom_of_grounds(self):
-        # new birth, new death and the atom take consecutive ids, in that
-        # order, as atom(ground(birth), ground(death)) gives them
+    def test_interval_interns_one_entry_and_its_points_on_first_read(self):
+        # a new interval is one entry; reading minus or plus interns its
+        # birth, then its death, with the next ids, as ground(birth) and
+        # ground(death)
         b, d = 3001.0625, 3002.1875
         start = core.intern_table_size()
         a = interval(b, d)
+        assert core.intern_table_size() == start + 1
+        assert interval(b, d) is a and core.intern_table_size() == start + 1
+        assert a.plus is ground(d)
         assert core.intern_table_size() == start + 3
-        assert (ground(b).uid, ground(d).uid) == (a.uid - 2, a.uid - 1)
+        assert (ground(b).uid, ground(d).uid) == (a.uid + 1, a.uid + 2)
+        assert a.minus is ground(b) and type(a) is core.Atom
         assert a is atom(ground(b), ground(d))
         # a degenerate interval interns its one point once
         e = interval(3003.5, 3003.5)
+        assert core.intern_table_size() == start + 4
         assert e.minus is e.plus is ground(3003.5)
         assert core.intern_table_size() == start + 5
         for bad in [(math.nan, 1.0), (0.0, math.nan), (-INF, 1.0)]:
             with pytest.raises(ValueError):
                 interval(*bad)
+        assert core.intern_table_size() == start + 5
         assert interval(0.5, INF).plus is ground(INF)
+
+
+class TestRowKeyedInterning:
+    """A level-1 atom is interned under its row; ``interval`` defers its
+    ground points to the first read of ``minus`` or ``plus``."""
+
+    @pytest.mark.parametrize("birth, death", [(-0.0, 4001.125), (4002.25, INF)])
+    def test_interval_is_atom_of_grounds_in_both_orders(self, birth, death):
+        # fresh values per order: the interval first, then the ground points
+        b, d = (birth, death + 1) if birth == 0 else (birth + 1, death)
+        first = interval(b, d)
+        assert type(first) is core._Interval
+        assert atom(ground(b), ground(d)) is first
+        assert first.minus is ground(b) and first.plus is ground(d)
+        # the ground points and their atom first, then the interval
+        second = atom(ground(birth), ground(death))
+        assert type(second) is core.Atom
+        assert interval(birth, death) is second
+        for a in (first, second):
+            assert core._INTERN[a.row] is a
+            assert ("a", a.minus.uid, a.plus.uid) not in core._INTERN
+            assert a.row == coords_bytes(a)
+        if birth == 0:
+            assert math.copysign(1, atom_coords(first)[0]) == -1.0
+            assert interval(0.0, death) is second is atom(ground(0.0), ground(death))
+
+    def test_two_dimensional_ground_is_row_keyed(self):
+        p, q = ground(-0.0, 4003.5), ground(4004.0, INF)
+        start = core.intern_table_size()
+        a = atom(p, q)
+        assert core.intern_table_size() == start + 1
+        assert atom(ground(0.0, 4003.5), ground(4004.0, INF)) is a
+        assert core._INTERN[a.row] is a and a.row == coords_bytes(a)
+        assert a.minus is p and a.plus is q
+        assert core.intern_table_size() == start + 1
+
+    def test_degenerate_interval_rejected_without_interning_its_point(self):
+        x = 4005.375
+        e = interval(x, x)
+        big = {interval(4006 + k / 512, 4007.0): 1 for k in range(core._LEXSORT_MIN)}
+        before = core.intern_table_size()
+        for make in (diagram, virtual_diagram):
+            for entries in ({e: 1}, {**big, e: 2}):
+                with pytest.raises(ValueError, match="diagonal"):
+                    make(entries)
+        assert repr(e) == f"Atom({x}, {x})"
+        assert core.intern_table_size() == before
+        assert ("p", (x,)) not in core._INTERN and type(e) is core._Interval
+        # two-dimensional degenerate atoms are still rejected too
+        g = ground(4005.5, 4005.75)
+        with pytest.raises(ValueError, match="diagonal"):
+            virtual_diagram({atom(g, g): 1})
+
+    def test_coordinates_and_preorder_equal_the_endpoint_formulas(self, rng):
+        # bit for bit against the endpoint reads they replace, on fresh 1-d
+        # intervals (read before their points are interned) and 2-d atoms,
+        # with tied births and deaths, both zeros and +inf deaths
+        grid = [-0.0, 0.0, 0.25, 0.5, 4010.0, 4010.5]
+        atoms = set()
+        while len(atoms) < 60:
+            if rng.random() < 0.5:
+                b, d = rng.choice(grid), rng.choice(grid + [INF])
+                if b != d:
+                    atoms.add(interval(b, d))
+            else:
+                p = ground(rng.choice(grid), rng.choice(grid))
+                q = ground(rng.choice(grid), rng.choice(grid + [INF]))
+                if p is not q:
+                    atoms.add(atom(p, q))
+        atoms = sorted(atoms, key=lambda a: a.sort_key)
+        assert any(type(a) is core._Interval for a in atoms)
+        coords = [atom_coords(a) for a in atoms]
+        leq = [[atom_leq(u, v) for v in atoms] for u in atoms]
+        for a, cs in zip(atoms, coords):
+            want = tuple(-c for c in a.minus.coords) + a.plus.coords
+            assert [c.hex() for c in cs] == [c.hex() for c in want], a
+        for u, row in zip(atoms, leq):
+            for v, got in zip(atoms, row):
+                want = all(map(operator.le, v.minus.coords, u.minus.coords)) and all(
+                    map(operator.le, u.plus.coords, v.plus.coords)
+                )
+                assert got is want, (u, v)
+        assert any(any(row) and not all(row) for row in leq)
+
+    @pytest.mark.parametrize("n", [40, core._LEXSORT_MIN + 44])
+    def test_validated_diagram_of_fresh_intervals_adds_one_entry_per_atom(self, rng, n):
+        # both sort paths: neither reads an atom's ground points
+        # fresh for each n: the rng fixture repeats its draws
+        pairs = {(4020 + n + rng.randrange(10**6) / 2**20, 5020 + n + rng.randrange(10**6) / 2**20) for _ in range(n)}
+        start = core.intern_table_size()
+        entries = {interval(b, d): rng.choice((-3, -1, 2)) for b, d in pairs}
+        xi = virtual_diagram(entries, level=1)
+        level1_arrays(xi)
+        assert core.intern_table_size() == start + len(pairs) == start + xi.support_size()
+        assert all(type(a) is core._Interval for a in xi.support())
+
+    def test_concurrent_first_reads(self):
+        # 4 threads intern the same fresh intervals and read their endpoints
+        # at once; births and deaths are shared between intervals, so the
+        # ground points race too
+        rng = random.Random(29)
+        births = [4040 + rng.random() for _ in range(300)]
+        deaths = [4050 + rng.random() for _ in range(300)]
+        values = list({(rng.choice(births), rng.choice(deaths)) for _ in range(3000)})
+        orders = [random.Random(seed).sample(values, len(values)) for seed in range(4)]
+        start = threading.Barrier(4)
+
+        def build(order):
+            start.wait(timeout=30)
+            atoms = [interval(b, d) for b, d in order]
+            return [(bd, a, a.minus, a.plus) for bd, a in zip(order, atoms)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = [t for part in pool.map(build, orders, timeout=60) for t in part]
+        finally:
+            sys.setswitchinterval(switch)
+        by_value = {}
+        for bd, a, minus, plus in seen:
+            by_value.setdefault(bd, set()).add((a, minus, plus))
+        assert len(by_value) == len(values)
+        # every atom and point took its own intern id
+        objects = {x for got in by_value.values() for x in next(iter(got))}
+        assert len({x.uid for x in objects}) == len(objects)
+        for (b, d), got in by_value.items():
+            ((a, minus, plus),) = got
+            assert type(a) is core.Atom
+            assert minus is a.minus is ground(b) and plus is a.plus is ground(d)
+            assert a is interval(b, d) is atom(ground(b), ground(d))
 
 
 class TestDiagramLeq:

@@ -58,6 +58,47 @@ class TestWeightedGraph:
             WeightedGraph(3, ((1, 0, 0.5),))
         assert weighted_graph(3, [(1, 0, 0.5)]).edges == ((0, 1, 0.5),)
 
+    def test_canonical_sorted_edges_pass_through_and_others_are_sorted(self):
+        # generators emit (u, v, float w) tuples with u < v in increasing
+        # order; such input is kept as given, any other is canonicalized and
+        # sorted, and every edge is validated either way
+        edges = ((0, 1, 0.5), (0, 2, 0.25), (1, 2, 1.0))
+        assert weighted_graph(3, edges).edges is edges
+        assert weighted_graph(3, list(edges)).edges == edges
+        for other in (
+            [(1, 2, 1.0), (0, 1, 0.5), (0, 2, 0.25)],  # out of order
+            [(1, 0, 0.5), (0, 2, 0.25), (2, 1, 1.0)],  # larger vertex first
+            [(0, 1, 0.5), (0, 2, 0.25), (1, 2, 1)],  # an int weight
+            [[0, 1, 0.5], (0, 2, 0.25), (1, 2, 1.0)],  # a list, not a tuple
+        ):
+            got = weighted_graph(3, other).edges
+            assert got == edges and all(type(e) is tuple and type(e[2]) is float for e in got)
+        for bad, match in (
+            (((0, 1, 0.5), (0, 1, 0.75)), "duplicate"),
+            (((0, 1, 0.5), (0, 3, 0.75)), "out of range"),
+            (((0, 1, -0.5),), "nonnegative"),
+            (((0, 1, math.nan),), "finite"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                weighted_graph(3, bad)
+
+    def test_every_generator_emits_edges_that_pass_through(self, monkeypatch):
+        import hopd.graphgen
+
+        kept = []
+
+        def spy(n, edges):
+            edges = tuple(edges)
+            g = weighted_graph(n, edges)
+            kept.append(g.edges is edges)
+            return g
+
+        monkeypatch.setattr(hopd.graphgen, "weighted_graph", spy)
+        for model in MODELS:
+            for seed in (7, 8):
+                generate(model_spec(model), seed)
+        assert kept == [True] * 2 * len(MODELS)
+
     def test_edge_list_round_trip(self):
         g = weighted_graph(4, [(0, 1, 0.25), (2, 3, 0.5), (1, 2, 0.75)])
         assert read_edge_list(write_edge_list(g)) == g

@@ -95,13 +95,13 @@ class ExperimentConfig:
 
 def load_psi(spec: str) -> CoboundaryCharacter:
     """"golden" for the coordinate hash, or "file:PATH" with `angle <atom>`
-    lines of level-1 atoms.  ``OSError`` when the file cannot be read,
-    ``ValueError`` on any other fault of the spec or the file."""
+    lines of level-1 atoms, angles stored wrapped.  ``OSError`` when the file
+    cannot be read, ``ValueError`` on any other fault (an atom named twice too)."""
     if spec == "golden":
         return CoboundaryCharacter(1)
     if not spec.startswith("file:"):
         raise ValueError(f"unknown psi spec {spec!r}")
-    path, table = spec[5:], {}
+    path, table, line_of = spec[5:], {}, {}
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -116,7 +116,9 @@ def load_psi(spec: str) -> CoboundaryCharacter:
             raise ValueError(f"{where}: angle {angle!r} is not finite")
         if not isinstance(a, Atom) or a.level != 1:
             raise ValueError(f"{where}: {atom_text!r} is not a level-1 atom")
-        table[a] = value
+        if a in line_of:
+            raise ValueError(f"{where}: {atom_text!r} is named on lines {line_of[a]} and {number}")
+        table[a], line_of[a] = wrap_angle(value), number
     return CoboundaryCharacter(1, table)
 
 
@@ -189,16 +191,16 @@ def timed_harmonic(xs, psi: CoboundaryCharacter):
 def _verify(xs, parts, raws, psi, m):
     explicit_raw = 0.0
     for k, (x, part) in enumerate(zip(xs, parts)):
-        base = x.support()
         # exact nets first: integers that depend neither on psi nor on rounding
-        harmonic, explicit = harmonic_nets(x), coboundary_net_multiplicities(part, base)
+        harmonic, explicit = harmonic_nets(x), coboundary_net_multiplicities(part, x.support())
         if not np.array_equal(harmonic, explicit):
             at = np.flatnonzero(harmonic != explicit)[:5]
             raise OracleMismatch(
                 f"sample {k}: harmonic nets {harmonic[at].tolist()} vs explicit nets "
                 f"{explicit[at].tolist()} at atoms {at.tolist()}"
             )
-        explicit_raw += float(np.dot(psi_vector(psi, base), explicit.astype(np.float64)))
+        psi_vec = psi_vector(psi, level1_arrays(x)[0])
+        explicit_raw += float(np.dot(psi_vec, explicit.astype(np.float64)))
     harmonic = wrap_angle(sum(raws) / m)
     explicit = wrap_angle(explicit_raw / m)
     if not angles_close(harmonic, explicit, 1e-9):

@@ -146,8 +146,7 @@ def _cmd_demo(cfg: ExperimentConfig) -> int:
     first = diagrams[0]
     print(f"model {model}, sample 0: {len(first)} cycle intervals")
     for a, mult in first.entries[:12]:
-        b = a.minus.coords[0]
-        d = a.plus.coords[0]
+        (b,), (d,) = a.sort_key  # one-dimensional ground points
         print(f"  [{b:.4f}, {d:.4f}] x{mult}")
     if len(first.entries) > 12:
         print(f"  ... {len(first.entries) - 12} more")

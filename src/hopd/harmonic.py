@@ -11,13 +11,12 @@ never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .aggregation import (
-    _ATOM,
     PairAggregate,
     level1_arrays,
     pair_class,
@@ -31,9 +30,8 @@ from .core import (
     VirtualDiagram,
     _I64_MAX,
     _I64_MIN,
-    atom_coords,
     atom_leq,
-    psi_golden,
+    level1_rows,
     psi_golden_array,
 )
 
@@ -78,23 +76,23 @@ class CoboundaryCharacter:
     """Potential psi on level-n atoms inducing pair angles psi(v) - psi(u).
 
     The induced angle vanishes on diagonal classes by construction.  ``psi``
-    may be a mapping (total on the support in use) or any callable on atoms;
-    the default benchmark potential ``psi_golden`` hashes each level-1
-    atom's coordinates, so it depends on the diagram alone.
+    maps an n x r float64 matrix of coordinate rows (as ``atom_coords``
+    gives them) to n float64 values; the default, ``psi_golden_array``,
+    hashes each row.  A mapping of level-1 atoms becomes, at construction,
+    a table of their values keyed by ``row`` bytes (``MissingAngle`` off it).
     """
 
     level: int
-    psi: Mapping[Atom, float] | Callable[[Atom], float] = field(default=psi_golden)
+    psi: Callable[[np.ndarray], np.ndarray] | Mapping[Atom, float] = psi_golden_array
+
+    def __post_init__(self):
+        if isinstance(self.psi, Mapping):
+            object.__setattr__(self, "psi", _row_table(self.psi))
 
     def psi_of(self, a: Atom) -> float:
         if a.level != self.level:
             raise LevelMismatch("potential level mismatch")
-        if callable(self.psi):
-            return wrap_angle(self.psi(a))
-        try:
-            return wrap_angle(self.psi[a])
-        except KeyError:
-            raise MissingAngle(f"potential has no value for {a!r}") from None
+        return wrap_angle(psi_vector(self, level1_rows((a,)))[0])
 
     def pair_angle(self, u: Atom, v: Atom) -> float:
         return wrap_angle(self.psi_of(v) - self.psi_of(u))
@@ -107,6 +105,23 @@ class CoboundaryCharacter:
         if len(minus.entries) != 1 or len(plus.entries) != 1:
             raise MissingAngle("coboundary angles need singleton endpoints")
         return self.pair_angle(minus.entries[0][0], plus.entries[0][0])
+
+
+def _row_table(values: Mapping[Atom, float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Potential of coordinate rows: each row's value is its atom's in ``values``."""
+    table = {a.row: float(v) for a, v in values.items()}
+    if None in table:
+        raise LevelMismatch("a potential table holds level-1 atoms only")
+
+    def psi(phi: np.ndarray) -> np.ndarray:
+        data, width = phi.tobytes(), phi.shape[1] * 8
+        try:
+            return np.array([table[data[k : k + width]] for k in range(0, len(data), width)])
+        except KeyError as exc:
+            row = np.frombuffer(exc.args[0])
+            raise MissingAngle(f"potential has no value for the coordinate row {row}") from None
+
+    return psi
 
 
 def _angle_lookup(chi, a: Atom) -> float:
@@ -169,7 +184,7 @@ def _net_array(net: list[int]) -> np.ndarray:
 
 def coboundary_phase_raw(aggregate, psi: CoboundaryCharacter, base_atoms) -> float:
     """Unwrapped coboundary phase of an explicit pair aggregate."""
-    psi_vec = psi_vector(psi, list(base_atoms))
+    psi_vec = psi_vector(psi, level1_rows(base_atoms))
     net = coboundary_net_multiplicities(aggregate, base_atoms)
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
@@ -417,20 +432,14 @@ def _zeta_both(phi, w):
 # Harmonic evaluation
 
 
-def psi_vector(psi: CoboundaryCharacter, atoms, phi=None) -> np.ndarray:
-    """Potential values over an iterable of atoms, in its order.
-
-    The golden potential is ``psi_golden_array`` of the atoms' coordinate
-    rows: ``phi`` when given (the atoms are then not read), else rows built
-    by ``atom_coords``; either way it equals ``psi_golden`` bit for bit.
-    Any other potential is evaluated atom by atom through ``psi_of``.
-    """
-    if psi.psi is psi_golden:
-        if phi is None:
-            rows = [atom_coords(a) for a in atoms]
-            phi = np.array(rows) if rows else np.empty((0, 2))
-        return psi_golden_array(phi)
-    return np.array([psi.psi_of(a) for a in atoms], dtype=np.float64)
+def psi_vector(psi: CoboundaryCharacter, phi: np.ndarray) -> np.ndarray:
+    """The potential ``psi`` on the coordinate rows ``phi``: n float64
+    values, one per row; ``ValueError`` if the potential gives another
+    shape."""
+    values = np.asarray(psi.psi(phi), dtype=np.float64)
+    if values.shape != phi.shape[:1]:
+        raise ValueError(f"a potential of {len(phi)} rows gave shape {values.shape}")
+    return values
 
 
 def harmonic_nets(xi: VirtualDiagram) -> np.ndarray:
@@ -473,13 +482,13 @@ def harmonic_eval_raw(xi: VirtualDiagram, psi: CoboundaryCharacter) -> float:
     """Unwrapped coboundary phase of the self-aggregate via dominance sums.
 
     S = sum_v psi(v) xi_v Z-(v) - sum_u psi(u) xi_u Z+(u): the exact nets of
-    ``harmonic_nets`` in one double-precision dot product with psi, the
-    golden one read off the same coordinate rows as the nets.
+    ``harmonic_nets`` in one double-precision dot product with psi, read
+    off the same coordinate rows as the nets.
     """
     if psi.level != xi.level:
         raise LevelMismatch("potential level mismatch")
     net = harmonic_nets(xi)
-    psi_vec = psi_vector(psi, map(_ATOM, xi.entries), level1_arrays(xi)[0])
+    psi_vec = psi_vector(psi, level1_arrays(xi)[0])
     return float(np.dot(psi_vec, net.astype(np.float64)))
 
 

@@ -8,6 +8,7 @@ equal values always serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import (
@@ -51,26 +52,6 @@ def to_text(obj) -> str:
         body = "".join(f" {to_text(a)}*{_coeff(c)}" for a, c in obj.entries)
         return f"(l {obj.level}{body})"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _tokenize(text: str):
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
 
 
 class _Parser:
@@ -140,7 +121,7 @@ class _Parser:
 
 
 def from_text(text: str):
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(re.findall(r"[()]|[^()\s]+", text))
     obj = parser.value()
     if parser.peek() is not None:
         raise ValueError("trailing tokens after value")

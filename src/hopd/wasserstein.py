@@ -570,9 +570,9 @@ def _level1_diagrams(diagrams) -> list:
 
 
 def _level1_side(atoms: Sequence[Atom], p) -> tuple:
-    """Birth rows, death rows and diagonal costs of level-1 atoms."""
-    births = _coord_matrix([a.minus for a in atoms])
-    deaths = _coord_matrix([a.plus for a in atoms])
+    """Birth rows, death rows and diagonal costs of level-1 atoms, from their sort keys."""
+    births = _coord_matrix([a.sort_key[0] for a in atoms])
+    deaths = _coord_matrix([a.sort_key[1] for a in atoms])
     return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
 
 
@@ -606,12 +606,12 @@ def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(np.abs(x - y), axis=-1, initial=0.0)
 
 
-def _coord_matrix(points: Sequence[GroundPoint]) -> np.ndarray:
-    """Ground coordinates as rows, NaN-padded to the longest point; one
-    column when there are no points."""
+def _coord_matrix(points: Sequence[tuple]) -> np.ndarray:
+    """Ground coordinate tuples as rows, NaN-padded to the longest; one
+    column when there are none."""
     if not points:
         return np.empty((0, 1))
-    cols = itertools.zip_longest(*(x.coords for x in points), fillvalue=math.nan)
+    cols = itertools.zip_longest(*points, fillvalue=math.nan)
     return np.array(list(cols), dtype=np.float64).T
 
 

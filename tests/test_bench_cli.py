@@ -181,6 +181,26 @@ class TestPsiLoading:
         psi = load_psi(f"file:{path}")
         assert psi.psi_of(a) == pytest.approx(1.25)
 
+    def test_file_angles_are_wrapped_when_loaded(self, tmp_path):
+        # the table holds wrap_angle of each value, so the phases are those
+        # of a wrap per atom
+        from hopd.core import interval
+        from hopd.harmonic import psi_vector, wrap_angle
+
+        a, b = interval(0.1, 0.9), interval(0.2, 0.7)
+        path = tmp_path / "psi.txt"
+        path.write_text("-1.0 (a (p 0.1) (p 0.9))\n20.5 (a (p 0.2) (p 0.7))\n")
+        psi = load_psi(f"file:{path}")
+        phi = np.array([[-0.1, 0.9], [-0.2, 0.7]])
+        assert psi_vector(psi, phi).tolist() == [wrap_angle(-1.0), wrap_angle(20.5)]
+        assert psi.psi_of(b) == wrap_angle(20.5) and psi.psi_of(a) == wrap_angle(-1.0)
+
+    def test_atom_named_twice_is_refused(self, tmp_path):
+        path = tmp_path / "psi.txt"
+        path.write_text("1.0 (a (p 0.1) (p 0.9))\n# again\n2.0 (a (p 0.1) (p 0.9))\n")
+        with pytest.raises(ValueError, match="lines 1 and 3"):
+            load_psi(f"file:{path}")
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             load_psi("magic")

@@ -19,6 +19,7 @@ from hopd.aggregation import (
 )
 from hopd.core import (
     CoefficientOverflow,
+    LevelMismatch,
     PreorderUnavailable,
     atom,
     diagram,
@@ -388,11 +389,11 @@ class TestHarmonicEval:
 
     @pytest.mark.parametrize("n", [0, 1, 193, 10_000])
     def test_golden_potential_from_gathered_ids(self, n):
-        # the potential harmonic_eval_raw reads off the rows that
-        # level1_arrays joins from the atoms is psi_golden exactly, on +inf
-        # deaths and 2-D ground points, and so is the raw phase built on it
+        # psi_vector on the rows that level1_arrays joins from the atoms is
+        # psi_of atom by atom, for the golden potential (psi_golden exactly)
+        # and for a table built from a mapping, on +inf deaths and 2-D
+        # ground points, and so is the raw phase built on it
         gen = np.random.default_rng(n)
-        psi = CoboundaryCharacter(1)
         for dim in (1, 2):
             births = gen.random((n, dim))
             deaths = births + 0.5 + gen.random((n, dim))
@@ -406,17 +407,36 @@ class TestHarmonicEval:
             phi = level1_arrays(xi)[0]
             scalar = np.array([psi_golden(a) for a in atoms], dtype=np.float64)
             assert np.array_equal(psi_golden_array(phi), scalar)
-            assert np.array_equal(psi_vector(psi, atoms), scalar)
-            assert np.array_equal(psi_vector(psi, iter(atoms)), scalar)
-            assert np.array_equal(psi_vector(psi, (), phi), scalar)
+            assert np.array_equal(psi_vector(CoboundaryCharacter(1), phi), scalar)
+            table = CoboundaryCharacter(1, dict(zip(atoms, gen.uniform(0, TWO_PI, n).tolist())))
             net = harmonic_nets(xi).astype(np.float64)
-            assert harmonic_eval_raw(xi, psi) == float(np.dot(scalar, net))
+            for psi in (CoboundaryCharacter(1), table):
+                vec = psi_vector(psi, phi)
+                assert vec.dtype == np.float64 and vec.shape == (n,)
+                assert np.array_equal(vec, [psi.psi_of(a) for a in atoms])
+                assert harmonic_eval_raw(xi, psi) == float(np.dot(vec, net))
+
+    def test_table_potential_misses_and_levels(self):
+        a, b = interval(0.2, 0.8), interval(0.1, 0.9)
+        psi = CoboundaryCharacter(1, {a: 1.5})
+        assert psi_vector(psi, np.empty((0, 2))).shape == (0,)
+        with pytest.raises(MissingAngle, match="0.9"):
+            psi.psi_of(b)
+        with pytest.raises(MissingAngle):
+            harmonic_eval_raw(virtual_diagram({a: 1, b: 2}), psi)
+        lvl2 = naive_self_aggregate(virtual_diagram({a: 1})).support()[0]
+        with pytest.raises(LevelMismatch):
+            CoboundaryCharacter(2, {lvl2: 0.1})
+
+    def test_potential_of_wrong_shape_is_refused(self):
+        psi = CoboundaryCharacter(1, lambda phi: np.zeros(len(phi) + 1))
+        with pytest.raises(ValueError, match="2 rows gave shape"):
+            psi_vector(psi, np.zeros((2, 2)))
 
     def test_level2_unsupported(self, rng):
         xi = rand_virtual(rng, 3, grid=6)
         agg = naive_self_aggregate(xi)
-        psi = CoboundaryCharacter(2, {a: 0.1 for a, _ in agg.entries})
-        from hopd.core import PreorderUnavailable
+        psi = CoboundaryCharacter(2)
 
         with pytest.raises(PreorderUnavailable):
             harmonic_eval(agg, psi)
@@ -515,12 +535,19 @@ def _phase_in_fresh_process(unrelated: int, first: str) -> str:
     ).stdout
 
 
+# The snippet's line with no earlier interning, as the golden potential gave
+# it when it was pinned: any drift in a golden phase or potential fails.
+_PINNED_PHASE_LINE = (
+    "-0x1.8ffb63f32826dp+2 0x1.7198add0a3971p+0 0x1.3bc1eb5c954d3p+2 0x1.e9a34861940fcp+0\n"
+)
+
+
 class TestGoldenPotential:
     def test_phase_does_not_depend_on_earlier_interning(self):
         # the potential reads coordinates, not the intern ids that the 50
         # unrelated intervals shift
         fresh = _phase_in_fresh_process(0, "none")
-        assert len(fresh.split()) == 4
+        assert fresh == _PINNED_PHASE_LINE
         assert _phase_in_fresh_process(50, "none") == fresh
 
     def test_negative_zero_birth_reads_as_zero(self):

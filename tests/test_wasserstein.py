@@ -623,6 +623,32 @@ class TestWassersteinRecursion:
                         pairs_checked += 1
 
 
+class TestLevel1TransportInterning:
+    def test_transport_interns_no_ground_point(self):
+        # fresh intervals, far from other tests' coordinates; the values
+        # were pinned when the level-1 side still read interned ground points
+        from hopd.core import intern_table_size
+
+        rng = np.random.default_rng(31)
+
+        def fresh(n):
+            b = 500.0 + rng.random(n)
+            d = b + 0.01 + rng.random(n)
+            return diagram({interval(x, y): 1 for x, y in zip(b.tolist(), d.tolist())})
+
+        G, L = fresh(200), fresh(200)
+        before = intern_table_size()
+        w = certified_wasserstein(G, L, 1.0)
+        assert intern_table_size() == before
+        xi = fresh(200).to_virtual() - fresh(200).to_virtual()
+        before = intern_table_size()
+        norm = linear_w1_norm(xi)
+        assert intern_table_size() == before
+        assert (w.hex(), norm.hex()) == ("0x1.d273d05bdb980p+3", "0x1.fcb27a28e1d20p+3")
+        assert d_diag(interval(600.5, 601.25), INF) == 0.375
+        assert intern_table_size() == before + 1
+
+
 class TestEmptyCost:
     def test_empty_diagram(self):
         assert empty_cost(empty_diagram(1), 1) == 0.0

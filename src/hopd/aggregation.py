@@ -24,12 +24,12 @@ from .core import (
     LinearDiagram,
     VirtualDiagram,
     _I64_MAX,
+    _virtual_diagram,
     atom,
     atom_leq,
     level1_rows,
     linear_diagram,
     singleton_diagram,
-    virtual_diagram,
 )
 
 _ATOM, _COEFF = itemgetter(0), itemgetter(1)
@@ -73,7 +73,7 @@ def bilinear_aggregate(G: VirtualDiagram, L: VirtualDiagram) -> VirtualDiagram:
         if atom_leq(u, v) and (u is v or not atom_leq(v, u))
     )
     # every kept class was screened by the pair loop; skip re-validation
-    return virtual_diagram(classes, level=G.level + 1, validate=False)
+    return _virtual_diagram(classes, G.level + 1, False)
 
 
 def naive_self_aggregate(xi: VirtualDiagram) -> VirtualDiagram:
@@ -172,7 +172,7 @@ def _sum_of(parts: Iterable[VirtualDiagram]) -> VirtualDiagram:
                 raise LevelMismatch("level mismatch")
             yield from part.entries
 
-    return virtual_diagram(entries(), level=first.level, validate=False)
+    return _virtual_diagram(entries(), first.level, False)
 
 
 def _mean_of(parts: Iterable[VirtualDiagram], m: int) -> LinearDiagram:
@@ -242,7 +242,7 @@ def tree_expansion_oracle(xi: VirtualDiagram, s: int) -> VirtualDiagram:
             if ok:
                 yield nodes[0], math.prod(c for _, c in labeling)
 
-    return virtual_diagram(classes(), level=xi.level + s, validate=False)
+    return _virtual_diagram(classes(), xi.level + s, False)
 
 
 __all__ = [

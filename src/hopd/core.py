@@ -217,6 +217,7 @@ Endpoint = Union[GroundPoint, "Diagram"]
 
 
 _ENDPOINTS = "endpoints must both be ground points or both diagrams"
+_DIMENSIONS = "ground points of different dimensions"
 # ``interval``'s row: a precompiled pack takes about half the time of struct.pack
 _PACK_1D = struct.Struct("2d").pack
 
@@ -308,11 +309,11 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
     """The level and sorted entries of the accumulated map ``acc``.
 
     Zero coefficients are deleted from ``acc`` unchecked.  The others must
-    share one level (``LevelMismatch``) and, under ``validate``, none may be
-    a basepoint atom (``ValueError``); an empty map needs ``level``.  A
-    level-1 map of at least ``_LEXSORT_MIN`` atoms whose ground points share
-    one dimension is sorted by one ``np.lexsort`` over its coordinate rows,
-    in the ``sort_key`` order; any other by Python's sort.
+    share one level and, at level 1, one ground dimension
+    (``LevelMismatch``), and under ``validate`` none may be a basepoint atom
+    (``ValueError``); an empty map needs ``level``.  A level-1 map of at
+    least ``_LEXSORT_MIN`` atoms is sorted by one ``np.lexsort`` over its
+    coordinate rows, in the ``sort_key`` order; any other by Python's sort.
     """
     zeros = []
     for a, c in acc.items():
@@ -333,20 +334,18 @@ def _canonical(acc: dict, level: int | None, validate: bool) -> tuple[int, tuple
     for a in zeros:
         del acc[a]
     if level == 1 and len(acc) >= _LEXSORT_MIN:
-        try:
-            phi = level1_rows(acc)
-        except ValueError:  # ground points of mixed dimensions
-            pass
-        else:
-            k = phi.shape[1] // 2  # coordinates per ground point
-            # births, then deaths: the sort_key's columns; np.lexsort sorts
-            # by its last key first, and distinct atoms never tie
-            cols = np.hstack((-phi[:, :k], phi[:, k:]))
-            order = np.lexsort(cols.T[::-1]).tolist()
-            # pairs built in canonical order lie in memory in that order,
-            # which is the order the warm-up reads them in
-            atoms, coeffs = list(acc), list(acc.values())
-            return level, tuple(zip(map(atoms.__getitem__, order), map(coeffs.__getitem__, order)))
+        phi = level1_rows(acc)  # LevelMismatch on mixed ground dimensions
+        k = phi.shape[1] // 2  # coordinates per ground point
+        # births, then deaths: the sort_key's columns; np.lexsort sorts
+        # by its last key first, and distinct atoms never tie
+        cols = np.hstack((-phi[:, :k], phi[:, k:]))
+        order = np.lexsort(cols.T[::-1]).tolist()
+        # pairs built in canonical order lie in memory in that order,
+        # which is the order the warm-up reads them in
+        atoms, coeffs = list(acc), list(acc.values())
+        return level, tuple(zip(map(atoms.__getitem__, order), map(coeffs.__getitem__, order)))
+    if level == 1 and len({len(a.row) for a in acc}) > 1:
+        raise LevelMismatch(_DIMENSIONS)
     return level, tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
 
 
@@ -399,7 +398,7 @@ def is_basepoint_pair(minus: Endpoint, plus: Endpoint) -> bool:
 
 
 def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
-            level: int | None = None, *, validate: bool = True) -> Diagram:
+            level: int | None = None) -> Diagram:
     if isinstance(entries, Mapping):
         entries = entries.items()
     acc: dict[Atom, int] = {}
@@ -407,7 +406,7 @@ def diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
         if m < 0:
             raise ValueError("diagram multiplicities must be positive")
         acc[a] = acc.get(a, 0) + m
-    level, items = _canonical(acc, level, validate)
+    level, items = _canonical(acc, level, True)
     key = ("d", level, tuple((a.uid, m) for a, m in items))
     d = _INTERN.get(key)
     if d is None:
@@ -438,13 +437,13 @@ class VirtualDiagram(_EntryMap):
     def __add__(self, other: "VirtualDiagram") -> "VirtualDiagram":
         if self.level != other.level:
             raise LevelMismatch("level mismatch")
-        return virtual_diagram(self.entries + other.entries, level=self.level, validate=False)
+        return _virtual_diagram(self.entries + other.entries, self.level, False)
 
     def __sub__(self, other: "VirtualDiagram") -> "VirtualDiagram":
         if self.level != other.level:
             raise LevelMismatch("level mismatch")
         entries = itertools.chain(self.entries, ((a, -c) for a, c in other.entries))
-        return virtual_diagram(entries, level=self.level, validate=False)
+        return _virtual_diagram(entries, self.level, False)
 
     def __neg__(self) -> "VirtualDiagram":
         return VirtualDiagram(self.level, tuple((a, -c) for a, c in self.entries))
@@ -452,9 +451,7 @@ class VirtualDiagram(_EntryMap):
     def __rmul__(self, k: int) -> "VirtualDiagram":
         if not isinstance(k, int):
             return NotImplemented
-        return virtual_diagram(
-            ((a, k * c) for a, c in self.entries), level=self.level, validate=False
-        )
+        return _virtual_diagram(((a, k * c) for a, c in self.entries), self.level, False)
 
     def positive_part(self) -> Diagram:
         return diagram(((a, c) for a, c in self.entries if c > 0), level=self.level)
@@ -464,9 +461,15 @@ class VirtualDiagram(_EntryMap):
 
 
 def virtual_diagram(entries: Mapping[Atom, int] | Iterable[tuple[Atom, int]],
-                    level: int | None = None, *, validate: bool = True) -> VirtualDiagram:
+                    level: int | None = None) -> VirtualDiagram:
     if isinstance(entries, Mapping):
         entries = entries.items()
+    return _virtual_diagram(entries, level, True)
+
+
+def _virtual_diagram(entries: Iterable[tuple[Atom, int]], level, validate: bool) -> VirtualDiagram:
+    """``virtual_diagram`` of pairs; sums, multiples and aggregations, whose
+    atoms are stored already or screened by a pair test, skip ``validate``."""
     acc: dict[Atom, int] = {}
     for a, c in entries:
         acc[a] = _check_i64(acc.get(a, 0) + c)
@@ -500,9 +503,9 @@ def linear_diagram(entries, level=None) -> LinearDiagram:
 
 def ground_leq(p: GroundPoint, q: GroundPoint) -> bool:
     a, b = p.coords, q.coords
-    if len(a) == 1:
-        return a[0] <= b[0]
-    return all(x <= y for x, y in zip(a, b))
+    if len(a) != len(b):
+        raise LevelMismatch(_DIMENSIONS)
+    return a[0] <= b[0] if len(a) == 1 else all(map(le, a, b))
 
 
 def endpoint_leq(a: Endpoint, b: Endpoint) -> bool:
@@ -516,9 +519,9 @@ def atom_leq(u: Atom, v: Atom) -> bool:
 
     Level-1 atoms, whose endpoints are ground points, are compared inline
     on their ``sort_key`` with the comparisons ``ground_leq`` makes, in its
-    order: coordinates pairwise up to the shorter point, as ``zip`` reads
-    them.  This is the test in the literal pair loop, two calls per ordered
-    pair.
+    order, and ``LevelMismatch`` when their ground points differ in
+    dimension.  This is the test in the literal pair loop, two calls per
+    ordered pair.
     """
     level = u.level
     if level != v.level:
@@ -530,6 +533,8 @@ def atom_leq(u: Atom, v: Atom) -> bool:
         a, d = v.sort_key
         if len(a) == 1 == len(c):
             return a[0] <= b[0] and c[0] <= d[0]
+        if len(a) != len(c):
+            raise LevelMismatch(_DIMENSIONS)
         return all(map(le, a, b)) and all(map(le, c, d))
     return endpoint_leq(v.minus, u.minus) and endpoint_leq(u.plus, v.plus)
 
@@ -544,14 +549,14 @@ def atom_coords(u: Atom):
 
 def level1_rows(atoms: Iterable[Atom]) -> np.ndarray:
     """Coordinate rows of level-1 atoms: an n x 2k read-only view of their joined
-    ``row`` bytes, (0, 2) for none; ``ValueError`` on mixed widths."""
+    ``row`` bytes, (0, 2) for none; ``LevelMismatch`` on mixed ground dimensions."""
     rows = list(map(attrgetter("row"), atoms))
     try:
         widths = set(map(len, rows))  # a set: 6 ms less than a generator at 10^5 rows
     except TypeError:  # an atom above level 1, whose row is None
         raise PreorderUnavailable("coordinate rows exist at level 1 only") from None
     if len(widths) > 1:
-        raise ValueError("coordinate rows need ground points of one dimension")
+        raise LevelMismatch(_DIMENSIONS)
     return np.frombuffer(b"".join(rows)).reshape(len(rows), widths.pop() // 8 if rows else 2)
 
 
@@ -648,7 +653,9 @@ def dist_ground(x: GroundPoint, y: GroundPoint) -> float:
 
 
 def _coords_dist(xs: tuple, ys: tuple) -> float:
-    """``dist_ground`` of two coordinate tuples, read pairwise as ``zip`` does."""
+    """``dist_ground`` of two coordinate tuples; ``LevelMismatch`` when their lengths differ."""
+    if len(xs) != len(ys):
+        raise LevelMismatch(_DIMENSIONS)
     best = 0.0
     for a, b in zip(xs, ys):
         if a == b:

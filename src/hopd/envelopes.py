@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import index
+from operator import add, index, mul
 
 AVERAGE_GUARD_WIDTH = 256  # cap on c * 2^N so the exact DP stays tractable
 
@@ -35,7 +35,7 @@ def _integer(name: str, value, least: int) -> int:
 
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(n, 0..n).
+    """Stirling numbers of the second kind S(n, 0..n), n <= ``AVERAGE_GUARD_WIDTH``.
 
     Rows are only ever cached as a prefix 0..currsize-1.  A cold row recurses
     to its predecessor, but every 64th row first builds the missing rows
@@ -47,11 +47,16 @@ def _stirling_row(n: int) -> tuple[int, ...]:
     if n % 64 == 0:
         for m in range(_stirling_row.cache_info().currsize, n):
             _stirling_row(m)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = k * (prev[k] if k <= n - 1 else 0) + prev[k - 1]
-    return tuple(row)
+    return _stirling_from(_stirling_row(n - 1), n)
+
+
+def _stirling_from(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """S(n, 0..n) from a row S(m, 0..m), m <= n, by S(j, k) = k S(j - 1, k) +
+    S(j - 1, k - 1), keeping no row between: past ``AVERAGE_GUARD_WIDTH``,
+    the widest row the DP reads (2t <= c * 2^N), no row is cached."""
+    for j in range(len(row), n + 1):
+        row = (0, *map(add, map(mul, range(1, j), row[1:]), row), row[-1])
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
@@ -59,11 +64,12 @@ def stirling2(n: int, k: int) -> int:
     k = _integer("k", k, -float("inf"))  # any integer; S(n, k) = 0 outside 0..n
     if k < 0 or k > n:
         return 0
-    return _stirling_row(n)[k]
+    return _stirling_from(_stirling_row(min(n, AVERAGE_GUARD_WIDTH)), n)[k]
 
 
 def bell_number(n: int) -> int:
-    return sum(_stirling_row(_integer("n", n, 0)))
+    n = _integer("n", n, 0)
+    return sum(_stirling_from(_stirling_row(min(n, AVERAGE_GUARD_WIDTH)), n))
 
 
 def ceil_log2(x: int) -> int:

@@ -13,10 +13,10 @@ one numpy block, next to the diagonal vector e, and each sub-transport then
 reads its off-diagonal block and both opt-out vectors as slices of the pool
 before one assignment.  A run over at most two level-1 diagrams (a level-1
 transport between G and L) reads one block at most, so it prices only that
-block's |G| x |L| cells.  The lower bound holds where the level-1 costs are a
-metric; ground points of mixed dimension (below) can break that, so a run
-whose pool mixes dimensions never prunes.  Both compute the
-same distances: exactly at p in {1, inf}, and to within rounding at other p,
+block's |G| x |L| cells.  Inputs whose ground points differ in dimension
+raise `LevelMismatch` on both routes before any cost is priced, so level-1
+costs form a metric and the lower bound holds.  Both compute the same
+distances: exactly at p in {1, inf}, and to within rounding at other p,
 where numpy's powers may differ from Python's in the last place.  At those
 other p a sum of p-th powers is computed plainly first; only where it left
 the float range (overflow, or underflow past rounding) is it recomputed on
@@ -34,19 +34,16 @@ Python's float arithmetic gives it, and never a numpy warning.
 The transport norm of a real-linear diagram is a min-cost flow on the
 metric closure of the atom costs: one assignment over unit masses when the
 coefficients are integers of total supply at most the node count, and a
-HiGHS transportation linear program otherwise.  At level 1, when every
-ground point has one coordinate, the costs are a metric already and the
-closure (Floyd-Warshall) is skipped: with p = 1 the direct cost is
-|b_u - b_v| + |d_u - d_v| and the diagonal cost e_u = |b_u - d_u|, so e is
-1-Lipschitz for the direct cost, and min(direct, e_u + e_v) with the
-basepoint costs e keeps the triangle inequality.  Ground points of mixed
-dimension keep the closure: there costs read only the shared coordinates,
-as `zip` does, and the triangle inequality can fail.
+HiGHS transportation linear program otherwise.  At level 1 the costs are
+a metric already and the closure (Floyd-Warshall) is skipped: with p = 1
+the direct cost is d(b_u, b_v) + d(d_u, d_v) for the sup-norm ground
+metric d and the diagonal cost is e_u = d(b_u, d_u) <= d(b_u, b_v) + e_v +
+d(d_v, d_u), so e is 1-Lipschitz for the direct cost, and min(direct,
+e_u + e_v) with the basepoint costs e keeps the triangle inequality.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,6 +65,7 @@ from .core import (
     _POW_TINY,
     dist_ground,
     level1_diag_cost,
+    level1_rows,
     norm_p,
 )
 
@@ -79,7 +77,7 @@ _POW_HUGE = 2.0**999
 def _float_policy():
     """numpy's error state for one public call: a gap, sum or power past the
     float range is inf, and inf - inf (two +inf coordinates) is a NaN that
-    `_dist_ground_array` skips as a pad.  A fresh instance per call, as
+    `_dist_ground_array` skips.  A fresh instance per call, as
     numpy 1.x's `errstate` is not reentrant."""
     return np.errstate(invalid="ignore", over="ignore")
 
@@ -303,6 +301,7 @@ def naive_wasserstein(
     if G.level != L.level:
         raise LevelMismatch("diagram level mismatch")
     _check_p(p)
+    _level1_diagrams((G, L))  # raises where the certified run's pool would
     c = counters if counters is not None else CostCounters()
     with _float_policy():
         return _naive_diagram_cost(G, L, G.level, p, c)
@@ -359,11 +358,7 @@ class _CertifiedRun:
             start = len(pool)
             pool.extend(theta.atoms())
             self.slices[theta.uid] = slice(start, len(pool))
-        births, deaths, _ = self.side = _level1_side(pool, p)
-        # the reverse-triangle bound holds where level-1 costs are a metric;
-        # ground points of mixed dimension (NaN pads) read only shared
-        # coordinates, as `zip` does, which breaks the triangle inequality
-        self.prune = not (np.isnan(births).any() or np.isnan(deaths).any())
+        self.side = _level1_side(pool, p)
         # at most two level-1 inputs (a level-1 transport, or the diagonal
         # of one level-2 atom) are read by one level-1 sub-transport at most
         self.pooled = len(diagrams) > 2 or any(theta.level > 1 for theta in diagrams)
@@ -432,7 +427,7 @@ class _CertifiedRun:
             ),
             self.p,
         )
-        if self.prune and b >= e + f:
+        if b >= e + f:
             self.c.prunes += 1
             return self._memo_put(self.m_a, key, e + f)
         self.c.atom_expansions += 1
@@ -508,7 +503,7 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     block of `_level1_off` at p = 1, above it from one certified run over
     the atoms' endpoint diagrams, whose memo tables and level-1 pool all
     the pairs share).  The flow runs on the metric closure of those costs,
-    which one-dimensional level-1 costs already are (module docstring), from
+    which level-1 costs already are (module docstring), from
     positive to negative nodes: integer coefficients whose positive sum is
     at most the support size plus one (say a difference of two diagrams
     with unit multiplicities) take one assignment over unit masses, and
@@ -524,25 +519,23 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
     divergence = coeffs + [-sum(coeffs)]
     with _float_policy():
         if xi.level == 1:
-            births, deaths, diag = side = _level1_side(atoms, 1)
+            side = _level1_side(atoms, 1)
             n = len(atoms)
             cost = np.zeros((n + 1, n + 1))
             cost[:n, :n] = _level1_off(side, 1)  # 0 on the diagonal
-            cost[:n, n] = cost[n, :n] = diag
-            if births.shape[1] == deaths.shape[1] == 1:  # one coordinate each
-                if np.isinf(cost).any():
-                    raise ValueError("infinite cost arc")
-                return _transport(divergence, cost)
-        else:
-            # one certified run, so endpoint transports shared by several
-            # atoms are computed once
-            run = _CertifiedRun(1, CostCounters(), [e for a in atoms for e in (a.minus, a.plus)])
-            n, k = len(atoms), xi.level
-            cost = [[0.0] * (n + 1) for _ in range(n + 1)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
-                cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
+            cost[:n, n] = cost[n, :n] = side[2]
+            if np.isinf(cost).any():
+                raise ValueError("infinite cost arc")
+            return _transport(divergence, cost)
+        # one certified run, so endpoint transports shared by several atoms
+        # are computed once
+        run = _CertifiedRun(1, CostCounters(), [e for a in atoms for e in (a.minus, a.plus)])
+        n, k = len(atoms), xi.level
+        cost = [[0.0] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                cost[i][j] = cost[j][i] = run.atom_cost(atoms[i], atoms[j], k)
+            cost[i][n] = cost[n][i] = run.diagonal_cost(atoms[i], k)
     return min_cost_transport(divergence, cost)
 
 
@@ -554,7 +547,8 @@ def linear_w1_norm(xi: LinearDiagram | VirtualDiagram) -> float:
 
 def _level1_diagrams(diagrams) -> list:
     """The distinct level-1 diagrams that ``diagrams`` reach through the
-    endpoints of their atoms; a level-1 diagram reaches itself."""
+    endpoints of their atoms; a level-1 diagram reaches itself.  The joined
+    rows of one atom of each raise ``LevelMismatch`` on mixed dimensions."""
     found, seen, stack = [], set(), list(diagrams)
     while stack:
         theta = stack.pop()
@@ -566,13 +560,15 @@ def _level1_diagrams(diagrams) -> list:
         else:
             for a in theta.support():
                 stack += (a.minus, a.plus)
+    level1_rows([theta.entries[0][0] for theta in found if theta.entries])
     return found
 
 
 def _level1_side(atoms: Sequence[Atom], p) -> tuple:
-    """Birth rows, death rows and diagonal costs of level-1 atoms, from their sort keys."""
-    births = _coord_matrix([a.sort_key[0] for a in atoms])
-    deaths = _coord_matrix([a.sort_key[1] for a in atoms])
+    """Birth rows, death rows and diagonal costs of level-1 atoms, from `level1_rows`."""
+    phi = level1_rows(atoms)
+    k = phi.shape[1] // 2  # coordinates per ground point
+    births, deaths = -phi[:, :k], phi[:, k:]
     return births, deaths, _dist_ground_array(births, deaths) * _diag_scale(p)
 
 
@@ -600,19 +596,10 @@ def _level1_off(side: tuple, p, rows=slice(None), cols=slice(None)) -> np.ndarra
 def _dist_ground_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`dist_ground` over the last axis of broadcast coordinate arrays: the
     largest coordinate gap, where equal coordinates give 0 and +inf against
-    a finite value gives inf.  A NaN pad is skipped, as `zip` would, and so
-    is inf - inf, under `_float_policy`, which also makes a gap past the
-    float range inf, as in `dist_ground`."""
+    a finite value gives inf.  The NaN of inf - inf is skipped, under
+    `_float_policy`, which also makes a gap past the float range inf, as in
+    `dist_ground`."""
     return np.fmax.reduce(np.abs(x - y), axis=-1, initial=0.0)
-
-
-def _coord_matrix(points: Sequence[tuple]) -> np.ndarray:
-    """Ground coordinate tuples as rows, NaN-padded to the longest; one
-    column when there are none."""
-    if not points:
-        return np.empty((0, 1))
-    cols = itertools.zip_longest(*points, fillvalue=math.nan)
-    return np.array(list(cols), dtype=np.float64).T
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from hopd.core import (
     ground,
     intern_table_size,
     interval,
+    level1_rows,
     linear_diagram,
     singleton_diagram,
     virtual_diagram,
@@ -166,13 +167,16 @@ class TestVectorKernel:
     def test_empty_and_mixed_ground_dimensions(self):
         empty = virtual_diagram({}, level=1)
         assert pairs_as_virtual(self_aggregate_pairs(empty)) == naive_self_aggregate(empty)
-        # rows of different widths must not be reshaped into a wrong matrix,
-        # even when their total would fill one: 16 + 32 + 48 bytes = 3 x 32
+        # no signed diagram holds ground points of different dimensions, and
+        # their rows are not reshaped into a wrong matrix, even when their
+        # total would fill one: 16 + 32 + 48 bytes = 3 x 32
         two = {interval(0.1, 0.5): 1, atom(ground(0.0, 0.0), ground(1.0, 1.0)): 1}
         three = {**two, atom(ground(0.2, 0.2, 0.2), ground(1.0, 1.0, 1.0)): 1}
         for mixed in (two, three):
-            with pytest.raises(ValueError):
-                level1_arrays(virtual_diagram(mixed))
+            with pytest.raises(LevelMismatch):
+                virtual_diagram(mixed)
+            with pytest.raises(LevelMismatch):
+                level1_rows(mixed)
 
     def test_level1_arrays_cached_per_instance(self, rng):
         xi = rand_virtual(rng, 5)

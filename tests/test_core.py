@@ -69,35 +69,34 @@ class TestAtomLeq:
 
     def test_equals_the_endpoint_composition(self, rng):
         # the inline level-1 test against endpoint_leq -> ground_leq, on 1-d
-        # and 2-d points read up to the shorter one, tied births and deaths,
+        # and 2-d points (one dimension per case), tied births and deaths,
         # +inf deaths, and level-2 atoms, which keep the generic path
         def point(dim, top):
-            coords = [rng.randrange(4) / 4 for _ in range(dim)]
+            coords = [rng.randrange(12 // dim) / 4 for _ in range(dim)]
             if top:
                 coords[-1] = INF
             return ground(*coords)
 
-        atoms = set()
-        while len(atoms) < 40:
-            dim = rng.choice((1, 2))
-            minus, plus = point(dim, False), point(dim, rng.random() < 0.25)
-            if minus is not plus:
-                atoms.add(atom(minus, plus))
-        atoms = sorted(atoms, key=lambda a: a.uid)
-        atoms += [atom(diagram({u: 1}), diagram({v: 1})) for u, v in zip(atoms[:6], atoms[6:12])]
-        counts = {True: 0, False: 0}
-        for u in atoms:
-            for v in atoms:
-                if u.level != v.level:
-                    with pytest.raises(LevelMismatch):
-                        atom_leq(u, v)
-                    continue
-                want = u is v or (core.endpoint_leq(v.minus, u.minus) and core.endpoint_leq(u.plus, v.plus))
-                assert atom_leq(u, v) is want, (u, v)
-                counts[want] += 1
-        assert min(counts.values()) > 100, counts
-        dims = {len(a.minus.coords) for a in atoms[:40]}
-        assert dims == {1, 2} and any(math.isinf(a.plus.coords[-1]) for a in atoms[:40])
+        for dim in (1, 2):
+            atoms = set()
+            while len(atoms) < 40:
+                minus, plus = point(dim, False), point(dim, rng.random() < 0.25)
+                if minus is not plus:
+                    atoms.add(atom(minus, plus))
+            atoms = sorted(atoms, key=lambda a: a.uid)
+            assert any(math.isinf(a.plus.coords[-1]) for a in atoms)
+            atoms += [atom(diagram({u: 1}), diagram({v: 1})) for u, v in zip(atoms[:6], atoms[6:12])]
+            counts = {True: 0, False: 0}
+            for u in atoms:
+                for v in atoms:
+                    if u.level != v.level:
+                        with pytest.raises(LevelMismatch):
+                            atom_leq(u, v)
+                        continue
+                    want = u is v or (core.endpoint_leq(v.minus, u.minus) and core.endpoint_leq(u.plus, v.plus))
+                    assert atom_leq(u, v) is want, (u, v)
+                    counts[want] += 1
+            assert min(counts.values()) > 100, (dim, counts)
 
 
 class TestAtomLookupFirst:
@@ -214,34 +213,36 @@ class TestRowKeyedInterning:
 
     def test_coordinates_and_preorder_equal_the_endpoint_formulas(self, rng):
         # bit for bit against the endpoint reads they replace, on fresh 1-d
-        # intervals (read before their points are interned) and 2-d atoms,
-        # with tied births and deaths, both zeros and +inf deaths
+        # intervals (read before their points are interned) and on 2-d
+        # atoms, one dimension per case, with tied births and deaths, both
+        # zeros and +inf deaths
         grid = [-0.0, 0.0, 0.25, 0.5, 4010.0, 4010.5]
-        atoms = set()
-        while len(atoms) < 60:
-            if rng.random() < 0.5:
-                b, d = rng.choice(grid), rng.choice(grid + [INF])
-                if b != d:
-                    atoms.add(interval(b, d))
-            else:
-                p = ground(rng.choice(grid), rng.choice(grid))
-                q = ground(rng.choice(grid), rng.choice(grid + [INF]))
-                if p is not q:
-                    atoms.add(atom(p, q))
-        atoms = sorted(atoms, key=lambda a: a.sort_key)
-        assert any(type(a) is core._Interval for a in atoms)
-        coords = [atom_coords(a) for a in atoms]
-        leq = [[atom_leq(u, v) for v in atoms] for u in atoms]
-        for a, cs in zip(atoms, coords):
-            want = tuple(-c for c in a.minus.coords) + a.plus.coords
-            assert [c.hex() for c in cs] == [c.hex() for c in want], a
-        for u, row in zip(atoms, leq):
-            for v, got in zip(atoms, row):
-                want = all(map(operator.le, v.minus.coords, u.minus.coords)) and all(
-                    map(operator.le, u.plus.coords, v.plus.coords)
-                )
-                assert got is want, (u, v)
-        assert any(any(row) and not all(row) for row in leq)
+        for dim, size in ((1, 20), (2, 60)):
+            atoms = set()
+            while len(atoms) < size:
+                if dim == 1:
+                    b, d = rng.choice(grid), rng.choice(grid + [INF])
+                    if b != d:
+                        atoms.add(interval(b, d))
+                else:
+                    p = ground(rng.choice(grid), rng.choice(grid))
+                    q = ground(rng.choice(grid), rng.choice(grid + [INF]))
+                    if p is not q:
+                        atoms.add(atom(p, q))
+            atoms = sorted(atoms, key=lambda a: a.sort_key)
+            assert (dim == 1) == any(type(a) is core._Interval for a in atoms)
+            coords = [atom_coords(a) for a in atoms]
+            leq = [[atom_leq(u, v) for v in atoms] for u in atoms]
+            for a, cs in zip(atoms, coords):
+                want = tuple(-c for c in a.minus.coords) + a.plus.coords
+                assert [c.hex() for c in cs] == [c.hex() for c in want], a
+            for u, row in zip(atoms, leq):
+                for v, got in zip(atoms, row):
+                    want = all(map(operator.le, v.minus.coords, u.minus.coords)) and all(
+                        map(operator.le, u.plus.coords, v.plus.coords)
+                    )
+                    assert got is want, (u, v)
+            assert any(any(row) and not all(row) for row in leq)
 
     @pytest.mark.parametrize("n", [40, core._LEXSORT_MIN + 44])
     def test_validated_diagram_of_fresh_intervals_adds_one_entry_per_atom(self, rng, n):
@@ -497,10 +498,10 @@ class TestCanonicalization:
         d_rev = virtual_diagram({a: 1 for a in reversed(atoms)})
         assert d_fwd.entries == d_rev.entries
 
-    @pytest.mark.parametrize("dims", [(1,), (2,), (1, 2)])
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,)])
     def test_large_level1_maps_keep_the_sort_key_order(self, rng, monkeypatch, dims):
         # past the cut-over, rows of one width are ordered by np.lexsort;
-        # mixed widths, and maps below it, keep Python's sort
+        # maps below it keep Python's sort
         calls = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
@@ -529,8 +530,7 @@ class TestCanonicalization:
             assert virtual_diagram({a: coeffs[a] for a in size}).entries == tuple((a, coeffs[a]) for a in order)
             assert diagram({a: abs(coeffs[a]) for a in size}).entries == tuple((a, abs(coeffs[a])) for a in order)
             assert linear_diagram({a: coeffs[a] / 2 for a in size}).entries == tuple((a, coeffs[a] / 2) for a in order)
-            lexsorted = size is atoms and len(dims) == 1
-            assert calls == [2 * dims[0]] * 3 * lexsorted
+            assert calls == [2 * dims[0]] * 3 * (size is atoms)
         # no two atoms tie, and the +inf deaths and both signs of a birth occur
         assert len({a.sort_key for a in atoms}) == len(atoms)
         assert any(math.isinf(a.plus.coords[-1]) for a in atoms)
@@ -634,6 +634,51 @@ class TestGroundSpace:
 
     def test_dist_ground_sup_metric(self):
         assert dist_ground(ground(0.0, 0.0), ground(0.3, 0.1)) == pytest.approx(0.3)
+
+    def test_mixed_ground_dimensions_raise_level_mismatch(self):
+        # ground points of different dimensions are never compared, pooled
+        # or stored together, on any route
+        from hopd.aggregation import bilinear_aggregate
+        from hopd.core import ground_leq
+        from hopd.wasserstein import certified_wasserstein, empty_cost, linear_w1_norm, naive_wasserstein
+
+        one, two = interval(0.1, 0.5), atom(ground(0.0, 0.0), ground(1.0, 1.0))
+        mixed = {one: 1, two: 2}
+        # past the lexsort cut-over too, where the row join checks the widths
+        big = {**{interval(4030 + k / 512, 4031.0): 1 for k in range(core._LEXSORT_MIN)}, two: 1}
+        g1, g2 = diagram({one: 1}), diagram({two: 1})
+        e1 = empty_diagram(1)
+        # each level-2 class has one dimension; the two classes do not share it
+        both = diagram({atom(g1, e1): 1, atom(g2, e1): 1}, level=2)
+        x1, x2 = (diagram({atom(g, e1): 1}) for g in (g1, g2))
+        calls = [
+            lambda make=make, entries=entries: make(entries)
+            for make in (virtual_diagram, diagram, linear_diagram)
+            for entries in (mixed, big)
+        ]
+        calls += [
+            lambda: from_text("(v 1 (a (p 0.1) (p 0.5))*1 (a (p 0 0) (p 1 1))*2)"),
+            lambda: virtual_diagram({one: 1}) - virtual_diagram({two: 1}),
+            lambda: bilinear_aggregate(g1.to_virtual(), g2.to_virtual()),
+            lambda: bilinear_aggregate(g2.to_virtual(), g1.to_virtual()),
+            lambda: empty_cost(both, 1),
+            lambda: linear_w1_norm(virtual_diagram({atom(g1, e1): 1, atom(g2, e1): -1}, level=2)),
+        ]
+        for x, y in ((g1, g2), (g2, g1)):
+            calls += [
+                lambda x=x, y=y: diagram_leq(x, y),
+                lambda x=x, y=y: atom_leq(x.support()[0], y.support()[0]),
+                lambda x=x, y=y: ground_leq(x.support()[0].minus, y.support()[0].minus),
+                lambda x=x, y=y: dist_ground(x.support()[0].plus, y.support()[0].plus),
+            ]
+        for p in (1, 2, INF):
+            calls.append(lambda p=p: d1(one, two, p))
+            for route in (naive_wasserstein, certified_wasserstein):
+                for x, y in ((g1, g2), (x1, x2), (both, empty_diagram(2)), (empty_diagram(2), both)):
+                    calls.append(lambda route=route, x=x, y=y, p=p: route(x, y, p))
+        for call in calls:
+            with pytest.raises(LevelMismatch):
+                call()
 
 
 def coords_bytes(a):

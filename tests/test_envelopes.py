@@ -83,6 +83,23 @@ class TestCombinatorics:
             _stirling_row.cache_clear()
         assert got == triangle[0]
 
+    def test_cache_holds_the_rows_the_dp_reads(self):
+        # rows past AVERAGE_GUARD_WIDTH = 256, which the DP never reads, are
+        # extended from row 256 and not cached
+        n = 300
+        triangle = [1]  # Bell triangle: its rows start at B(0), B(1), ...
+        for _ in range(n):
+            nxt = [triangle[-1]]
+            for v in triangle:
+                nxt.append(nxt[-1] + v)
+            triangle = nxt
+        _stirling_row.cache_clear()
+        try:
+            assert bell_number(n) == triangle[0]
+            assert _stirling_row.cache_info().currsize == 257
+        finally:
+            _stirling_row.cache_clear()
+
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 

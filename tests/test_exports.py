@@ -105,10 +105,8 @@ def test_private_names_are_used():
 PINNED_DEFAULTS = {
     "aggregation.linear_diagram(level)",
     "core.diagram(level)",
-    "core.diagram(validate)",
     "core.linear_diagram(level)",
     "core.virtual_diagram(level)",
-    "core.virtual_diagram(validate)",
     "filtration.build_clique_filtration(normalize)",
     "filtration.persistence_h0(cap_delta)",
     "filtration.persistence_h1(cap_delta)",

@@ -386,10 +386,6 @@ class TestWassersteinRecursion:
             shapes["2d"] += dim == 2 and bool(atoms)
             shapes["empty"] += (len(g) == 0) != (len(l) == 0)
         assert min(shapes.values()) > 0, shapes
-        # sides of two ground dimensions: costs read the shared coordinates, as `zip` does
-        g = diagram({interval(0, 1): 1})
-        l = diagram({atom(ground(0.0, 5.0), ground(1.0, 6.0)): 1})
-        assert certified_wasserstein(g, l, p) == naive_wasserstein(g, l, p) == 0.0
 
     def test_level1_block_never_calls_atom_cost(self, rng, monkeypatch):
         def no_atom_cost(*args):
@@ -412,11 +408,11 @@ class TestWassersteinRecursion:
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_certified_equals_naive_level2(self, rng, p):
-        # one level-1 pool holds 1-d and 2-d ground points and +inf deaths
-        def level1():
+        # level-1 pools of 1-d or 2-d ground points (one dimension per
+        # case) and +inf deaths
+        def level1(dim):
             entries = {}
             for _ in range(rng.randint(0, 4)):
-                dim = rng.choice((1, 2))
                 birth = [rng.randrange(8) / 4 for _ in range(dim)]
                 death = [b + rng.randrange(1, 8) / 4 for b in birth]
                 if rng.random() < 0.03:
@@ -425,17 +421,19 @@ class TestWassersteinRecursion:
                 entries[a] = entries.get(a, 0) + rng.randint(1, 2)
             return diagram(entries, level=1)
 
-        def level2():
+        def level2(dim):
             entries = {}
             for _ in range(rng.randint(0, 5)):
-                cand = atom(level1(), level1())
+                cand = atom(level1(dim), level1(dim))
                 if not is_basepoint_pair(cand.minus, cand.plus):
                     entries[cand] = entries.get(cand, 0) + 1
             return diagram(entries, level=2)
 
-        finite = mixed = inf = 0
+        finite = inf = 0
+        dims = set()
         for _ in range(25):
-            g, l = level2(), level2()
+            dim = rng.choice((1, 2))
+            g, l = level2(dim), level2(dim)
             cn, cc = CostCounters(), CostCounters()
             wn = naive_wasserstein(g, l, p, counters=cn)
             wc = certified_wasserstein(g, l, p, counters=cc)
@@ -447,22 +445,22 @@ class TestWassersteinRecursion:
             points = [x for d in (g, l) for u in d.support() for e in (u.minus, u.plus)
                       for a in e.support() for x in (a.minus, a.plus)]
             finite += math.isfinite(wc)
-            mixed += len({len(x.coords) for x in points}) == 2
+            dims |= {len(x.coords) for x in points}
             inf += any(math.isinf(x.coords[-1]) for x in points)
-        assert min(finite, mixed, inf) > 0, (finite, mixed, inf)
+        assert min(finite, inf) > 0 and dims == {1, 2}, (finite, inf, dims)
 
-    def test_mixed_dimensions_never_prune(self):
-        # costs read the shared coordinates, so the 2-d endpoint atom with a
-        # +inf death lies at 0 from the 1-d one while its own empty cost is
-        # inf: the reverse-triangle bound (inf) would certify the diagonal
-        # route (inf) past the product route (0)
+    def test_two_dimensional_inf_death_prunes_soundly(self):
+        # in one ground dimension the 2-d endpoint atom with a +inf death
+        # lies at inf from the finite one, as its own empty cost does: the
+        # reverse-triangle bound (inf) certifies the diagonal route (inf),
+        # which the product route (inf) does not beat
         a = diagram({atom(ground(0.0, 0.0), ground(1.0, INF)): 1})
-        b = diagram({interval(0.0, 1.0): 1})
+        b = diagram({atom(ground(0.0, 0.0), ground(1.0, 1.0)): 1})
         g, l = (diagram({atom(x, empty_diagram(1)): 1}, level=2) for x in (a, b))
         for p in (1, 2, INF):
             counters = CostCounters()
-            assert certified_wasserstein(g, l, p, counters=counters) == naive_wasserstein(g, l, p) == 0.0
-            assert counters.prunes == 0
+            assert certified_wasserstein(g, l, p, counters=counters) == naive_wasserstein(g, l, p) == INF
+            assert counters.prunes == 1
 
     def test_depth2_run_builds_one_level1_block(self, rng, monkeypatch):
         calls = []
@@ -756,10 +754,9 @@ class TestLinearNorm:
                 coords[-1] = INF
             return ground(*coords)
 
-        for dims in [(1,)] * 20 + [(2,)] * 20 + [(1, 2)] * 10:
+        for dim in [1] * 20 + [2] * 20 + [3] * 10:
             atoms = []
             for _ in range(rng.randint(1, 9)):
-                dim = rng.choice(dims)
                 atoms.append(atom(point(dim), point(dim)))
             atoms = list(dict.fromkeys(atoms))
             for p in (1, INF):
@@ -779,8 +776,9 @@ class TestLinearNorm:
 
 
     def test_one_dimensional_level1_norm_needs_no_closure(self, rng, monkeypatch):
-        # the norm skips the closure of its block; the public transport on
-        # the same block closes it first and must agree
+        # the norm skips the closure of its block, on 1-d, 2-d and 3-d
+        # ground; the public transport on the same block closes it first
+        # and must agree
         from conftest import rand_virtual
 
         def block(xi):
@@ -788,11 +786,22 @@ class TestLinearNorm:
             cost = [[d1(u, v, 1) for v in atoms] + [d_diag(u, 1)] for u in atoms]
             return cost + [[d_diag(u, 1) for u in atoms] + [0.0]]
 
+        def rand_xi(dim, size, grid):
+            if dim == 1:
+                return rand_virtual(rng, size, grid=grid, coeff_range=(-3, 3))
+            draw = (lambda: rng.randrange(grid) / grid) if grid else rng.random
+            entries = {}
+            while len(entries) < size:
+                birth = [draw() for _ in range(dim)]
+                death = [b + draw() + 1 / 8 for b in birth]
+                entries[atom(ground(*birth), ground(*death))] = rng.choice((-3, -2, -1, 1, 2, 3))
+            return virtual_diagram(entries, level=1)
+
         closures = []
         monkeypatch.setattr(wasserstein, "min_cost_transport", lambda *a: closures.append(a))
-        for k in range(60):
-            xi = rand_virtual(rng, rng.randint(1, 12), grid=(0, 8)[k % 2], coeff_range=(-3, 3))
-            if k % 3 == 0:
+        for k in range(180):
+            xi = rand_xi(1 + k % 3, rng.randint(1, 12), (0, 8)[k // 3 % 2])
+            if k % 5 == 0:
                 xi = linear_diagram({a: Fraction(c, 2) for a, c in xi.entries})
             cost = block(xi)
             coeffs = [c for _, c in xi.entries]
@@ -800,14 +809,14 @@ class TestLinearNorm:
             assert linear_w1_norm(xi) == pytest.approx(want, rel=1e-12, abs=0)
         assert closures == []
 
-    def test_mixed_dimensions_keep_the_closure(self):
-        # a and c read only their first coordinate against b, so each lies at
-        # 0 from b but at 2 from the other: the closure routes c's two units
-        # through b (cost 0) and the basepoint's unit to b (cost 1)
+    def test_two_dimensional_norm_by_hand(self):
+        # every diagonal cost is 1; b lies at 1 from a, and c at 2 from
+        # both through the diagonal (10 and 9 directly): c's two units go
+        # to a or b at 2 each and the basepoint's unit at 1
         a = atom(ground(0.0, 0.0), ground(1.0, 0.0))
-        b = interval(0.0, 1.0)
+        b = atom(ground(0.0, 0.0), ground(1.0, 1.0))
         c = atom(ground(0.0, 5.0), ground(1.0, 5.0))
-        assert linear_w1_norm(virtual_diagram({a: -2, b: -1, c: 2})) == 1.0
+        assert linear_w1_norm(virtual_diagram({a: -2, b: -1, c: 2})) == 5.0
 
     def test_level2_cost_matrix_shares_one_certified_run(self, rng, monkeypatch):
         from hopd.aggregation import naive_self_aggregate
